@@ -8,8 +8,10 @@ be a generalized hyperelliptic variety.  A corollary builder embeds any
 dihedral group D_k freely into the family in dimension lcm(4, k)/2 + 1.
 
 Nothing here is numerical: points are rational vectors modulo an exact
-lattice, automorphisms are unimodular matrices with rational shifts, and
-every decision (orders, closure, conjugacy, fixed points) is made over Q.
+lattice, automorphisms are signed permutations of the real coordinates
+with shifts kept as integers over a common denominator, and every
+decision (orders, closure, conjugacy, fixed points) is made exactly,
+orders and fixed points in closed form over the permutation's cycles.
 """
 
 from .analysis import (

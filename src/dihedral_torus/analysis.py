@@ -4,13 +4,23 @@ Everything is decided exactly.  The one numerical ingredient, the
 brute-force torsion oracle, enumerates scaled integer grids with numpy
 but never leaves integer arithmetic.
 
-A fixed point of g: z ↦ M·z + t modulo a lattice L is a solution of
-(M − I)·x = −t + λ with λ ∈ L.  Solvability is decided by projecting to
-the left kernel of (M − I): with N a basis of {x : x·(M − I) = 0}, a
-solution exists iff N·t lies in the subgroup of Q^rows(N) generated by
-{N·g_i} over the lattice generators g_i.  All data is rational, and the
-rational points of the affine solution space are dense in its real
-points, so rational solvability and real solvability coincide.
+Every automorphism is g: z ↦ M·z + t modulo a lattice L with M a signed
+permutation, so both decisions have closed forms over the cycles of M.
+Walk a cycle i → σ(i) → ... with potentials c_{σ(i)} = ε_i·c_i, c = ±1;
+the cycle is closed when the product of its signs is +1.
+
+- Order: M has order k = lcm over cycles of the cycle length, doubled
+  for a cycle that is not closed.  g^k is the translation by
+  T = Σ_{j<k} M^j·t, which vanishes on open cycles and is
+  (k/len)·(c·t)·c on a closed one; the order of g is k times the order
+  of T modulo L.
+- Fixed points: a fixed point solves (M − I)·x = −t + λ with λ ∈ L.
+  The left kernel of M − I has one ±1 vector c per closed cycle, so a
+  solution exists iff the projection of t onto those vectors lies in the
+  subgroup generated by the projections of L's generators (Z^m and the
+  extras).  All data is rational, and the rational points of the affine
+  solution space are dense in its real points, so rational solvability
+  and real solvability coincide.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Matrix, dot, left_nullspace, subgroup_membership
+from .linalg import subgroup_membership
 from .torus import (
     AffineAuto,
     EnlargedLattice,
@@ -98,31 +108,79 @@ def _as_auto(g: GroupElement | AffineAuto) -> AffineAuto:
     return g.auto if isinstance(g, GroupElement) else g
 
 
+def dihedral_caps(
+    k: int, closure_cap: int | None = None, order_cap: int | None = None
+) -> tuple[int, int]:
+    """(closure cap, order cap) for a dihedral group D_k of order 2k.
+
+    A cap left as None defaults to four times the group order (closure)
+    or eight times the largest element order max(k, 2) (order): every
+    verifier and query derives its caps here, so they grow with the
+    group they guard.
+    """
+    return (
+        8 * k if closure_cap is None else closure_cap,
+        8 * max(k, 2) if order_cap is None else order_cap,
+    )
+
+
+def _signed_cycles(auto: AffineAuto) -> list[tuple[list[int], list[int], bool]]:
+    """(coordinates, potentials c, closed) for every cycle of the linear part."""
+    perm, signs = auto.perm, auto.signs
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        coords, potentials, c, i = [], [], 1, start
+        while not seen[i]:
+            seen[i] = True
+            coords.append(i)
+            potentials.append(c)
+            c *= signs[i]
+            i = perm[i]
+        cycles.append((coords, potentials, c == 1))
+    return cycles
+
+
 def order(
     g: GroupElement | AffineAuto,
     lattice: EnlargedLattice | None = None,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> int:
-    """Smallest k ≥ 1 with g^k the identity modulo the lattice."""
+    """Smallest k ≥ 1 with g^k the identity modulo the lattice.
+
+    Closed form (see the module docstring); raises OrderCapExceeded when
+    the order is larger than `cap`.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     auto = _as_auto(g)
     if lattice is not None:
         auto = auto.with_lattice(lattice)
-    acc = auto
-    k = 1
-    while not acc.is_identity:
-        k += 1
-        if k > cap:
-            raise OrderCapExceeded(f"order exceeds cap {cap}")
-        acc = compose(acc, auto)
-    return k
+    cycles = _signed_cycles(auto)
+    k = lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed in cycles))
+    total = [0] * len(auto.perm)
+    for coords, potentials, closed in cycles:
+        if closed:
+            proj = sum(c * auto.shift[i] for i, c in zip(coords, potentials))
+            for i, c in zip(coords, potentials):
+                total[i] = k // len(coords) * proj * c
+    # g^k is the translation by T; the least q with q·T ∈ L divides T's
+    # reduced denominator, because Z^m ⊆ L.
+    num, den = auto.lattice.reduce_scaled(total, auto.denominator)
+    for q in range(1, cap // k + 1):
+        if den % q == 0 and not any(
+            auto.lattice.reduce_scaled([x * q for x in num], den)[0]
+        ):
+            return k * q
+    raise OrderCapExceeded(f"order exceeds cap {cap}")
 
 
 def is_translation(g: GroupElement | AffineAuto) -> bool:
     """True for a nonidentity element whose linear part is the identity."""
     auto = _as_auto(g)
-    return auto.linear.is_identity and not auto.translation.is_zero
+    return auto.is_linear_identity and any(auto.shift)
 
 
 def exists_fixed_point(
@@ -132,19 +190,33 @@ def exists_fixed_point(
     auto = _as_auto(g)
     if lattice is None:
         lattice = auto.lattice
-    m = lattice.m
-    c = auto.linear - Matrix.identity(m)
-    kernel = left_nullspace(c)
+    kernel = [(coords, pots) for coords, pots, closed in _signed_cycles(auto) if closed]
     if not kernel:
         # M - I invertible: (M - I)x = -t always solvable, λ = 0.
         return True
-    t = auto.translation.coords
-    projected_t = tuple(dot(row, t) for row in kernel)
-    projected_gens = [
-        tuple(dot(row, gen) for row in kernel)
-        for gen in lattice.canonical_basis
-    ]
-    return subgroup_membership(projected_t, projected_gens)
+
+    def project(v):
+        return [sum(c * v[i] for i, c in zip(coords, pots)) for coords, pots in kernel]
+
+    den, d = auto.denominator, lattice.denominator
+    t_proj = project(auto.shift)
+    extras = [project(gen) for gen in lattice.extra_numerators]
+    # Z^m projects onto Z^K.  Where every projected extra is integral, the
+    # projected t must be integral; the other coordinates are decided
+    # together by subgroup membership.
+    coupled = []
+    for j, x in enumerate(t_proj):
+        if any(e[j] % d for e in extras):
+            coupled.append(j)
+        elif x % den:
+            return False
+    if not any(t_proj[j] % den for j in coupled):
+        return True
+    units = [tuple(int(i == j) for i in coupled) for j in coupled]
+    return subgroup_membership(
+        [Fraction(t_proj[j], den) for j in coupled],
+        units + [[Fraction(e[j], d) for j in coupled] for e in extras],
+    )
 
 
 def closure(
@@ -362,19 +434,19 @@ def analyze_group(
 def _oracle_arrays(auto: AffineAuto, lattice: EnlargedLattice, d: int):
     """Integer-scaled data for the grid enumeration: everything times W.
 
-    W = W0·d where W0 clears every denominator in M − I, t and the
-    lattice basis; then W·((M − I)·p + t) is integral on the whole grid
-    p ∈ (1/d)Z^m and W·L has the integer basis W·B.
+    W = W0·d where W0 clears every denominator in t and the lattice basis
+    (M − I is integral); then W·((M − I)·p + t) is integral on the whole
+    grid p ∈ (1/d)Z^m and W·L has the integer basis W·B.
     """
     m = lattice.m
-    mi = auto.linear - Matrix.identity(m)
-    denoms = [e.denominator for row in mi.rows for e in row]
-    denoms += [e.denominator for e in auto.translation.coords]
-    denoms += [e.denominator for row in lattice.canonical_basis for e in row]
-    w0 = lcm(1, *denoms)
+    denoms = [e.denominator for row in lattice.canonical_basis for e in row]
+    w0 = lcm(auto.denominator, *denoms)
     w = w0 * d
-    mi_int = [[int(e * w0) for e in row] for row in mi.rows]
-    t_int = [int(e * w) for e in auto.translation.coords]
+    mi_int = [[0] * m for _ in range(m)]
+    for i, (src, sign) in enumerate(zip(auto.perm, auto.signs)):
+        mi_int[i][src] += sign * w0
+        mi_int[i][i] -= w0
+    t_int = [x * (w // auto.denominator) for x in auto.shift]
     basis_int = [[int(e * w) for e in row] for row in lattice.canonical_basis]
     return w, mi_int, t_int, basis_int
 

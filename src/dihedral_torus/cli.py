@@ -14,6 +14,7 @@ from typing import Sequence
 from .analysis import (
     OracleBudgetExceeded,
     analyze_group,
+    dihedral_caps,
     exists_fixed_point,
     is_translation,
     order,
@@ -134,11 +135,10 @@ def _print_certificate(cert) -> None:
 
 def _oracle_sweep(n: int, denominator: int, closure_cap: int | None) -> list[str]:
     """Words whose brute-force fixed-point answer disagrees (expected: none)."""
-    rotation, reflection = realified_action(n)
-    kwargs = {}
-    if closure_cap is not None:
-        kwargs["closure_cap"] = closure_cap
-    analysis = analyze_group([rotation, reflection], **kwargs)
+    closure_cap, order_cap = dihedral_caps(4 * n, closure_cap)
+    analysis = analyze_group(
+        realified_action(n), closure_cap=closure_cap, order_cap=order_cap
+    )
     mismatches = []
     for elem, rep in zip(analysis.elements, analysis.reports):
         points = torsion_fixed_points_bruteforce(elem.auto, denominator)
@@ -158,6 +158,8 @@ def cmd_verify(args) -> int:
         return _usage_error("--range must be a positive integer")
     if args.oracle is not None and args.oracle < 1:
         return _usage_error("--oracle denominator must be a positive integer")
+    if args.closure_cap is not None and args.closure_cap < 1:
+        return _usage_error("--closure-cap must be a positive integer")
 
     params = {
         "n": args.n,
@@ -233,11 +235,13 @@ def cmd_corollary(args) -> int:
     return EXIT_OK if cert.verified else EXIT_VERIFICATION_FAILED
 
 
-def _print_view(name: str, auto: AffineAuto, denominator: int | None) -> bool:
+def _print_view(
+    name: str, auto: AffineAuto, order_cap: int, denominator: int | None
+) -> bool:
     print(f"{name}:")
     coords = ", ".join(str(c) for c in auto.translation)
     print(f"  translation (canonical): ({coords})")
-    print(f"  order: {order(auto)}")
+    print(f"  order: {order(auto, cap=order_cap)}")
     print(f"  is translation element: {'yes' if is_translation(auto) else 'no'}")
     has_fp = exists_fixed_point(auto)
     print(f"  has fixed point: {'yes' if has_fp else 'no'}")
@@ -276,8 +280,9 @@ def cmd_element(args) -> int:
     width = max(len(e) for row in entries for e in row)
     for row in entries:
         print("  " + " ".join(e.rjust(width) for e in row))
-    ok = _print_view("ambient product (mod Z^m)", g_ambient, args.oracle)
-    ok &= _print_view("quotient by w", g_quot, args.oracle)
+    _, order_cap = dihedral_caps(4 * n)
+    ok = _print_view("ambient product (mod Z^m)", g_ambient, order_cap, args.oracle)
+    ok &= _print_view("quotient by w", g_quot, order_cap, args.oracle)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 

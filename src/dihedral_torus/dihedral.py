@@ -29,6 +29,7 @@ from .analysis import (
     CapExceeded,
     ElementReport,
     analyze_group,
+    dihedral_caps,
     exists_fixed_point,
     is_translation,
     order,
@@ -122,7 +123,7 @@ def quotient_lattice(n: int) -> EnlargedLattice:
 def realified_action(
     n: int, lattice: EnlargedLattice | None = None
 ) -> tuple[AffineAuto, AffineAuto]:
-    """The pair (r, s) as exact matrices modulo the quotient lattice of A."""
+    """The pair (r, s) as signed permutations modulo the quotient lattice of A."""
     if lattice is None:
         lattice = quotient_lattice(n)
     shape = TorusShape(n)
@@ -219,10 +220,7 @@ def _certify(
 ) -> TheoremCertificate:
     shape = TorusShape(n)
     four_n = 4 * n
-    if closure_cap is None:
-        closure_cap = 4 * (8 * n)
-    if order_cap is None:
-        order_cap = 8 * four_n
+    closure_cap, order_cap = dihedral_caps(four_n, closure_cap, order_cap)
     ambient = ambient_lattice(n)
     w = build_w(n)
     offsets = build_b(n)
@@ -231,8 +229,6 @@ def _certify(
     s = realify(s_map, shape, lattice)
     r_ambient = realify(r_map, shape, ambient)
     s_ambient = realify(s_map, shape, ambient)
-    rotation_linear = AffineAuto(r.linear, TorsionPoint.zero(lattice.m), lattice)
-    reflection_linear = AffineAuto(s.linear, TorsionPoint.zero(lattice.m), lattice)
 
     try:
         analysis = analyze_group(
@@ -252,38 +248,33 @@ def _certify(
             ("r has order 4n on the quotient", r_order == four_n),
             (
                 "the linear part of r has order 4n",
-                order(rotation_linear, cap=order_cap) == four_n,
+                order(r.linear_part(), cap=order_cap) == four_n,
             ),
             (
                 "the linear part of r fixes w on the ambient torus",
-                ambient.reduce(r.linear.matvec(w.coords))
-                == ambient.reduce(w.coords),
+                r_ambient.linear_part().apply(w) == ambient.reduce(w),
             ),
         ]
-        last_slot = 2 * shape.eprime_index
-        power = r
-        shifts_ok = True
-        powers_not_translations = True
-        powers_free = True
-        for j in range(1, four_n):
-            block_fixes_last = (
-                power.linear.rows[last_slot][last_slot] == 1
-                and power.linear.rows[last_slot + 1][last_slot + 1] == 1
-            )
-            if not (
-                block_fixes_last
-                and power.translation[last_slot] == Fraction(j, four_n)
-            ):
-                shifts_ok = False
-            if is_translation(power):
-                powers_not_translations = False
-            if exists_fixed_point(power):
-                powers_free = False
-            power = compose(power, r)
+        powers = [r]
+        while len(powers) < four_n - 1:
+            powers.append(compose(powers[-1], r))
+        last = 2 * shape.eprime_index
+        shifts_ok = all(
+            power.perm[last : last + 2] == (last, last + 1)
+            and power.signs[last : last + 2] == (1, 1)
+            and power.shift[last] * four_n == j * power.denominator
+            for j, power in enumerate(powers, 1)
+        )
         rotation_checks += [
             ("every power r^j shifts the E′ coordinate by exactly j/4n", shifts_ok),
-            ("no proper rotation power is a translation", powers_not_translations),
-            ("no proper rotation power has a fixed point", powers_free),
+            (
+                "no proper rotation power is a translation",
+                not any(is_translation(p) for p in powers),
+            ),
+            (
+                "no proper rotation power has a fixed point",
+                not any(exists_fixed_point(p) for p in powers),
+            ),
         ]
         step1 = StepResult.from_checks(_STEP_NAMES[0], rotation_checks)
 
@@ -308,8 +299,7 @@ def _certify(
                 ),
                 (
                     "the linear part of s fixes w on the ambient torus",
-                    ambient.reduce(s.linear.matvec(w.coords))
-                    == ambient.reduce(w.coords),
+                    s_ambient.linear_part().apply(w) == ambient.reduce(w),
                 ),
                 (
                     "offsets satisfy b_i − b_{2n+1−i} = 1/2 for every i",
@@ -506,10 +496,7 @@ def verify_corollary(
     n = plan.params.n
     shape = TorusShape(n)
     lattice = quotient_lattice(n)
-    if closure_cap is None:
-        closure_cap = 4 * plan.expected_order
-    if order_cap is None:
-        order_cap = 8 * max(k, 2)
+    closure_cap, order_cap = dihedral_caps(k, closure_cap, order_cap)
     rot = realify(plan.rotation_map, shape, lattice)
     refl = realify(plan.reflection_map, shape, lattice)
     try:

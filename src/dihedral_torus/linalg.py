@@ -27,23 +27,14 @@ def vector(entries: Iterable[Rational]) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    acc = _F0
-    for a, b in zip(u, v, strict=True):
-        if a and b:
-            acc += a * b
-    return acc
-
-
 class Matrix:
     """Immutable dense matrix with exact rational entries.
 
     Construction normalizes every entry to `Fraction`.  Equality and
-    hashing are structural, which lets matrices serve as dictionary keys
-    during group closure.
+    hashing are structural.
     """
 
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
         data = tuple(
@@ -56,13 +47,11 @@ class Matrix:
         if any(len(row) != width for row in data[1:]):
             raise ValueError("rows have unequal lengths")
         self.rows = data
-        self._hash = None
 
     @classmethod
     def _wrap(cls, data: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
         m = object.__new__(cls)
         m.rows = data
-        m._hash = None
         return m
 
     @classmethod
@@ -103,40 +92,14 @@ class Matrix:
         width = other.n_cols
         out = []
         for arow in self.rows:
-            nz = [(j, a) for j, a in enumerate(arow) if a]
-            if len(nz) == 1 and nz[0][1] == 1:
-                out.append(orows[nz[0][0]])
-                continue
-            if len(nz) == 1 and nz[0][1] == -1:
-                out.append(tuple(-b for b in orows[nz[0][0]]))
-                continue
             acc = [_F0] * width
-            for j, a in nz:
-                brow = orows[j]
-                if a == 1:
-                    for c, b in enumerate(brow):
-                        if b:
-                            acc[c] += b
-                elif a == -1:
-                    for c, b in enumerate(brow):
-                        if b:
-                            acc[c] -= b
-                else:
+            for a, brow in zip(arow, orows):
+                if a:
                     for c, b in enumerate(brow):
                         if b:
                             acc[c] += a * b
             out.append(tuple(acc))
         return Matrix._wrap(tuple(out))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("incompatible shapes for matrix difference")
-        return Matrix._wrap(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
 
     def matvec(self, v: Sequence[Rational]) -> Vector:
         if len(v) != self.n_cols:
@@ -154,9 +117,7 @@ class Matrix:
         return isinstance(other, Matrix) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -188,33 +149,10 @@ def signed_permutation(m: Matrix) -> tuple[tuple[int, int], ...] | None:
     return tuple(out)
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    sp = signed_permutation(m)
-    if sp is not None:
-        sign = _permutation_sign([src for src, _ in sp])
-        for _, s in sp:
-            sign *= s
-        return Fraction(sign)
     rows = [list(r) for r in m.rows]
     n = len(rows)
     result = _F1
@@ -239,10 +177,6 @@ def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square invertible matrix."""
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
-    sp = signed_permutation(m)
-    if sp is not None:
-        # Signed permutations are orthogonal, so the inverse is the transpose.
-        return m.transpose()
     n = m.n_rows
     rows = [list(r) + [_F1 if i == j else _F0 for j in range(n)] for i, r in enumerate(m.rows)]
     for c in range(n):
@@ -337,10 +271,12 @@ def _as_int_rows(a: Iterable[Iterable[Rational]]) -> list[list[int]]:
     for row in a:
         int_row = []
         for e in row:
-            f = Fraction(e)
-            if f.denominator != 1:
-                raise ValueError("matrix entries must be integers")
-            int_row.append(f.numerator)
+            if type(e) is not int:
+                f = Fraction(e)
+                if f.denominator != 1:
+                    raise ValueError("matrix entries must be integers")
+                e = f.numerator
+            int_row.append(e)
         out.append(int_row)
     if not out or not out[0]:
         raise ValueError("matrix needs at least one row and one column")

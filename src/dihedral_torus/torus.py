@@ -4,8 +4,15 @@ Points live in lattice-basis coordinates: complex coordinate i of a
 product E_1 × ... × E_c is a value p + q·τ_i with (p, q) rational, and
 the formal period τ_i is never evaluated.  A holomorphic automorphism
 that permutes (and negates) coordinates and translates by torsion then
-realifies to an exact rational matrix plus a rational shift, so every
-verification below holds for all choices of the elliptic curves at once.
+realifies to a signed permutation of the real coordinates plus a
+rational shift, so every verification below holds for all choices of
+the elliptic curves at once.
+
+`AffineAuto` stores exactly that: one (source, sign) pair per real
+coordinate, and the shift as integer numerators over one common
+denominator, reduced modulo the lattice.  Composition, inversion,
+equality and hashing are O(m) integer operations; the dense matrix is
+built only when a caller asks for it.
 
 Coordinate layout: complex coordinate i (0-based) owns the two real
 slots 2i, 2i+1, in order (1-part, τ-part).
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -24,13 +31,12 @@ from .linalg import (
     Vector,
     det,
     hnf,
-    inverse as matrix_inverse,
+    signed_permutation,
     vector,
 )
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,10 @@ class TorsionPoint:
         return "TorsionPoint(" + ", ".join(str(e) for e in self.coords) + ")"
 
 
+def _point(num: Sequence[int], den: int) -> TorsionPoint:
+    return TorsionPoint(tuple(Fraction(x, den) for x in num))
+
+
 @dataclass(frozen=True)
 class EnlargedLattice:
     """Full-rank lattice Z^m + Z·g_1 + ... + Z·g_k inside Q^m.
@@ -107,12 +117,20 @@ class EnlargedLattice:
     canonical_basis holds the unique upper-triangular HNF basis (rows) at
     the common denominator of the extra generators, so structural equality
     of two EnlargedLattice values is equality of the lattices themselves.
+    The remaining fields are integer forms of the same data over
+    `denominator`, for reducing integer numerators.
     """
 
     m: int
     extra_generators: tuple[Vector, ...] = field(compare=False)
     canonical_basis: tuple[Vector, ...]
     index: int
+    denominator: int = field(compare=False, repr=False)
+    # pivot of every basis row, and (row, pivot, off-diagonal entries) of
+    # the rows that have off-diagonal entries, all times `denominator`
+    pivots: tuple[int, ...] = field(compare=False, repr=False)
+    sheared_rows: tuple = field(compare=False, repr=False)
+    extra_numerators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_extra_generators(
@@ -128,16 +146,25 @@ class EnlargedLattice:
         rows.extend([d if i == j else 0 for j in range(m)] for i in range(m))
         dec = hnf(rows)
         assert dec.rank == m  # d·Z^m is among the generators
-        basis = tuple(
-            tuple(Fraction(e, d) for e in dec.h[i]) for i in range(m)
-        )
-        diag_prod = 1
-        for i in range(m):
-            diag_prod *= dec.h[i][i]
-        index, rem = divmod(d**m, diag_prod)
+        h = dec.h[:m]
+        basis = tuple(tuple(Fraction(e, d) if e else _F0 for e in row) for row in h)
+        pivots = tuple(h[i][i] for i in range(m))
+        index, rem = divmod(d**m, prod(pivots))
         assert rem == 0  # Z^m is a sublattice, so covolumes divide
+        sheared = tuple(
+            (i, h[i][i], tail)
+            for i in range(m)
+            if (tail := tuple((j, h[i][j]) for j in range(i + 1, m) if h[i][j]))
+        )
         return cls(
-            m=m, extra_generators=extra_vs, canonical_basis=basis, index=index
+            m=m,
+            extra_generators=extra_vs,
+            canonical_basis=basis,
+            index=index,
+            denominator=d,
+            pivots=pivots,
+            sheared_rows=sheared,
+            extra_numerators=tuple(tuple(row) for row in rows[: len(extra_vs)]),
         )
 
     @classmethod
@@ -153,24 +180,49 @@ class EnlargedLattice:
         )
         return std + self.extra_generators
 
+    def scaled(self, p: Sequence[Rational] | TorsionPoint) -> tuple[list[int], int]:
+        """p as (integer numerators, their least common denominator)."""
+        coords = p.coords if isinstance(p, TorsionPoint) else vector(p)
+        if len(coords) != self.m:
+            raise ValueError("point length does not match lattice dimension")
+        den = lcm(1, *(e.denominator for e in coords))
+        return [e.numerator * (den // e.denominator) for e in coords], den
+
+    def reduce_scaled(
+        self, num: Sequence[int], den: int
+    ) -> tuple[tuple[int, ...], int]:
+        """reduce() on integer numerators: (numerators, denominator) in lowest terms.
+
+        Works at lcm(den, denominator), where the basis is integral.  Rows
+        with off-diagonal entries are subtracted in order, then every
+        coordinate is taken modulo its pivot (the other rows touch only
+        their own coordinate).
+        """
+        d = self.denominator
+        scale = d // gcd(d, den)
+        big = den * scale
+        f = big // d
+        v = [x * scale for x in num] if scale != 1 else list(num)
+        for i, pivot, tail in self.sheared_rows:
+            q = v[i] // (pivot * f)
+            if q:
+                v[i] -= q * pivot * f
+                for j, b in tail:
+                    v[j] -= q * b * f
+        v = [x % (p * f) for x, p in zip(v, self.pivots)]
+        g = gcd(big, *v)
+        if g != 1:
+            v = [x // g for x in v]
+            big //= g
+        return tuple(v), big
+
     def reduce(self, p: Sequence[Rational] | TorsionPoint) -> TorsionPoint:
         """Canonical representative of p modulo the lattice.
 
         Coordinates of the result lie in [0, pivot_i) per canonical basis
         row; reduce is idempotent and reduce(p) - p is a lattice member.
         """
-        if isinstance(p, TorsionPoint):
-            p = p.coords
-        v = list(vector(p))
-        if len(v) != self.m:
-            raise ValueError("point length does not match lattice dimension")
-        for i, row in enumerate(self.canonical_basis):
-            q = v[i] // row[i]
-            if q:
-                for j in range(i, self.m):
-                    if row[j]:
-                        v[j] -= q * row[j]
-        return TorsionPoint(tuple(v))
+        return _point(*self.reduce_scaled(*self.scaled(p)))
 
     def contains(self, p: Sequence[Rational] | TorsionPoint) -> bool:
         return self.reduce(p).is_zero
@@ -235,14 +287,18 @@ class ComplexMonomialMap:
 
 
 class AffineAuto:
-    """Realified automorphism z ↦ M·z + t modulo an enlarged lattice.
+    """Automorphism z ↦ M·z + t of R^m modulo an enlarged lattice L.
 
-    The public constructor checks that M is unimodular and maps the
-    lattice onto itself; t is stored in canonical reduced form.  Values
-    are immutable and hashable, so they double as closure keys.
+    M is a signed permutation: output coordinate i is signs[i]·z[perm[i]].
+    t is shift/denominator, with the integer shift reduced modulo L and in
+    lowest terms, so equal maps have equal fields.  Values are immutable
+    and hashable, so they double as closure keys.
+
+    The public constructor takes a dense matrix and checks that it is
+    unimodular, maps the lattice onto itself and is a signed permutation.
     """
 
-    __slots__ = ("linear", "translation", "lattice", "_hash")
+    __slots__ = ("perm", "signs", "shift", "denominator", "lattice", "_linear")
 
     def __init__(
         self,
@@ -258,68 +314,108 @@ class AffineAuto:
         for row in lattice.canonical_basis:
             if not lattice.contains(linear.matvec(row)):
                 raise ValueError("linear part does not preserve the lattice")
-        self.linear = linear
-        self.translation = lattice.reduce(translation)
-        self.lattice = lattice
-        self._hash = None
+        pairs = signed_permutation(linear)
+        if pairs is None:
+            raise ValueError("linear part must be a signed permutation")
+        self.perm, self.signs = (tuple(p) for p in zip(*pairs))
+        self.shift, self.denominator = lattice.reduce_scaled(
+            *lattice.scaled(translation)
+        )
+        self.lattice, self._linear = lattice, linear
 
     @classmethod
-    def _make(
-        cls, linear: Matrix, reduced: TorsionPoint, lattice: EnlargedLattice
-    ) -> "AffineAuto":
+    def _make(cls, perm, signs, shift, denominator, lattice) -> "AffineAuto":
         # Internal fast path: caller guarantees the invariants (products and
-        # inverses of valid automorphisms stay valid, translations reduced).
+        # inverses of valid automorphisms stay valid, shifts reduced).
         g = object.__new__(cls)
-        g.linear = linear
-        g.translation = reduced
-        g.lattice = lattice
-        g._hash = None
+        g.perm, g.signs, g.shift, g.denominator = perm, signs, shift, denominator
+        g.lattice, g._linear = lattice, None
         return g
 
     @classmethod
+    def _checked(cls, perm, signs, shift, denominator, lattice) -> "AffineAuto":
+        # A signed permutation maps Z^m onto itself, so it preserves
+        # L = Z^m + Σ Z·g_i iff it maps every extra generator g_i into L
+        # (then M·L ⊆ L, with equality because M has finite order).
+        for g in lattice.extra_numerators:
+            image = [s * g[src] for src, s in zip(perm, signs)]
+            if any(lattice.reduce_scaled(image, lattice.denominator)[0]):
+                raise ValueError("linear part does not preserve the lattice")
+        reduced = lattice.reduce_scaled(shift, denominator)
+        return cls._make(perm, signs, *reduced, lattice)
+
+    @classmethod
     def identity(cls, lattice: EnlargedLattice) -> "AffineAuto":
-        return cls._make(
-            Matrix.identity(lattice.m), TorsionPoint.zero(lattice.m), lattice
-        )
+        m = lattice.m
+        return cls._make(tuple(range(m)), (1,) * m, (0,) * m, 1, lattice)
 
     @classmethod
     def translation_by(
         cls, t: Sequence[Rational] | TorsionPoint, lattice: EnlargedLattice
     ) -> "AffineAuto":
-        return cls._make(Matrix.identity(lattice.m), lattice.reduce(t), lattice)
+        reduced = lattice.reduce_scaled(*lattice.scaled(t))
+        m = lattice.m
+        return cls._make(tuple(range(m)), (1,) * m, *reduced, lattice)
+
+    @property
+    def linear(self) -> Matrix:
+        """M as a dense matrix, built on first use (for display and tests)."""
+        if self._linear is None:
+            rows = [[0] * len(self.perm) for _ in self.perm]
+            for row, src, sign in zip(rows, self.perm, self.signs):
+                row[src] = sign
+            self._linear = Matrix(rows)
+        return self._linear
+
+    @property
+    def translation(self) -> TorsionPoint:
+        return _point(self.shift, self.denominator)
+
+    @property
+    def is_linear_identity(self) -> bool:
+        return all(s == 1 for s in self.signs) and all(
+            src == i for i, src in enumerate(self.perm)
+        )
 
     @property
     def is_identity(self) -> bool:
-        return self.translation.is_zero and self.linear.is_identity
+        return not any(self.shift) and self.is_linear_identity
+
+    def linear_part(self) -> "AffineAuto":
+        """z ↦ M·z on the same lattice."""
+        zero = (0,) * len(self.perm)
+        return AffineAuto._make(self.perm, self.signs, zero, 1, self.lattice)
 
     def apply(self, p: Sequence[Rational] | TorsionPoint) -> TorsionPoint:
-        if isinstance(p, TorsionPoint):
-            p = p.coords
-        image = self.linear.matvec(p)
-        shifted = tuple(a + b for a, b in zip(image, self.translation.coords))
-        return self.lattice.reduce(shifted)
+        image = _moved(self, *self.lattice.scaled(p))
+        return _point(*self.lattice.reduce_scaled(*image))
 
     def with_lattice(self, lattice: EnlargedLattice) -> "AffineAuto":
         """The same affine map regarded modulo a different lattice (revalidated)."""
         if lattice == self.lattice:
             return self
-        return AffineAuto(self.linear, self.translation.coords, lattice)
+        return AffineAuto._checked(
+            self.perm, self.signs, self.shift, self.denominator, lattice
+        )
+
+    def _key(self) -> tuple:
+        return self.perm, self.signs, self.shift, self.denominator
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AffineAuto)
-            and self.linear == other.linear
-            and self.translation == other.translation
+            and self._key() == other._key()
             and self.lattice == other.lattice
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.linear, self.translation))
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"AffineAuto(linear={self.linear!r}, t={self.translation!r})"
+        return (
+            f"AffineAuto(perm={self.perm!r}, signs={self.signs!r}, "
+            f"t={self.translation!r})"
+        )
 
 
 def realify(
@@ -327,13 +423,13 @@ def realify(
     shape: TorusShape,
     lattice: EnlargedLattice | None = None,
 ) -> AffineAuto:
-    """Expand a monomial map to its 2×2-block matrix on lattice coordinates.
+    """The monomial map as a signed permutation of lattice coordinates.
 
-    Output block row j carries ε_j·I₂ at block column σ(j): negating
-    p + q·τ negates both lattice coordinates, and coordinates on distinct
-    factors never mix.  Rejects maps that send an E coordinate to the E′
-    coordinate or back, since those are not holomorphic for generic
-    periods.
+    Output slots 2j, 2j+1 read slots 2σ(j), 2σ(j)+1 with sign ε_j:
+    negating p + q·τ negates both lattice coordinates, and coordinates on
+    distinct factors never mix.  Rejects maps that send an E coordinate
+    to the E′ coordinate or back, since those are not holomorphic for
+    generic periods.
 
     When `lattice` is omitted the map is taken modulo Z^m (the ambient
     product itself); pass the quotient's enlarged lattice to realify an
@@ -347,30 +443,42 @@ def realify(
             raise ValueError(
                 "permutation mixes E and E′ factors (not holomorphic)"
             )
-    m = shape.real_dim
-    rows = [[_F0] * m for _ in range(m)]
-    for j, (src, eps) in enumerate(zip(cmap.perm, cmap.signs)):
-        rows[2 * j][2 * src] = Fraction(eps)
-        rows[2 * j + 1][2 * src + 1] = Fraction(eps)
+    perm = tuple(2 * src + k for src in cmap.perm for k in (0, 1))
+    signs = tuple(eps for eps in cmap.signs for _ in (0, 1))
     if lattice is None:
-        lattice = EnlargedLattice.standard(m)
-    return AffineAuto(Matrix(rows), cmap.translation, lattice)
+        lattice = EnlargedLattice.standard(shape.real_dim)
+    shift = lattice.scaled(cmap.translation)
+    return AffineAuto._checked(perm, signs, *shift, lattice)
+
+
+def _moved(g: AffineAuto, num: Sequence[int], den: int) -> tuple[list[int], int]:
+    """M·(num/den) + t as integer numerators over lcm(den, t's denominator)."""
+    big = lcm(den, g.denominator)
+    a, b = big // den, big // g.denominator
+    return [
+        s * num[src] * a + t * b for src, s, t in zip(g.perm, g.signs, g.shift)
+    ], big
 
 
 def compose(g: AffineAuto, h: AffineAuto) -> AffineAuto:
     """g ∘ h (h is applied first), on the automorphisms' shared lattice."""
-    if g.lattice != h.lattice:
+    if g.lattice is not h.lattice and g.lattice != h.lattice:
         raise ValueError("automorphisms live on different lattices")
-    linear = g.linear @ h.linear
-    moved = g.linear.matvec(h.translation.coords)
-    t = tuple(a + b for a, b in zip(moved, g.translation.coords))
-    return AffineAuto._make(linear, g.lattice.reduce(t), g.lattice)
+    hp, hs = h.perm, h.signs
+    perm = tuple([hp[src] for src in g.perm])
+    signs = tuple([s * hs[src] for src, s in zip(g.perm, g.signs)])
+    shift = g.lattice.reduce_scaled(*_moved(g, h.shift, h.denominator))
+    return AffineAuto._make(perm, signs, *shift, g.lattice)
 
 
 def inverse(g: AffineAuto) -> AffineAuto:
-    inv = matrix_inverse(g.linear)
-    t = tuple(-e for e in inv.matvec(g.translation.coords))
-    return AffineAuto._make(inv, g.lattice.reduce(t), g.lattice)
+    """z = ε_i·(y_i − t_i) at slot σ(i): the transposed pairs, shift −M⁻¹t."""
+    m = len(g.perm)
+    perm, signs, shift = [0] * m, [0] * m, [0] * m
+    for i, (src, s, t) in enumerate(zip(g.perm, g.signs, g.shift)):
+        perm[src], signs[src], shift[src] = i, s, -s * t
+    shift = g.lattice.reduce_scaled(shift, g.denominator)
+    return AffineAuto._make(tuple(perm), tuple(signs), *shift, g.lattice)
 
 
 def equal_mod_lattice(g: AffineAuto, h: AffineAuto, lattice: EnlargedLattice) -> bool:
@@ -379,9 +487,9 @@ def equal_mod_lattice(g: AffineAuto, h: AffineAuto, lattice: EnlargedLattice) ->
     The comparison lattice is explicit so that maps constructed on the
     ambient product can be compared as maps of a further quotient.
     """
-    if g.linear != h.linear:
+    if g.perm != h.perm or g.signs != h.signs:
         return False
-    diff = tuple(
-        a - b for a, b in zip(g.translation.coords, h.translation.coords)
-    )
-    return lattice.contains(diff)
+    den = lcm(g.denominator, h.denominator)
+    a, b = den // g.denominator, den // h.denominator
+    diff = [x * a - y * b for x, y in zip(g.shift, h.shift)]
+    return not any(lattice.reduce_scaled(diff, den)[0])

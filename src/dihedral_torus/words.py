@@ -15,8 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .analysis import order
-from .torus import AffineAuto, compose
+from .torus import AffineAuto, compose, inverse
 
 _TERM = re.compile(r"([rs])(?:\^(-?\d+))?\Z")
 
@@ -61,12 +60,17 @@ def parse_word(text: str) -> GroupWord:
 
 
 def _power(base: AffineAuto, e: int) -> AffineAuto:
-    # Normalize the exponent modulo the generator's order so that huge or
-    # negative exponents cost the same as their reduced form.
-    e %= order(base)
+    # Square and multiply: O(log |e|) compositions and no order
+    # computation, so no cap limits the exponent or the generator.
+    if e < 0:
+        base, e = inverse(base), -e
     acc = AffineAuto.identity(base.lattice)
-    for _ in range(e):
-        acc = compose(acc, base)
+    while e:
+        if e & 1:
+            acc = compose(acc, base)
+        e >>= 1
+        if e:
+            base = compose(base, base)
     return acc
 
 

@@ -1,5 +1,6 @@
 """Tests for the JSON certificate documents and their determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,11 @@ from dihedral_torus.certificate import (
     theorem_document,
     write_json,
 )
-from dihedral_torus.dihedral import verify_corollary, verify_theorem
+from dihedral_torus.dihedral import (
+    verify_corollary,
+    verify_mutant,
+    verify_theorem,
+)
 
 PARAMS = {"n": 1, "range": None, "closure_cap": None, "oracle": None}
 
@@ -131,3 +136,42 @@ class TestRendering:
         path = tmp_path / "cert.json"
         write_json(str(path), doc)
         assert path.read_text(encoding="utf-8") == render_json(doc)
+
+
+# SHA-256 of render_json for fixed inputs, recorded from the dense-matrix
+# implementation; any change to the core must reproduce these bytes.
+PINNED_DIGESTS = {
+    ("theorem", 1): "8809ae0b2d0117f1cd86652aa8145dcf7e8f9931ccbdb21f3e760094d57b2086",
+    ("theorem", 2): "d020b741f6ba92bef58b266b8e45c2b646b10a7a484ee311bbc74f6278fb07dc",
+    ("theorem", 3): "4b5a0def1f8bbe753e2712a3b138143543f477941a10d363cb2388bb4ff3acb2",
+    ("theorem", 4): "31012f37fd1a34d3cbf9fae70fa3e8d4e88b01eb7b713b712bbb361ce63e61d2",
+    ("range", 3): "a0df1b2155221dad45870c7c41be6605cafaa1f4a05a12f6d6e9bd19c41891fc",
+    ("corollary", 3): "eb43082a253d57f1a5c7586b9deeb120fabd276cb5afbace32eb7615793afad8",
+    ("corollary", 5): "094b38c6228cc70b46fbde51a8b283e8aa09aec2be38ef473665a7b2e1a0674e",
+    ("corollary", 6): "e63a27b417b031422bdfe319e115b166df9041233e4e4ce6e89b662d267a4a01",
+    ("no-quotient", 1): "763ec489472cc7a492f26f39bce72d7ed9aa8d9119d6adb6d29df808ce6a261d",
+    ("no-rotation-shift", 1): "f95648736fc8575260a90bab4e28a8ccb54ed7ca7556350fc8e4beedcb2ba41a",
+    ("zero-offsets", 1): "8265bf7925490f37d0ddf6ad36c7c185493c84bcf07fd2892728f4168cae742f",
+}
+
+
+def _verify_params(n, range_max=None):
+    return {"n": n, "range": range_max, "closure_cap": None, "oracle": None}
+
+
+def _pinned_document(kind, value):
+    if kind == "theorem":
+        return theorem_document(verify_theorem(value), _verify_params(value))
+    if kind == "range":
+        certs = [verify_theorem(n) for n in range(1, value + 1)]
+        return range_document(certs, _verify_params(None, value))
+    if kind == "corollary":
+        return corollary_document(verify_corollary(value), {"k": value})
+    return theorem_document(verify_mutant(kind, value), _verify_params(value))
+
+
+@pytest.mark.parametrize("kind, value", sorted(PINNED_DIGESTS))
+def test_certificate_bytes_match_pinned_digest(kind, value):
+    text = render_json(_pinned_document(kind, value))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PINNED_DIGESTS[kind, value]

@@ -42,6 +42,8 @@ class TestVerifyCommand:
         assert main(["verify", "--range", "0"]) == EXIT_USAGE
         assert main(["verify", "--n", "1", "--oracle", "0"]) == EXIT_USAGE
         capsys.readouterr()
+        assert main(["verify", "--n", "1", "--closure-cap", "0"]) == EXIT_USAGE
+        assert "--closure-cap" in capsys.readouterr().err
 
     def test_closure_cap_failure_sets_exit_code(self, capsys):
         assert main(

@@ -1,0 +1,115 @@
+"""Cross-check of the signed-permutation core against a dense reference.
+
+The reference below works on dense `Matrix` values only: products by
+`Matrix.__matmul__`, orders by repeated products, and fixed points by
+projecting onto `left_nullspace(M − I)` and deciding `subgroup_membership`.
+It is the general-matrix method and uses none of the cycle structure the
+core's closed forms rely on.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dihedral_torus.analysis import exists_fixed_point, order
+from dihedral_torus.linalg import Matrix, left_nullspace, subgroup_membership
+from dihedral_torus.torus import (
+    EnlargedLattice,
+    TorusShape,
+    compose,
+    inverse,
+    realify,
+)
+
+from test_torus import lattices, monomial_maps
+
+SHAPE = TorusShape(1)
+M = SHAPE.real_dim
+
+
+def _matvec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a.rows)
+
+
+def dense_compose(g, h):
+    """(M_g·M_h, M_g·t_h + t_g mod L) from dense products."""
+    moved = _matvec(g.linear, h.translation.coords)
+    t = tuple(a + b for a, b in zip(moved, g.translation.coords))
+    return g.linear @ h.linear, g.lattice.reduce(t)
+
+
+def dense_inverse(g):
+    """Signed permutations are orthogonal: (M^T, −M^T·t mod L)."""
+    inv = g.linear.transpose()
+    t = tuple(-e for e in _matvec(inv, g.translation.coords))
+    return inv, g.lattice.reduce(t)
+
+
+def dense_order(g, cap=512):
+    identity = Matrix.identity(M)
+    linear, t = g.linear, g.translation
+    for k in range(1, cap + 1):
+        if linear == identity and t.is_zero:
+            return k
+        moved = _matvec(g.linear, t.coords)
+        linear = g.linear @ linear
+        t = g.lattice.reduce(tuple(a + b for a, b in zip(moved, g.translation)))
+    raise AssertionError("dense order exceeds the cap")
+
+
+def dense_fixed_point(g):
+    shifted = Matrix(
+        [
+            [e - (1 if i == j else 0) for j, e in enumerate(row)]
+            for i, row in enumerate(g.linear.rows)
+        ]
+    )
+    kernel = left_nullspace(shifted)
+    if not kernel:
+        return True
+
+    def project(v):
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in kernel)
+
+    gens = [project(b) for b in g.lattice.canonical_basis]
+    return subgroup_membership(project(g.translation.coords), gens)
+
+
+@st.composite
+def invariant_cases(draw):
+    """Maps of the n=1 product and a lattice every one of them preserves.
+
+    The lattice is Z^m plus the orbits of random extras under the group
+    the maps' linear parts generate, so it is invariant by construction.
+    """
+    cmaps = [draw(monomial_maps()), draw(monomial_maps())]
+    seeds = draw(lattices(m=M)).extra_generators
+    linears = [realify(c, SHAPE).linear for c in cmaps]
+    orbit, frontier = set(seeds), list(seeds)
+    while frontier:
+        v = frontier.pop()
+        for a in linears:
+            image = _matvec(a, v)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    lattice = EnlargedLattice.from_extra_generators(M, sorted(orbit))
+    return [realify(c, SHAPE, lattice) for c in cmaps]
+
+
+@given(invariant_cases())
+@settings(deadline=None, max_examples=60)
+def test_compose_and_inverse_match_dense_products(case):
+    g, h = case
+    gh = compose(g, h)
+    assert (gh.linear, gh.translation) == dense_compose(g, h)
+    g_inv = inverse(g)
+    assert (g_inv.linear, g_inv.translation) == dense_inverse(g)
+    assert compose(g, g_inv).is_identity
+
+
+@given(invariant_cases())
+@settings(deadline=None, max_examples=60)
+def test_order_and_fixed_points_match_dense_decisions(case):
+    for g in (case[0], compose(*case)):
+        assert order(g) == dense_order(g)
+        assert exists_fixed_point(g) == dense_fixed_point(g)

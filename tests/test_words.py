@@ -1,10 +1,12 @@
 """Tests for the generator-word parser and evaluator."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus.analysis import analyze_group
+from dihedral_torus.analysis import analyze_group, dihedral_caps, order
 from dihedral_torus.dihedral import ambient_lattice, realified_action
 from dihedral_torus.torus import AffineAuto, compose, inverse
 from dihedral_torus.words import (
@@ -89,6 +91,13 @@ class TestEvaluation:
         s_ambient = s.with_lattice(ambient_lattice(1))
         with pytest.raises(ValueError, match="lattice"):
             evaluate_word(parse_word("r s"), r, s_ambient)
+
+    def test_exponents_past_the_default_order_cap(self):
+        # r has order 4n = 516 here, above the fixed default cap of 512.
+        n = 129
+        g = evaluate_word(parse_word("r^-1"), *realified_action(n))
+        assert order(g, cap=dihedral_caps(4 * n)[1]) == 4 * n
+        assert g.translation[4 * n] == Fraction(4 * n - 1, 4 * n)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_analysis_labels_evaluate_to_their_elements(self, n):
