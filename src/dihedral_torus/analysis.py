@@ -25,6 +25,7 @@ the cycle is closed when the product of its signs is +1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -62,7 +63,7 @@ class OrderCapExceeded(CapExceeded):
 
 
 class OracleBudgetExceeded(RuntimeError):
-    """The torsion oracle refused an enumeration larger than its budget."""
+    """The torsion oracle refused a grid beyond its budget or int64 range."""
 
 
 @dataclass(frozen=True)
@@ -485,6 +486,46 @@ def _triangular_residues(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return v
 
 
+def _fixed_rows(
+    mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, d: int, grid_scale: int
+) -> np.ndarray | None:
+    """Scaled canonical fixed points of the grid, sorted and deduplicated.
+
+    Grid points are digit vectors in [0, d)^m.  The trailing b digits span
+    a block of d^b points, b the largest with d^b ≤ _CHUNK but at least 1,
+    whose image is computed once; each chunk is one prefix of the leading
+    m − b digits, and its image is the block plus the prefix's constant
+    row.  Only the surviving rows get their digits rebuilt.
+    """
+    m = basis.shape[0]
+    b = 1
+    while b < m and d ** (b + 1) <= _CHUNK:
+        b += 1
+    a = m - b
+    trail = np.indices((d,) * b, dtype=np.int64).reshape(b, -1).T
+    block = trail @ mi_t[a:] + t_arr
+    survivors = []
+    for lead in itertools.product(range(d), repeat=a):
+        lead_arr = np.array(lead, dtype=np.int64)
+        image = block + lead_arr @ mi_t[:a]
+        mask = ~_triangular_residues(image, basis).any(axis=1)
+        if mask.any():
+            digits = np.empty((int(mask.sum()), m), dtype=np.int64)
+            digits[:, :a] = lead_arr
+            digits[:, a:] = trail[mask]
+            digits *= grid_scale
+            survivors.append(_triangular_residues(digits, basis))
+    if not survivors:
+        return None
+    rows = np.concatenate(survivors)
+    del survivors
+    # lexsort takes its last key as the primary one: column 0 leads.
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def torsion_fixed_points_bruteforce(
     g: GroupElement | AffineAuto,
     denominator: int,
@@ -502,8 +543,18 @@ def torsion_fixed_points_bruteforce(
     denominator (a multiple of lcm(order, denominators involved)) makes
     the comparison exact.
 
+    The scaled image W·((M − I)·p + t) is linear in the grid digits, so
+    the grid is split into a block of trailing digits (at most 2^16
+    points, or one coordinate), imaged once per call, and one chunk per
+    prefix of the leading digits (the block's image plus a constant row).
+    Each chunk is reduced modulo the scaled lattice in int64; the
+    canonical forms of the survivors are sorted with np.lexsort and
+    deduplicated by comparing adjacent rows, and the points are built
+    column by column from a Fraction table.
+
     Refuses enumerations whose expected distinct-point count
-    denominator^m / [L : Z^m] exceeds the budget.
+    denominator^m / [L : Z^m] exceeds the budget, and scalings that could
+    leave the int64 range, with OracleBudgetExceeded.
     """
     if denominator < 1:
         raise ValueError("denominator must be positive")
@@ -521,36 +572,24 @@ def torsion_fixed_points_bruteforce(
         )
 
     w, mi_int, t_int, basis_int = _oracle_arrays(auto, lattice, d)
+    # The bound covers every entry of the full image W·((M − I)·p + t).
+    # Each chunk's prefix-row-plus-block sum equals that image entry for
+    # entry, and both parts are sums over a subset of the same terms, so
+    # no intermediate exceeds the bound either.
     if _overflow_bound(m, d, mi_int, t_int, basis_int) >= _INT64_SAFE:
-        raise RuntimeError("oracle scaling exceeds 64-bit integer range")
-    mi_t = np.array(mi_int, dtype=np.int64).T
-    t_arr = np.array(t_int, dtype=np.int64)
-    basis_arr = np.array(basis_int, dtype=np.int64)
-    powers = np.array([d ** (m - 1 - j) for j in range(m)], dtype=np.int64)
-    grid_scale = w // d
-
-    survivors = []
-    total_grid = d**m
-    for start in range(0, total_grid, _CHUNK):
-        stop = min(start + _CHUNK, total_grid)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % d
-        image = digits @ mi_t + t_arr
-        residues = _triangular_residues(image, basis_arr)
-        mask = np.all(residues == 0, axis=1)
-        if mask.any():
-            canonical = _triangular_residues(
-                digits[mask] * grid_scale, basis_arr
-            )
-            survivors.append(canonical)
-
-    if not survivors:
+        raise OracleBudgetExceeded("oracle scaling exceeds 64-bit integer range")
+    rows = _fixed_rows(
+        np.array(mi_int, dtype=np.int64).T,
+        np.array(t_int, dtype=np.int64),
+        np.array(basis_int, dtype=np.int64),
+        d,
+        w // d,
+    )
+    if rows is None:
         return []
-    unique_rows = np.unique(np.concatenate(survivors), axis=0)
     # Canonical coordinates lie in [0, W·pivot_i) ⊆ [0, W·max_pivot), so a
     # small lookup table covers every value that can appear.
-    table = [Fraction(v, w) for v in range(int(unique_rows.max()) + 1)]
-    return [
-        TorsionPoint(tuple(table[x] for x in row.tolist()))
-        for row in unique_rows
-    ]
+    table = [Fraction(v, w) for v in range(int(rows.max()) + 1)]
+    columns = [list(map(table.__getitem__, rows[:, j].tolist())) for j in range(m)]
+    del rows
+    return list(map(TorsionPoint, zip(*columns)))

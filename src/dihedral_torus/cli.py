@@ -1,7 +1,8 @@
 """Command-line front end for verifying the dihedral torus actions.
 
 Exit codes: 0 verification succeeded, 1 verification failed, 2 usage or
-parse error, 3 oracle enumeration budget exceeded.
+parse error, 3 oracle refused the enumeration (point budget or 64-bit
+scaling range exceeded).
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for group closure, fixed-point decisions, and the torsion oracle."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -339,6 +341,52 @@ class TestTorsionOracle:
                 assert exists_fixed_point(element.auto)
 
 
+# SHA-256 of repr([p.coords for p in points]) for fixed oracle calls,
+# recorded from the per-chunk matmul and np.unique kernel; any change to the
+# oracle must reproduce these outputs exactly.  Zero-offset reflections at
+# D=7 span several chunks with an odd denominator.
+EMPTY_DIGEST = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+PINNED_ORACLE_DIGESTS = {
+    ("closure", (), 8): "d7aad2cac56ba2a15aa2ca85a3f8b0e734f26c8d418a34d759b544b8a184f79c",
+    ("closure", (0,), 8): EMPTY_DIGEST,
+    ("closure", (1,), 8): EMPTY_DIGEST,
+    ("closure", (0, 0), 8): EMPTY_DIGEST,
+    ("closure", (0, 1), 8): EMPTY_DIGEST,
+    ("closure", (1, 0), 8): EMPTY_DIGEST,
+    ("closure", (0, 0, 0), 8): EMPTY_DIGEST,
+    ("closure", (0, 0, 1), 8): EMPTY_DIGEST,
+    ("zero-offset-reflection", (), 3): "a8fcb3d7141bac37564431ff97115c2b9bbc573338aa7db764511605a0229f18",
+    ("zero-offset-reflection", (), 4): "d8b74c5d072ece3147d6b382ffc1d14882731075088342397f45c4d67ce51429",
+    ("zero-offset-reflection", (), 7): "76768118dca36339da14fc2b0e208d22233f35b1e9a02d7c413b3e6348abdf1c",
+    ("identity", (), 5): "0a6fd34b525b2646880045bea34dc1b8be8303cd8e4cb9a25d22efb1917f67fd",
+    ("ambient-s-on-quotient", (), 2): EMPTY_DIGEST,
+}
+
+
+def _pinned_oracle_points(kind, path, d):
+    if kind == "closure":
+        (element,) = [
+            e for e in closure(realified_action(1)) if e.path == path
+        ]
+        return torsion_fixed_points_bruteforce(element, d)
+    if kind == "zero-offset-reflection":
+        s0 = zero_offset_reflection(quotient_lattice(1))
+        return torsion_fixed_points_bruteforce(s0, d)
+    if kind == "identity":
+        e = AffineAuto.identity(quotient_lattice(1))
+        return torsion_fixed_points_bruteforce(e, d)
+    _, s = realified_action(1, ambient_lattice(1))
+    return torsion_fixed_points_bruteforce(s, d, lattice=quotient_lattice(1))
+
+
+@pytest.mark.parametrize("kind, path, d", sorted(PINNED_ORACLE_DIGESTS))
+def test_oracle_output_matches_pinned_digest(kind, path, d):
+    points = _pinned_oracle_points(kind, path, d)
+    text = repr([p.coords for p in points])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PINNED_ORACLE_DIGESTS[kind, path, d]
+
+
 # --- property-based coverage ------------------------------------------------
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=4)
@@ -381,3 +429,23 @@ def test_order_matches_smallest_trivial_power(g):
 def test_conjugate_elements_share_order(g, h):
     conjugate = compose(h, compose(g, inverse(h)))
     assert order(g, cap=64) == order(conjugate, cap=64)
+
+
+def _enumerated_fixed_points(g, d):
+    """The oracle's contract, one grid point at a time in exact arithmetic."""
+    lattice = g.lattice
+    fixed = {
+        lattice.reduce(p)
+        for p in (
+            TorsionPoint.of(F(k, d) for k in ks)
+            for ks in itertools.product(range(d), repeat=lattice.m)
+        )
+        if g.apply(p) == lattice.reduce(p)
+    }
+    return sorted(fixed, key=lambda p: p.coords)
+
+
+@given(quotient_monomial_autos(), st.sampled_from((2, 3)))
+@settings(deadline=None, max_examples=30)
+def test_oracle_matches_pure_python_enumeration(g, d):
+    assert torsion_fixed_points_bruteforce(g, d) == _enumerated_fixed_points(g, d)

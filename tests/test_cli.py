@@ -155,6 +155,24 @@ class TestElementCommand:
         assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["element", "--n", "15", "--word", "r", "--oracle", "1"],
+        ["verify", "--n", "15", "--oracle", "1"],
+    ],
+)
+def test_oracle_scaling_refusal_exits_3_without_traceback(args):
+    result = subprocess.run(
+        [sys.executable, "-m", "dihedral_torus", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == EXIT_BUDGET
+    assert "error: oracle scaling exceeds 64-bit integer range" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 class TestArgumentParsing:
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
