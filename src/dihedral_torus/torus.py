@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -114,22 +115,22 @@ def _point(num: Sequence[int], den: int) -> TorsionPoint:
 class EnlargedLattice:
     """Full-rank lattice Z^m + Z·g_1 + ... + Z·g_k inside Q^m.
 
-    canonical_basis holds the unique upper-triangular HNF basis (rows) at
-    the common denominator of the extra generators, so structural equality
-    of two EnlargedLattice values is equality of the lattices themselves.
-    The remaining fields are integer forms of the same data over
-    `denominator`, for reducing integer numerators.
+    The lattice is stored as the unique upper-triangular HNF basis of
+    `denominator`·L, where `denominator` is the exponent of L/Z^m (the
+    least common denominator of the extra generators): the diagonal
+    `pivots`, and (row, pivot, off-diagonal entries) of the rows that
+    have off-diagonal entries.  That integer data is canonical, so
+    equality and hashing compare it alone, in O(m), and two generating
+    sets of one lattice give equal values.  `canonical_basis`, the same
+    basis as rows of `Fraction`s, is derived from it on first use.
     """
 
     m: int
     extra_generators: tuple[Vector, ...] = field(compare=False)
-    canonical_basis: tuple[Vector, ...]
     index: int
-    denominator: int = field(compare=False, repr=False)
-    # pivot of every basis row, and (row, pivot, off-diagonal entries) of
-    # the rows that have off-diagonal entries, all times `denominator`
-    pivots: tuple[int, ...] = field(compare=False, repr=False)
-    sheared_rows: tuple = field(compare=False, repr=False)
+    denominator: int = field(repr=False)
+    pivots: tuple[int, ...] = field(repr=False)
+    sheared_rows: tuple = field(repr=False)
     extra_numerators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @classmethod
@@ -147,7 +148,6 @@ class EnlargedLattice:
         dec = hnf(rows)
         assert dec.rank == m  # d·Z^m is among the generators
         h = dec.h[:m]
-        basis = tuple(tuple(Fraction(e, d) if e else _F0 for e in row) for row in h)
         pivots = tuple(h[i][i] for i in range(m))
         index, rem = divmod(d**m, prod(pivots))
         assert rem == 0  # Z^m is a sublattice, so covolumes divide
@@ -159,7 +159,6 @@ class EnlargedLattice:
         return cls(
             m=m,
             extra_generators=extra_vs,
-            canonical_basis=basis,
             index=index,
             denominator=d,
             pivots=pivots,
@@ -168,8 +167,22 @@ class EnlargedLattice:
         )
 
     @classmethod
+    @cache
     def standard(cls, m: int) -> "EnlargedLattice":
+        """Z^m itself; built once per m and shared."""
         return cls.from_extra_generators(m)
+
+    @cached_property
+    def canonical_basis(self) -> tuple[Vector, ...]:
+        """The HNF basis rows of L as `Fraction`s, built on first use."""
+        d = self.denominator
+        rows = [[_F0] * self.m for _ in range(self.m)]
+        for i, pivot in enumerate(self.pivots):
+            rows[i][i] = Fraction(pivot, d)
+        for i, _, tail in self.sheared_rows:
+            for j, b in tail:
+                rows[i][j] = Fraction(b, d)
+        return tuple(tuple(row) for row in rows)
 
     @property
     def generators(self) -> tuple[Vector, ...]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_torus import dihedral, torus
 from dihedral_torus.dihedral import (
     MUTANTS,
     ConstructionParams,
@@ -23,8 +24,9 @@ from dihedral_torus.dihedral import (
     verify_mutant,
     verify_theorem,
 )
-from dihedral_torus.linalg import Matrix
+from dihedral_torus.linalg import Matrix, hnf
 from dihedral_torus.torus import EnlargedLattice, TorusShape, realify
+from dihedral_torus.words import evaluate_word, parse_word
 
 F = Fraction
 H = F(1, 2)
@@ -97,6 +99,70 @@ class TestBuilders:
         with pytest.raises(ValueError):
             ConstructionParams(0)
         assert ConstructionParams(3).n == 3
+
+
+class TestSharedConstructions:
+    def test_each_lattice_is_reduced_once(self, monkeypatch):
+        n = 3
+        # Start cold, so the counts are those of a fresh process.
+        for constructor in (
+            ambient_lattice, quotient_lattice, realified_action,
+            EnlargedLattice.standard,
+        ):
+            constructor.cache_clear()
+        reductions, realifications = [], []
+
+        def counting_hnf(rows):
+            reductions.append(tuple(map(tuple, rows)))
+            return hnf(rows)
+
+        def counting_realify(*args):
+            realifications.append(args)
+            return realify(*args)
+
+        monkeypatch.setattr(torus, "hnf", counting_hnf)
+        monkeypatch.setattr(dihedral, "realify", counting_realify)
+        for _ in range(25):
+            realified_action(n)
+            realified_action(n, ambient_lattice(n))
+        # (r, s) on each of the two lattices, once.
+        assert len(realifications) == 4
+        verify_theorem(n)
+        verify_theorem(n)
+        # The quotient lattice, Z^m and the curve lattice Z^2, once each.
+        assert len(reductions) == 3
+        assert len(set(reductions)) == 3
+        assert quotient_lattice(n) is quotient_lattice(n)
+        assert ambient_lattice(n) is EnlargedLattice.standard(4 * n + 2)
+
+    def test_constructors_return_shared_immutable_values(self):
+        for build in (build_w, build_b, build_r, build_s, realified_action):
+            assert build(2) is build(2)
+        assert isinstance(build_b(2), tuple)
+        # realify's default lattice is the shared Z^m.
+        assert realify(build_r(2), TorusShape(2)).lattice is ambient_lattice(2)
+
+    def test_sharing_is_safe(self):
+        n = 2
+        r, s = realified_action(n)
+        for text in ("r^3 s", "s r^-2", "r^8", "s s"):
+            g = evaluate_word(parse_word(text), r, s)
+            assert g.linear.n_rows == 4 * n + 2
+        assert r.linear.n_rows == s.linear.n_rows == 4 * n + 2
+        shape, lattice = TorusShape(n), quotient_lattice(n)
+        cached = realified_action(n)
+        fresh = (
+            realify(build_r(n), shape, lattice),
+            realify(build_s(n), shape, lattice),
+        )
+        for got, want in zip(cached, fresh):
+            assert got.perm == want.perm
+            assert got.signs == want.signs
+            assert got.shift == want.shift
+            assert got.denominator == want.denominator
+            assert got.lattice == want.lattice
+            assert got.linear == want.linear
+            assert got == want
 
 
 class TestVerifyTheorem:

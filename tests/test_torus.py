@@ -1,6 +1,7 @@
 """Tests for the torus model: lattices, monomial maps, realification."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from dihedral_torus.dihedral import (
     build_w,
     quotient_lattice,
 )
-from dihedral_torus.linalg import Matrix, det
+from dihedral_torus.linalg import Matrix, det, hnf
 from dihedral_torus.torus import (
     AffineAuto,
     ComplexMonomialMap,
@@ -101,6 +102,31 @@ class TestEnlargedLattice:
         b = EnlargedLattice.from_extra_generators(2, [(H, F(1)), (H, F(0))])
         assert a == b
         assert a != EnlargedLattice.standard(2)
+        # Equality and hashing are over the canonical integer HNF data.
+        w = build_w(1)
+        e0 = TorsionPoint.of((1, 0, 0, 0, 0, 0))
+        quotient = quotient_lattice(1)
+        for extras in (
+            [w.coords],
+            [(-w).coords],
+            [w.coords, (w + w).coords],
+            [w.coords, (w + e0).coords],
+        ):
+            lat = EnlargedLattice.from_extra_generators(6, extras)
+            assert lat == quotient
+            assert hash(lat) == hash(quotient)
+            assert lat.canonical_basis == quotient.canonical_basis
+        half = (H,) + (F(0),) * 5
+        quarter = tuple(x / 2 for x in w.coords)
+        others = [
+            EnlargedLattice.standard(6),
+            EnlargedLattice.from_extra_generators(6, [half]),
+            EnlargedLattice.from_extra_generators(6, [w.coords, half]),
+            EnlargedLattice.from_extra_generators(6, [quarter]),
+            quotient_lattice(2),
+        ]
+        assert all(other != quotient for other in others)
+        assert len(set(others)) == len(others)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -309,6 +335,38 @@ def monomial_maps(draw, n=1):
     signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(c))
     translation = TorsionPoint.of([draw(rationals) for _ in range(2 * c)])
     return ComplexMonomialMap(perm, signs, translation)
+
+
+@given(lattices())
+@settings(deadline=None)
+def test_canonical_basis_is_the_hermite_basis(lat):
+    m = lat.m
+    d = lcm(1, *(e.denominator for g in lat.extra_generators for e in g))
+    rows = [[int(e * d) for e in g] for g in lat.extra_generators]
+    rows += [[d if i == j else 0 for j in range(m)] for i in range(m)]
+    h = hnf(rows).h[:m]
+    assert lat.canonical_basis == tuple(tuple(F(e, d) for e in row) for row in h)
+
+
+@given(lattices(), st.integers(-2, 2))
+@settings(deadline=None)
+def test_other_generating_sets_give_equal_lattices(lat, c):
+    extras = list(lat.extra_generators)
+    # c·(sum of the extras) + e_0 lies in the lattice already.
+    member = [c * sum(col) for col in zip(*extras)] if extras else [0] * lat.m
+    member[0] += 1
+    other = EnlargedLattice.from_extra_generators(lat.m, extras[::-1] + [member])
+    assert other == lat
+    assert hash(other) == hash(lat)
+
+
+@given(lattices(), lattices())
+@settings(deadline=None)
+def test_equality_is_equality_of_lattices(a, b):
+    same = all(b.contains(row) for row in a.canonical_basis) and all(
+        a.contains(row) for row in b.canonical_basis
+    )
+    assert (a == b) == same
 
 
 @given(lattices(), st.lists(rationals, min_size=4, max_size=4))
