@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Sequence
 
@@ -72,8 +73,9 @@ class GroupElement:
 
     path is the BFS discovery word as generator indices (left-to-right
     composition order, empty for the identity).  word and label are the
-    dihedral normal form (a, b) for r^a s^b and its rendering; they are
-    assigned after closure when the group turns out to be dihedral.
+    dihedral normal form (a, b) for r^a s^b and its rendering; the word
+    is stepped from the parent's along the BFS edge that discovered the
+    element, and kept when the group turns out to be dihedral.
     """
 
     auto: AffineAuto
@@ -82,8 +84,10 @@ class GroupElement:
     label: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementReport:
+    """Verdicts on one element; certificates keep one per element."""
+
     word: str
     order: int
     is_translation: bool
@@ -154,12 +158,15 @@ def order(
     Closed form (see the module docstring); raises OrderCapExceeded when
     the order is larger than `cap`.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     auto = _as_auto(g)
     if lattice is not None:
         auto = auto.with_lattice(lattice)
-    cycles = _signed_cycles(auto)
+    return _order(auto, _signed_cycles(auto), cap)
+
+
+def _order(auto: AffineAuto, cycles, cap: int) -> int:
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     k = lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed in cycles))
     total = [0] * len(auto.perm)
     for coords, potentials, closed in cycles:
@@ -191,7 +198,11 @@ def exists_fixed_point(
     auto = _as_auto(g)
     if lattice is None:
         lattice = auto.lattice
-    kernel = [(coords, pots) for coords, pots, closed in _signed_cycles(auto) if closed]
+    return _has_fixed_point(auto, lattice, _signed_cycles(auto))
+
+
+def _has_fixed_point(auto: AffineAuto, lattice: EnlargedLattice, cycles) -> bool:
+    kernel = [(coords, pots) for coords, pots, closed in cycles if closed]
     if not kernel:
         # M - I invertible: (M - I)x = -t always solvable, λ = 0.
         return True
@@ -220,6 +231,17 @@ def exists_fixed_point(
     )
 
 
+def _report(e: GroupElement, cap: int) -> ElementReport:
+    """Order, translation flag and fixed-point verdict from one decomposition."""
+    cycles = _signed_cycles(e.auto)
+    return ElementReport(
+        word=e.label,
+        order=_order(e.auto, cycles, cap),
+        is_translation=is_translation(e.auto),
+        has_fixed_point=_has_fixed_point(e.auto, e.auto.lattice, cycles),
+    )
+
+
 def closure(
     gens: Sequence[GroupElement | AffineAuto],
     lattice: EnlargedLattice | None = None,
@@ -232,28 +254,47 @@ def closure(
     generator has finite order in a group that closes under the cap, so
     closing under composition alone already yields inverses.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     autos = [_as_auto(g) for g in gens]
     if lattice is not None:
         autos = [a.with_lattice(lattice) for a in autos]
-    found: dict[AffineAuto, tuple[int, ...]] = {
-        AffineAuto.identity(autos[0].lattice): ()
+    return _closure(autos, cap, track_words=False)
+
+
+def _closure(
+    autos: list[AffineAuto], cap: int, track_words: bool
+) -> list[GroupElement]:
+    """closure(), optionally carrying a tentative word along every BFS edge.
+
+    With `track_words` the two generators are read as r and s, and each
+    element gets the integer pair (a, b) of its parent stepped by the
+    dihedral rules (a, 0)·r = (a + 1, 0), (a, 1)·r = (a − 1, 1) and
+    (a, b)·s = (a, 1 − b).  The pair is r^a s^b only once the D_k
+    presentation is known to hold; `_try_dihedral_labels` checks that.
+    """
+    if not autos:
+        raise ValueError("need at least one generator")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    identity = AffineAuto.identity(autos[0].lattice)
+    found: dict[AffineAuto, tuple[tuple[int, ...], tuple[int, int] | None]] = {
+        identity: ((), (0, 0) if track_words else None)
     }
-    queue = list(found)
-    while queue:
-        current = queue.pop(0)
-        path = found[current]
+    queue = [identity]
+    for current in queue:
+        path, word = found[current]
         for gi, gen in enumerate(autos):
             nxt = compose(current, gen)
             if nxt not in found:
                 if len(found) >= cap:
                     raise ClosureCapExceeded(f"closure exceeds cap {cap}")
-                found[nxt] = path + (gi,)
+                if word is not None:
+                    a, b = word
+                    step = (a + 1 - 2 * b, b) if gi == 0 else (a, 1 - b)
+                else:
+                    step = None
+                found[nxt] = (path + (gi,), step)
                 queue.append(nxt)
-    return [GroupElement(auto=a, path=p) for a, p in found.items()]
+    return [GroupElement(auto=a, path=p, word=w) for a, (p, w) in found.items()]
 
 
 def conjugacy_classes(
@@ -298,7 +339,9 @@ def conjugacy_classes(
     return classes
 
 
+@cache
 def _dihedral_label(a: int, b: int) -> str:
+    """Rendering of r^a s^b, one shared string per normal form."""
     parts = []
     if a == 1:
         parts.append("r")
@@ -322,8 +365,14 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
 
 def _try_dihedral_labels(
     gens: list[AffineAuto], elements: list[GroupElement], order_cap: int
-) -> tuple[dict[AffineAuto, tuple[int, int]], int] | None:
-    """Normal forms r^a s^b if the closure satisfies the D_k presentation."""
+) -> int | None:
+    """k when the closure of (r, s) is D_k, so its BFS words are normal forms.
+
+    By von Dyck's theorem, ord r = k, ord s = 2 and ord rs = 2 make the
+    group a quotient of D_k, so the word (a, b) carried along the BFS
+    edges is r^a s^b with a taken mod k; 2k distinct words then make the
+    quotient D_k itself.
+    """
     if len(gens) != 2:
         return None
     size = len(elements)
@@ -338,18 +387,33 @@ def _try_dihedral_labels(
             return None
     except OrderCapExceeded:
         return None
-    identity = AffineAuto.identity(r.lattice)
-    labels: dict[AffineAuto, tuple[int, int]] = {}
-    power = identity
-    for a in range(k):
-        labels[power] = (a, 0)
-        labels[compose(power, s)] = (a, 1)
-        power = compose(power, r)
-    if len(labels) != size:
+    if len({(a % k, b) for a, b in (e.word for e in elements)}) != size:
         return None
-    if any(e.auto not in labels for e in elements):
-        return None
-    return labels, k
+    return k
+
+
+def _label_classes(k: int) -> list[list[tuple[int, int]]]:
+    """Conjugacy classes of D_k as orbits on normal forms (a, b) = r^a s^b.
+
+    Conjugation by r sends (a, b) to (a + 2b, b) and conjugation by s
+    sends it to (−a, b); r and s generate D_k, so their orbits are the
+    classes.  Classes are listed by their first member in (a, b) order.
+    """
+    assigned: set[tuple[int, int]] = set()
+    classes = []
+    for start in itertools.product(range(k), (0, 1)):
+        if start in assigned:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            a, b = frontier.pop()
+            for image in (((a + 2 * b) % k, b), (-a % k, b)):
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        assigned |= orbit
+        classes.append(sorted(orbit))
+    return classes
 
 
 def analyze_group(
@@ -363,47 +427,36 @@ def analyze_group(
 
     Elements are labeled by dihedral normal form when the closure
     satisfies a D_k presentation on the given two generators, otherwise
-    by BFS discovery words; reports are sorted by (rotation exponent,
-    reflection bit) respectively by discovery word.
+    by BFS discovery words.  Dihedral reports are in normal-form order,
+    r^a s^b at index 2a + b, and conjugacy classes come from label
+    arithmetic; otherwise reports follow the discovery words and classes
+    come from `conjugacy_classes`.  Each element's verdicts come from one
+    cycle decomposition of its own map.
     """
     autos = [_as_auto(g) for g in gens]
     if lattice is not None:
         autos = [a.with_lattice(lattice) for a in autos]
-    elements = closure(autos, cap=closure_cap)
+    elements = _closure(autos, closure_cap, track_words=len(autos) == 2)
     if gen_names is None:
         gen_names = ("r", "s") if len(autos) == 2 else tuple(
             f"g{i + 1}" for i in range(len(autos))
         )
 
     labeled: list[GroupElement]
-    dihedral = _try_dihedral_labels(autos, elements, order_cap)
-    if dihedral is not None:
-        label_map, rotation_order = dihedral
-        labeled = [
-            replace(
-                e,
-                word=label_map[e.auto],
-                label=_dihedral_label(*label_map[e.auto]),
-            )
-            for e in elements
-        ]
-        labeled.sort(key=lambda e: e.word)
+    rotation_order = _try_dihedral_labels(autos, elements, order_cap)
+    if rotation_order is not None:
+        labeled = [None] * len(elements)
+        for e in elements:
+            a, b = e.word[0] % rotation_order, e.word[1]
+            labeled[2 * a + b] = replace(e, word=(a, b), label=_dihedral_label(a, b))
     else:
-        rotation_order = None
         labeled = [
-            replace(e, label=_path_label(e.path, gen_names)) for e in elements
+            replace(e, word=None, label=_path_label(e.path, gen_names))
+            for e in elements
         ]
         labeled.sort(key=lambda e: (len(e.path), e.path))
 
-    reports = tuple(
-        ElementReport(
-            word=e.label,
-            order=order(e.auto, cap=order_cap),
-            is_translation=is_translation(e.auto),
-            has_fixed_point=exists_fixed_point(e.auto),
-        )
-        for e in labeled
-    )
+    reports = tuple(_report(e, order_cap) for e in labeled)
     is_free = all(
         rep.has_fixed_point is False
         for e, rep in zip(labeled, reports)
@@ -411,13 +464,12 @@ def analyze_group(
     )
     has_no_translations = not any(rep.is_translation for rep in reports)
 
-    classes = conjugacy_classes(labeled, conjugators=autos)
     symmetry_class_count = None
-    if dihedral is not None:
-        reflection_bits = [{e.word[1] for e in cls} for cls in classes]
-        # Rotations form a normal subgroup, so no class may mix.
-        assert all(bits in ({0}, {1}) for bits in reflection_bits)
-        symmetry_class_count = sum(1 for bits in reflection_bits if bits == {1})
+    if rotation_order is not None:
+        classes = _label_classes(rotation_order)
+        symmetry_class_count = sum(1 for cls in classes if cls[0][1] == 1)
+    else:
+        classes = conjugacy_classes(labeled, conjugators=autos)
 
     return GroupAnalysis(
         elements=tuple(labeled),
@@ -425,7 +477,7 @@ def analyze_group(
         group_size=len(labeled),
         is_free=is_free,
         has_no_translations=has_no_translations,
-        dihedral_shape=dihedral is not None,
+        dihedral_shape=rotation_order is not None,
         rotation_order=rotation_order,
         conjugacy_class_count=len(classes),
         symmetry_class_count=symmetry_class_count,

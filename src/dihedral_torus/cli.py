@@ -1,8 +1,8 @@
 """Command-line front end for verifying the dihedral torus actions.
 
 Exit codes: 0 verification succeeded, 1 verification failed, 2 usage or
-parse error, 3 oracle refused the enumeration (point budget or 64-bit
-scaling range exceeded).
+parse error or a certificate that cannot be written, 3 oracle refused the
+enumeration (point budget or 64-bit scaling range exceeded).
 """
 
 from __future__ import annotations
@@ -112,6 +112,17 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _write_certificate(path: str, doc) -> bool:
+    """Write the JSON document; on an OS error say why on stderr instead."""
+    try:
+        write_json(path, doc)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    print(f"certificate written to {path}")
+    return True
+
+
 def _print_certificate(cert) -> None:
     print(
         f"n={cert.n}: group order {cert.group_order_actual} "
@@ -200,8 +211,8 @@ def cmd_verify(args) -> int:
             doc = range_document(certs, params)
         else:
             doc = theorem_document(certs[0], params)
-        write_json(args.json, doc)
-        print(f"certificate written to {args.json}")
+        if not _write_certificate(args.json, doc):
+            return EXIT_USAGE
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
@@ -230,9 +241,10 @@ def cmd_corollary(args) -> int:
     print(f"  certificate: {verdict}")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed: {elapsed_ms:.1f} ms")
-    if args.json:
-        write_json(args.json, corollary_document(cert, {"k": args.k}))
-        print(f"certificate written to {args.json}")
+    if args.json and not _write_certificate(
+        args.json, corollary_document(cert, {"k": args.k})
+    ):
+        return EXIT_USAGE
     return EXIT_OK if cert.verified else EXIT_VERIFICATION_FAILED
 
 

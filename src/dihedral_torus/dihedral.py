@@ -35,10 +35,9 @@ from math import lcm
 from .analysis import (
     CapExceeded,
     ElementReport,
+    GroupAnalysis,
     analyze_group,
     dihedral_caps,
-    exists_fixed_point,
-    is_translation,
     order,
 )
 from .torus import (
@@ -220,25 +219,28 @@ def _aborted_certificate(n: int, reason: str) -> TheoremCertificate:
     )
 
 
+def _facts(analysis: GroupAnalysis, *maps: AffineAuto) -> list[ElementReport]:
+    """The verdicts the analysis holds for the given elements of its group."""
+    by_map = dict(zip((e.auto for e in analysis.elements), analysis.reports))
+    return [by_map[g] for g in maps]
+
+
 def _certify(
     n: int,
-    r_map: ComplexMonomialMap,
-    s_map: ComplexMonomialMap,
-    lattice: EnlargedLattice,
+    r: AffineAuto,
+    s: AffineAuto,
+    r_ambient: AffineAuto,
+    s_ambient: AffineAuto,
     closure_cap: int | None,
     order_cap: int | None,
 ) -> TheoremCertificate:
+    """Certify the action of (r, s), also given on the ambient lattice Z^m."""
     shape = TorusShape(n)
     four_n = 4 * n
     closure_cap, order_cap = dihedral_caps(four_n, closure_cap, order_cap)
     ambient = ambient_lattice(n)
     w = build_w(n)
     offsets = build_b(n)
-
-    r = realify(r_map, shape, lattice)
-    s = realify(s_map, shape, lattice)
-    r_ambient = realify(r_map, shape, ambient)
-    s_ambient = realify(s_map, shape, ambient)
 
     try:
         analysis = analyze_group(
@@ -247,9 +249,19 @@ def _certify(
             order_cap=order_cap,
             gen_names=("r", "s"),
         )
-        r_order = order(r, cap=order_cap)
-        s_order = order(s, cap=order_cap)
-        rs_order = order(compose(r, s), cap=order_cap)
+        if analysis.dihedral_shape and analysis.rotation_order == four_n:
+            # A dihedral analysis holds r^j s^b and its verdicts at 2j + b.
+            powers = [e.auto for e in analysis.elements[2 : 2 * four_n : 2]]
+            power_facts = analysis.reports[2 : 2 * four_n : 2]
+            s_facts, r_facts, rs_facts = analysis.reports[1:4]
+        else:
+            powers = [r]
+            while len(powers) < four_n - 1:
+                powers.append(compose(powers[-1], r))
+            r_facts, s_facts, rs_facts, *power_facts = _facts(
+                analysis, r, s, compose(r, s), *powers
+            )
+        r_order, s_order, rs_order = r_facts.order, s_facts.order, rs_facts.order
 
         # Step 1: the rotation and its bare linear part have order exactly
         # 4n; every proper power shifts the E′ coordinate by j/4n, so it is
@@ -265,9 +277,6 @@ def _certify(
                 r_ambient.linear_part().apply(w) == ambient.reduce(w),
             ),
         ]
-        powers = [r]
-        while len(powers) < four_n - 1:
-            powers.append(compose(powers[-1], r))
         last = 2 * shape.eprime_index
         shifts_ok = all(
             power.perm[last : last + 2] == (last, last + 1)
@@ -279,11 +288,11 @@ def _certify(
             ("every power r^j shifts the E′ coordinate by exactly j/4n", shifts_ok),
             (
                 "no proper rotation power is a translation",
-                not any(is_translation(p) for p in powers),
+                not any(f.is_translation for f in power_facts),
             ),
             (
                 "no proper rotation power has a fixed point",
-                not any(exists_fixed_point(p) for p in powers),
+                not any(f.has_fixed_point for f in power_facts),
             ),
         ]
         step1 = StepResult.from_checks(_STEP_NAMES[0], rotation_checks)
@@ -346,8 +355,8 @@ def _certify(
                     "symmetries form exactly two conjugacy classes",
                     analysis.symmetry_class_count == 2,
                 ),
-                ("s is not a translation", not is_translation(s)),
-                ("rs is not a translation", not is_translation(compose(r, s))),
+                ("s is not a translation", not s_facts.is_translation),
+                ("rs is not a translation", not rs_facts.is_translation),
             ],
         )
 
@@ -357,9 +366,9 @@ def _certify(
             _STEP_NAMES[4],
             [
                 ("s has no fixed point on the quotient",
-                 not exists_fixed_point(s)),
+                 not s_facts.has_fixed_point),
                 ("rs has no fixed point on the quotient",
-                 not exists_fixed_point(compose(r, s))),
+                 not rs_facts.has_fixed_point),
                 ("no nonidentity element has a fixed point", analysis.is_free),
             ],
         )
@@ -400,7 +409,11 @@ def verify_theorem(
     if n < 1:
         raise ValueError("n must be a positive integer")
     return _certify(
-        n, build_r(n), build_s(n), quotient_lattice(n), closure_cap, order_cap
+        n,
+        *realified_action(n),
+        *realified_action(n, ambient_lattice(n)),
+        closure_cap,
+        order_cap,
     )
 
 
@@ -427,20 +440,33 @@ def verify_mutant(
         raise ValueError(f"unknown mutant {name!r}; choose from {sorted(MUTANTS)}")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    r_map = build_r(n)
-    s_map = build_s(n)
-    lattice = quotient_lattice(n)
+    ambient = ambient_lattice(n)
+    r, s = realified_action(n)
+    r_ambient, s_ambient = realified_action(n, ambient)
     if name == "no-rotation-shift":
-        r_map = ComplexMonomialMap(
-            r_map.perm, r_map.signs, TorsionPoint.zero(len(r_map.translation))
-        )
+        r, r_ambient = _realify_both(n, _without_translation(build_r(n)))
     elif name == "zero-offsets":
-        s_map = ComplexMonomialMap(
-            s_map.perm, s_map.signs, TorsionPoint.zero(len(s_map.translation))
-        )
+        s, s_ambient = _realify_both(n, _without_translation(build_s(n)))
     elif name == "no-quotient":
-        lattice = ambient_lattice(n)
-    return _certify(n, r_map, s_map, lattice, closure_cap, order_cap)
+        r, s = r_ambient, s_ambient
+    return _certify(n, r, s, r_ambient, s_ambient, closure_cap, order_cap)
+
+
+def _without_translation(cmap: ComplexMonomialMap) -> ComplexMonomialMap:
+    return ComplexMonomialMap(
+        cmap.perm, cmap.signs, TorsionPoint.zero(len(cmap.translation))
+    )
+
+
+def _realify_both(
+    n: int, cmap: ComplexMonomialMap
+) -> tuple[AffineAuto, AffineAuto]:
+    """A mutant map on the quotient lattice and on Z^m."""
+    shape = TorusShape(n)
+    return (
+        realify(cmap, shape, quotient_lattice(n)),
+        realify(cmap, shape, ambient_lattice(n)),
+    )
 
 
 @dataclass(frozen=True)
@@ -514,9 +540,12 @@ def verify_corollary(
             order_cap=order_cap,
             gen_names=("r", "s"),
         )
-        rotation_order_ok = order(rot, cap=order_cap) == k
-        reflection_order_ok = order(refl, cap=order_cap) == 2
-        product_order_ok = order(compose(rot, refl), cap=order_cap) == 2
+        rot_facts, refl_facts, product_facts = _facts(
+            analysis, rot, refl, compose(rot, refl)
+        )
+        rotation_order_ok = rot_facts.order == k
+        reflection_order_ok = refl_facts.order == 2
+        product_order_ok = product_facts.order == 2
     except CapExceeded as exc:
         return CorollaryCertificate(
             k=k,

@@ -24,7 +24,8 @@ _F1 = Fraction(1)
 
 
 def vector(entries: Iterable[Rational]) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    """Entries as a tuple of `Fraction`s; existing `Fraction`s are kept, not copied."""
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
 class Matrix:

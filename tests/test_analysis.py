@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_torus import analysis as analysis_module
 from dihedral_torus.analysis import (
     ClosureCapExceeded,
     GroupElement,
     OracleBudgetExceeded,
     OrderCapExceeded,
+    _label_classes,
     analyze_group,
     closure,
     conjugacy_classes,
@@ -23,6 +25,7 @@ from dihedral_torus.analysis import (
 )
 from dihedral_torus.dihedral import (
     ambient_lattice,
+    build_corollary,
     build_w,
     quotient_lattice,
     realified_action,
@@ -36,6 +39,7 @@ from dihedral_torus.torus import (
     inverse,
     realify,
 )
+from dihedral_torus.words import evaluate_word, parse_word
 
 F = Fraction
 
@@ -289,6 +293,92 @@ class TestAnalyzeGroup:
 
     def test_analysis_is_deterministic(self, quotient_pair):
         assert analyze_group(quotient_pair) == analyze_group(quotient_pair)
+
+
+def _dihedral_pairs():
+    """(name, (r, s)) for the family at n = 1..4 and corollary k ∈ {3, 5, 6}."""
+    pairs = [(f"n={n}", realified_action(n)) for n in (1, 2, 3, 4)]
+    for k in (3, 5, 6):
+        plan = build_corollary(k)
+        n = plan.params.n
+        rot = realify(plan.rotation_map, TorusShape(n), quotient_lattice(n))
+        pairs.append((f"k={k}", (rot, realified_action(n)[1])))
+    return pairs
+
+
+class TestFastPathsAgainstGenericCode:
+    """The label-arithmetic fast paths agree with composition-based code."""
+
+    @pytest.mark.parametrize("name, pair", _dihedral_pairs())
+    def test_label_classes_are_the_conjugacy_classes(self, name, pair):
+        analysis = analyze_group(pair)
+        assert analysis.dihedral_shape
+        by_labels = {
+            frozenset(cls) for cls in _label_classes(analysis.rotation_order)
+        }
+        generic = conjugacy_classes(analysis.elements)
+        assert by_labels == {frozenset(e.word for e in cls) for cls in generic}
+        assert analysis.conjugacy_class_count == len(generic)
+        assert analysis.symmetry_class_count == sum(
+            1 for cls in generic if cls[0].word[1] == 1
+        )
+
+    @pytest.mark.parametrize("name, pair", _dihedral_pairs())
+    def test_every_label_is_its_normal_form(self, name, pair):
+        r, s = pair
+        analysis = analyze_group(pair)
+        k = analysis.rotation_order
+        assert [e.word for e in analysis.elements] == [
+            (a, b) for a in range(k) for b in (0, 1)
+        ]
+        power = AffineAuto.identity(r.lattice)
+        for a in range(k):
+            assert analysis.elements[2 * a].auto == power
+            assert analysis.elements[2 * a + 1].auto == compose(power, s)
+            power = compose(power, r)
+
+    def test_no_quotient_pair_takes_the_generic_path(
+        self, ambient_pair, monkeypatch
+    ):
+        seen = []
+
+        def spy(group, conjugators=None):
+            classes = conjugacy_classes(group, conjugators)
+            seen.append(len(classes))
+            return classes
+
+        monkeypatch.setattr(analysis_module, "conjugacy_classes", spy)
+        for n in (1, 2):
+            pair = realified_action(n, ambient_lattice(n))
+            analysis = analyze_group(pair)
+            assert analysis.group_size == 16 * n
+            assert not analysis.dihedral_shape
+            assert analysis.symmetry_class_count is None
+            assert all(e.word is None for e in analysis.elements)
+            assert seen[-1] == analysis.conjugacy_class_count
+            generic = conjugacy_classes(analysis.elements)
+            assert analysis.conjugacy_class_count == len(generic)
+        assert len(seen) == 2
+        analyze_group(realified_action(1))
+        assert len(seen) == 2
+
+    def test_pair_failing_the_presentation_gets_path_labels(self):
+        # r^4 and r^6 at n = 3 generate the cyclic group ⟨r^2⟩ of order 6:
+        # ord r^4 = 3 = 6/2 and ord r^6 = 2, but their product r^10 has
+        # order 6, so the D_3 presentation fails.
+        r, s = realified_action(3)
+        pair = [evaluate_word(parse_word(w), r, s) for w in ("r^4", "r^6")]
+        assert [order(g) for g in pair] == [3, 2]
+        analysis = analyze_group(pair)
+        assert analysis.group_size == 6
+        assert not analysis.dihedral_shape
+        assert analysis.rotation_order is None
+        assert analysis.symmetry_class_count is None
+        assert analysis.conjugacy_class_count == 6
+        assert all(e.word is None for e in analysis.elements)
+        assert [e.label for e in analysis.elements] == [
+            "", "r", "s", "r^2", "r s", "r^2 s",
+        ]
 
 
 class TestTorsionOracle:

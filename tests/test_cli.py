@@ -196,3 +196,16 @@ def test_module_entry_point(args):
     )
     assert result.returncode == 0
     assert "certificate: verified" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args", [["verify", "--n", "1"], ["corollary", "--k", "5"]]
+)
+def test_unwritable_certificate_is_a_usage_error(args, capsys, tmp_path):
+    path = tmp_path / "missing" / "cert.json"
+    assert main([*args, "--json", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "certificate: verified" in captured.out
+    assert "certificate written" not in captured.out
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()

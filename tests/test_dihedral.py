@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus import dihedral, torus
+from dihedral_torus import analysis, dihedral, torus
 from dihedral_torus.dihedral import (
     MUTANTS,
     ConstructionParams,
@@ -129,6 +129,8 @@ class TestSharedConstructions:
         assert len(realifications) == 4
         verify_theorem(n)
         verify_theorem(n)
+        # verify_theorem reads the cached generators and realifies nothing.
+        assert len(realifications) == 4
         # The quotient lattice, Z^m and the curve lattice Z^2, once each.
         assert len(reductions) == 3
         assert len(set(reductions)) == 3
@@ -223,6 +225,33 @@ class TestVerifyTheorem:
         cert = verify_theorem(1, order_cap=2)
         assert not cert.theorem_verified
         assert "cap" in cert.failure_reason
+
+    def test_each_element_is_composed_twice_and_decomposed_once(
+        self, monkeypatch
+    ):
+        # Machine-independent work counts for a group of 128 elements: the
+        # closure composes each element with r and s, and each element's
+        # verdicts come from one cycle decomposition of its map.
+        n, size = 16, 128
+        realified_action(n)
+        realified_action(n, ambient_lattice(n))
+        counts = {"compose": 0, "_signed_cycles": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(analysis, "compose")
+        counting(dihedral, "compose")
+        counting(analysis, "_signed_cycles")
+        assert verify_theorem(n).theorem_verified
+        assert 2 * size <= counts["compose"] <= 2 * size + 8
+        assert size <= counts["_signed_cycles"] <= size + 16
 
 
 class TestMutants:

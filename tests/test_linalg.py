@@ -16,6 +16,7 @@ from dihedral_torus.linalg import (
     signed_permutation,
     subgroup_coefficients,
     subgroup_membership,
+    vector,
 )
 
 F = Fraction
@@ -195,3 +196,13 @@ class TestMatrixBasics:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError):
             Matrix([[1, 2], [3]])
+
+
+def test_vector_keeps_existing_fractions():
+    half = F(1, 2)
+    entries = vector([half, 3, F(6, 4)])
+    assert entries == (F(1, 2), F(3), F(3, 2))
+    assert all(type(e) is Fraction for e in entries)
+    # A Fraction entry is reused, not copied: shared cached points
+    # then hold one object per distinct value.
+    assert entries[0] is half
