@@ -26,11 +26,12 @@ the cycle is closed when the product of its signs is +1.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Sequence
 
 import numpy as np
 
@@ -520,9 +521,8 @@ def _triangular_residues(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Reduce rows of v modulo the upper-triangular row basis, in place.
 
     Afterwards column i of v holds the canonical residue in
-    [0, basis[i][i]); a row is a lattice member iff it is now all zero.
-    Basis rows are usually scaled standard vectors, so the update only
-    touches their nonzero columns.
+    [0, basis[i][i]).  Basis rows are usually scaled standard vectors, so
+    the update only touches their nonzero columns.
     """
     m = basis.shape[0]
     for i in range(m):
@@ -538,16 +538,70 @@ def _triangular_residues(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return v
 
 
+def _members(
+    block: np.ndarray, offset: np.ndarray, basis: np.ndarray, tails: list[list[int]]
+) -> np.ndarray:
+    """Indices k such that column k of `block` plus `offset` is in the lattice.
+
+    `block` holds one image per column.  Reducing modulo the upper-
+    triangular basis, residue i is final once basis rows 0..i−1 have been
+    subtracted, so images with a nonzero residue there are dropped before
+    coordinate i + 1 is read.  `carry` holds, per later coordinate, what
+    the sheared rows (`tails`) have subtracted so far from the survivors.
+    """
+    idx = None  # None while every image survives
+    carry: dict[int, np.ndarray] = {}
+    for i, tail in enumerate(tails):
+        col = (block[i] if idx is None else block[i, idx]) + offset[i]
+        if i in carry:
+            col -= carry.pop(i)
+        pivot = basis[i, i]
+        hit = col % pivot == 0
+        if not hit.all():
+            kept = np.flatnonzero(hit)
+            if not len(kept):
+                return kept
+            idx = kept if idx is None else idx[kept]
+            col = col[kept]
+            carry = {j: c[kept] for j, c in carry.items()}
+        for j in tail:
+            carry[j] = carry.get(j, 0) + col // pivot * basis[i, j]
+    return np.arange(block.shape[1]) if idx is None else idx
+
+
+def _packed_keys(rows: np.ndarray, radices: Sequence[int]) -> list[np.ndarray]:
+    """Mixed-radix sort keys for rows whose column j lies in [0, radices[j]).
+
+    Each key packs a run of consecutive columns, the earlier column more
+    significant, as long as the key stays below _INT64_SAFE; comparing the
+    keys in order then compares the rows lexicographically.
+    """
+    keys: list[np.ndarray] = []
+    span = 0
+    for j, radix in enumerate(radices):
+        if not keys or span * radix > _INT64_SAFE:
+            keys.append(rows[:, j].copy())
+            span = radix
+        else:
+            keys[-1] *= radix
+            keys[-1] += rows[:, j]
+            span *= radix
+    return keys
+
+
 def _fixed_rows(
     mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, d: int, grid_scale: int
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Scaled canonical fixed points of the grid, sorted and deduplicated.
 
     Grid points are digit vectors in [0, d)^m.  The trailing b digits span
     a block of d^b points, b the largest with d^b ≤ _CHUNK but at least 1,
-    whose image is computed once; each chunk is one prefix of the leading
-    m − b digits, and its image is the block plus the prefix's constant
-    row.  Only the surviving rows get their digits rebuilt.
+    whose image is computed once and stored one coordinate per row; each
+    chunk is one prefix of the leading m − b digits, and its image is the
+    block plus the prefix's constant row.  `_members` tests a chunk one
+    coordinate at a time, and only the surviving grid points get their
+    digits rebuilt and reduced to canonical form.  The canonical rows are
+    sorted and deduplicated on `_packed_keys`.
     """
     m = basis.shape[0]
     b = 1
@@ -555,27 +609,71 @@ def _fixed_rows(
         b += 1
     a = m - b
     trail = np.indices((d,) * b, dtype=np.int64).reshape(b, -1).T
-    block = trail @ mi_t[a:] + t_arr
+    block = np.ascontiguousarray((trail @ mi_t[a:] + t_arr).T)
+    tails = [[j for j in range(i + 1, m) if basis[i, j]] for i in range(m)]
     survivors = []
     for lead in itertools.product(range(d), repeat=a):
         lead_arr = np.array(lead, dtype=np.int64)
-        image = block + lead_arr @ mi_t[:a]
-        mask = ~_triangular_residues(image, basis).any(axis=1)
-        if mask.any():
-            digits = np.empty((int(mask.sum()), m), dtype=np.int64)
+        idx = _members(block, lead_arr @ mi_t[:a], basis, tails)
+        if len(idx):
+            digits = np.empty((len(idx), m), dtype=np.int64)
             digits[:, :a] = lead_arr
-            digits[:, a:] = trail[mask]
+            digits[:, a:] = trail[idx]
             digits *= grid_scale
             survivors.append(_triangular_residues(digits, basis))
     if not survivors:
-        return None
+        return np.empty((0, m), dtype=np.int64)
     rows = np.concatenate(survivors)
     del survivors
-    # lexsort takes its last key as the primary one: column 0 leads.
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    keys = _packed_keys(rows, [int(basis[j, j]) for j in range(m)])
+    # lexsort takes its last key as the primary one: the first key leads.
+    by_key = np.lexsort(keys[::-1])
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[0] = True
+    for key in keys:
+        key = key[by_key]
+        keep[1:] |= key[1:] != key[:-1]
+    return rows[by_key[keep]]
+
+
+class _TorsionPoints(Sequence):
+    """Sorted canonical torsion points, held as integer rows scaled by W.
+
+    A `TorsionPoint` is built only when an item is read, so `len` and
+    truth tests build none.  Equal to any sequence of the same points in
+    the same order; immutable and, like a list, unhashable.
+    """
+
+    __slots__ = ("_rows", "_w")
+    __hash__ = None
+
+    def __init__(self, rows: np.ndarray, w: int):
+        rows.flags.writeable = False
+        self._rows, self._w = rows, w
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _TorsionPoints(self._rows[index], self._w)
+        row = self._rows[operator.index(index)]
+        return TorsionPoint(tuple(Fraction(v, self._w) for v in row.tolist()))
+
+    def __iter__(self):
+        # Canonical coordinates repeat a few values, so each Fraction is
+        # built once per iteration.
+        table = {v: Fraction(v, self._w) for v in np.unique(self._rows).tolist()}
+        for row in self._rows.tolist():
+            yield TorsionPoint(tuple(map(table.__getitem__, row)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} torsion points with denominator {self._w}>"
 
 
 def torsion_fixed_points_bruteforce(
@@ -583,7 +681,7 @@ def torsion_fixed_points_bruteforce(
     denominator: int,
     lattice: EnlargedLattice | None = None,
     budget: int = DEFAULT_ORACLE_BUDGET,
-) -> list[TorsionPoint]:
+) -> Sequence[TorsionPoint]:
     """All fixed points of g with coordinates in (1/denominator)Z, mod lattice.
 
     Enumerates the full grid {k/denominator : 0 ≤ k < denominator}^m,
@@ -599,10 +697,15 @@ def torsion_fixed_points_bruteforce(
     the grid is split into a block of trailing digits (at most 2^16
     points, or one coordinate), imaged once per call, and one chunk per
     prefix of the leading digits (the block's image plus a constant row).
-    Each chunk is reduced modulo the scaled lattice in int64; the
-    canonical forms of the survivors are sorted with np.lexsort and
-    deduplicated by comparing adjacent rows, and the points are built
-    column by column from a Fraction table.
+    Each chunk is tested for lattice membership in int64 one coordinate
+    at a time, dropping an image at the first coordinate whose residue
+    is nonzero.  The canonical forms of the survivors are sorted with
+    np.lexsort on mixed-radix keys that pack as many coordinates as fit
+    in 62 bits, and deduplicated by comparing adjacent keys.
+
+    The result is an immutable sequence of the sorted integer rows: it
+    builds a TorsionPoint only when one is indexed or iterated, compares
+    equal to a list of the same points, and is unhashable.
 
     Refuses enumerations whose expected distinct-point count
     denominator^m / [L : Z^m] exceeds the budget, and scalings that could
@@ -637,11 +740,4 @@ def torsion_fixed_points_bruteforce(
         d,
         w // d,
     )
-    if rows is None:
-        return []
-    # Canonical coordinates lie in [0, W·pivot_i) ⊆ [0, W·max_pivot), so a
-    # small lookup table covers every value that can appear.
-    table = [Fraction(v, w) for v in range(int(rows.max()) + 1)]
-    columns = [list(map(table.__getitem__, rows[:, j].tolist())) for j in range(m)]
-    del rows
-    return list(map(TorsionPoint, zip(*columns)))
+    return _TorsionPoints(rows, w)

@@ -13,12 +13,14 @@ import time
 from typing import Sequence
 
 from .analysis import (
+    CapExceeded,
     OracleBudgetExceeded,
+    _has_fixed_point,
+    _order,
+    _signed_cycles,
     analyze_group,
     dihedral_caps,
-    exists_fixed_point,
     is_translation,
-    order,
     torsion_fixed_points_bruteforce,
 )
 from .certificate import (
@@ -189,7 +191,12 @@ def cmd_verify(args) -> int:
 
     if args.oracle is not None:
         for cert in certs:
-            mismatches = _oracle_sweep(cert.n, args.oracle, args.closure_cap)
+            try:
+                mismatches = _oracle_sweep(cert.n, args.oracle, args.closure_cap)
+            except CapExceeded as exc:
+                ok = False
+                print(f"  oracle (D={args.oracle}): not run: {exc}")
+                continue
             if mismatches:
                 ok = False
                 print(
@@ -254,9 +261,11 @@ def _print_view(
     print(f"{name}:")
     coords = ", ".join(str(c) for c in auto.translation)
     print(f"  translation (canonical): ({coords})")
-    print(f"  order: {order(auto, cap=order_cap)}")
+    # One cycle decomposition gives both the order and the fixed-point verdict.
+    cycles = _signed_cycles(auto)
+    print(f"  order: {_order(auto, cycles, order_cap)}")
     print(f"  is translation element: {'yes' if is_translation(auto) else 'no'}")
-    has_fp = exists_fixed_point(auto)
+    has_fp = _has_fixed_point(auto, auto.lattice, cycles)
     print(f"  has fixed point: {'yes' if has_fp else 'no'}")
     if denominator is None:
         return True

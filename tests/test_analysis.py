@@ -26,6 +26,7 @@ from dihedral_torus.analysis import (
 from dihedral_torus.dihedral import (
     ambient_lattice,
     build_corollary,
+    build_s,
     build_w,
     quotient_lattice,
     realified_action,
@@ -33,6 +34,7 @@ from dihedral_torus.dihedral import (
 from dihedral_torus.torus import (
     AffineAuto,
     ComplexMonomialMap,
+    EnlargedLattice,
     TorsionPoint,
     TorusShape,
     compose,
@@ -539,3 +541,105 @@ def _enumerated_fixed_points(g, d):
 @settings(deadline=None, max_examples=30)
 def test_oracle_matches_pure_python_enumeration(g, d):
     assert torsion_fixed_points_bruteforce(g, d) == _enumerated_fixed_points(g, d)
+
+
+# --- the oracle's lazy result -----------------------------------------------
+
+
+class TestOracleResult:
+    @pytest.fixture(scope="class")
+    def grid(self):
+        """Identity at D=2 on the n=1 quotient: 32 points, and a list copy."""
+        e = AffineAuto.identity(quotient_lattice(1))
+        points = torsion_fixed_points_bruteforce(e, 2)
+        return points, list(points)
+
+    def test_len_and_truth_build_no_point(self, monkeypatch):
+        built = []
+
+        def spy(coords):
+            built.append(coords)
+            return TorsionPoint(coords)
+
+        monkeypatch.setattr(analysis_module, "TorsionPoint", spy)
+        e = AffineAuto.identity(quotient_lattice(1))
+        points = torsion_fixed_points_bruteforce(e, 8)
+        assert len(points) == 8**6 // 2
+        assert points
+        assert not torsion_fixed_points_bruteforce(realified_action(1)[1], 4)
+        assert built == []
+        points[0]
+        assert len(built) == 1
+
+    def test_indexing_slicing_iteration_and_membership(self, grid):
+        points, listed = grid
+        assert len(listed) == 32
+        assert listed == sorted(listed, key=lambda p: p.coords)
+        assert [points[i] for i in range(32)] == listed
+        assert points[-1] == listed[-1]
+        assert points[-32] == listed[0]
+        with pytest.raises(IndexError):
+            points[32]
+        with pytest.raises(IndexError):
+            points[-33]
+        with pytest.raises(TypeError):
+            points[1.0]
+        assert points[3:9] == listed[3:9]
+        assert points[::-5] == listed[::-5]
+        assert points[5:5] == []
+        assert list(reversed(points)) == listed[::-1]
+        assert listed[7] in points
+        assert TorsionPoint.of([F(1, 4)] * 6) not in points
+        assert points.index(listed[9]) == 9
+        assert points.count(listed[9]) == 1
+
+    def test_equality_with_sequences_both_ways(self, grid):
+        points, listed = grid
+        assert points == listed and listed == points
+        assert points == tuple(listed) and tuple(listed) == points
+        assert not points != listed
+        assert points != listed[:-1] and listed[:-1] != points
+        assert points != listed[::-1]
+        assert points != "" and points != 7
+        empty = torsion_fixed_points_bruteforce(realified_action(1)[1], 2)
+        assert empty == [] and [] == empty and empty == ()
+        assert empty != points
+
+    def test_result_is_unhashable_and_read_only(self, grid):
+        points, _ = grid
+        with pytest.raises(TypeError):
+            hash(points)
+        with pytest.raises(TypeError):
+            points[0] = points[1]
+        with pytest.raises(AttributeError):
+            points.extra = 1
+
+
+def test_oracle_sorts_on_several_packed_keys():
+    """Canonical rows whose radix product passes 62 bits need two sort keys.
+
+    The zero-offset reflection at n = 3 (m = 14) fixes e_0 − e_10, so it
+    preserves the quotient lattice enlarged by (e_0 − e_10)/16.  At D = 2
+    that gives W = 32 and the radices 2, 32, 16, 32, ..., 32, whose
+    product 2^65 passes _INT64_SAFE.
+    """
+    n = 3
+    v = [F(0)] * 14
+    v[0], v[10] = F(1, 16), F(-1, 16)
+    lattice = EnlargedLattice.from_extra_generators(
+        14, [*quotient_lattice(n).extra_generators, v]
+    )
+    s = build_s(n)
+    s0 = realify(
+        ComplexMonomialMap(s.perm, s.signs, TorsionPoint.zero(14)),
+        TorusShape(n),
+        lattice,
+    )
+    _, _, _, basis_int = analysis_module._oracle_arrays(s0, lattice, 2)
+    radix_product = 1
+    for i, row in enumerate(basis_int):
+        radix_product *= row[i]
+    assert radix_product > analysis_module._INT64_SAFE
+    points = torsion_fixed_points_bruteforce(s0, 2)
+    assert len(points) == 256
+    assert points == _enumerated_fixed_points(s0, 2)

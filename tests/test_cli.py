@@ -1,11 +1,16 @@
 """Tests for the command-line interface: exit codes, output, JSON files."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dihedral_torus import analysis, cli
 from dihedral_torus.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -44,6 +49,13 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--n", "1", "--closure-cap", "0"]) == EXIT_USAGE
         assert "--closure-cap" in capsys.readouterr().err
+
+    def test_closure_cap_failure_skips_the_oracle(self, capsys):
+        assert main(
+            ["verify", "--n", "1", "--closure-cap", "4", "--oracle", "2"]
+        ) == EXIT_VERIFICATION_FAILED
+        out = capsys.readouterr().out
+        assert "oracle (D=2): not run: closure exceeds cap 4" in out
 
     def test_closure_cap_failure_sets_exit_code(self, capsys):
         assert main(
@@ -154,6 +166,21 @@ class TestElementCommand:
         ) == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
+    def test_one_cycle_decomposition_per_map(self, capsys, monkeypatch):
+        calls, decompose = [], analysis._signed_cycles
+
+        def spy(auto):
+            calls.append(auto)
+            return decompose(auto)
+
+        monkeypatch.setattr(analysis, "_signed_cycles", spy)
+        monkeypatch.setattr(cli, "_signed_cycles", spy)
+        assert main(["element", "--n", "4", "--word", "r^3 s"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "order: 2" in out
+        assert out.count("has fixed point: no") == 2
+        assert len(calls) == 2
+
 
 @pytest.mark.parametrize(
     "args",
@@ -209,3 +236,52 @@ def test_unwritable_certificate_is_a_usage_error(args, capsys, tmp_path):
     assert "certificate written" not in captured.out
     assert captured.err == f"error: cannot write {path}: No such file or directory\n"
     assert not path.parent.exists()
+
+
+_JSON_NAMES = ("cert.json", "missing/cert.json", ".")
+_FLAG_VALUES = {
+    "--n": st.integers(-1, 2).map(str),
+    "--range": st.integers(-1, 2).map(str),
+    "--oracle": st.integers(-1, 4).map(str),
+    "--closure-cap": st.integers(-1, 20).map(str),
+    "--k": st.integers(-1, 12).map(str),
+    "--word": st.text(alphabet="rs^-012 x", max_size=12),
+    "--json": st.sampled_from(_JSON_NAMES),
+}
+_COMMAND_FLAGS = {
+    "verify": ["--n", "--range", "--oracle", "--closure-cap", "--json"],
+    "corollary": ["--k", "--json"],
+    "element": ["--n", "--word", "--oracle"],
+    "bogus": [],
+}
+_JUNK = st.sampled_from(["", "x", "2.5", "--", "-h", "--bogus", "r s", "-1"])
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly a command with its own flags; sometimes a stray flag or token."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command] * 3 + sorted(_FLAG_VALUES)
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5)):
+        argv.append(flag)
+        if draw(st.integers(0, 9)):
+            argv.append(draw(_FLAG_VALUES[flag]))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@given(argv=_argvs())
+@settings(deadline=None, max_examples=60)
+def test_any_argv_exits_with_a_documented_code(argv, tmp_path_factory):
+    directory = tmp_path_factory.getbasetemp()
+    argv = [
+        str(directory / a) if a in _JSON_NAMES else a
+        for a in argv
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED, EXIT_USAGE, EXIT_BUDGET)
+    assert "Traceback" not in err.getvalue()
