@@ -32,11 +32,10 @@ from .analysis import (
 )
 from .dihedral import (
     MUTANTS,
+    Certificate,
     ConstructionParams,
-    CorollaryCertificate,
     CorollaryPlan,
     StepResult,
-    TheoremCertificate,
     ambient_lattice,
     build_b,
     build_corollary,
@@ -49,14 +48,7 @@ from .dihedral import (
     verify_mutant,
     verify_theorem,
 )
-from .linalg import (
-    HermiteDecomposition,
-    Matrix,
-    hnf,
-    left_nullspace,
-    subgroup_coefficients,
-    subgroup_membership,
-)
+from .linalg import Matrix, hnf, subgroup_membership
 from .torus import (
     AffineAuto,
     ComplexMonomialMap,
@@ -75,23 +67,21 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineAuto",
     "CapExceeded",
+    "Certificate",
     "ClosureCapExceeded",
     "ComplexMonomialMap",
     "ConstructionParams",
-    "CorollaryCertificate",
     "CorollaryPlan",
     "ElementReport",
     "EnlargedLattice",
     "GroupAnalysis",
     "GroupElement",
     "GroupWord",
-    "HermiteDecomposition",
     "Matrix",
     "MUTANTS",
     "OracleBudgetExceeded",
     "OrderCapExceeded",
     "StepResult",
-    "TheoremCertificate",
     "TorsionPoint",
     "TorusShape",
     "WordParseError",
@@ -111,13 +101,11 @@ __all__ = [
     "hnf",
     "inverse",
     "is_translation",
-    "left_nullspace",
     "order",
     "parse_word",
     "quotient_lattice",
     "realified_action",
     "realify",
-    "subgroup_coefficients",
     "subgroup_membership",
     "torsion_fixed_points_bruteforce",
     "verify_corollary",

@@ -490,30 +490,42 @@ def _oracle_arrays(auto: AffineAuto, lattice: EnlargedLattice, d: int):
 
     W = W0·d where W0 clears every denominator in t and the lattice basis
     (M − I is integral); then W·((M − I)·p + t) is integral on the whole
-    grid p ∈ (1/d)Z^m and W·L has the integer basis W·B.
+    grid p ∈ (1/d)Z^m and W·L has the integer basis W·B.  The basis is
+    the lattice's integer HNF data over its denominator, whose entries
+    have exactly that denominator as their lcm.
     """
     m = lattice.m
-    denoms = [e.denominator for row in lattice.canonical_basis for e in row]
-    w0 = lcm(auto.denominator, *denoms)
+    w0 = lcm(auto.denominator, lattice.denominator)
     w = w0 * d
     mi_int = [[0] * m for _ in range(m)]
     for i, (src, sign) in enumerate(zip(auto.perm, auto.signs)):
         mi_int[i][src] += sign * w0
         mi_int[i][i] -= w0
     t_int = [x * (w // auto.denominator) for x in auto.shift]
-    basis_int = [[int(e * w) for e in row] for row in lattice.canonical_basis]
+    scale = w // lattice.denominator
+    basis_int = [[0] * m for _ in range(m)]
+    for i, pivot in enumerate(lattice.pivots):
+        basis_int[i][i] = pivot * scale
+    for i, _, tail in lattice.sheared_rows:
+        for j, b in tail:
+            basis_int[i][j] = b * scale
     return w, mi_int, t_int, basis_int
 
 
-def _overflow_bound(m: int, d: int, mi_int, t_int, basis_int) -> int:
+def _overflow_bound(d: int, mi_int, t_int, basis_int) -> int:
+    """Bound on every intermediate of the enumeration, in absolute value.
+
+    Only basis rows with off-diagonal entries subtract across columns.
+    """
     bound = max(
         sum(abs(e) for e in row) * (d - 1) + abs(t)
         for row, t in zip(mi_int, t_int)
     )
     bound = max(bound, max(abs(e) for row in basis_int for e in row) * d)
-    for i in range(m):
-        q_bound = bound // basis_int[i][i] + 1
-        bound += q_bound * max(abs(e) for e in basis_int[i])
+    for i, row in enumerate(basis_int):
+        if any(e for j, e in enumerate(row) if j != i):
+            q_bound = bound // row[i] + 1
+            bound += q_bound * max(abs(e) for e in row)
     return bound
 
 
@@ -731,7 +743,7 @@ def torsion_fixed_points_bruteforce(
     # Each chunk's prefix-row-plus-block sum equals that image entry for
     # entry, and both parts are sums over a subset of the same terms, so
     # no intermediate exceeds the bound either.
-    if _overflow_bound(m, d, mi_int, t_int, basis_int) >= _INT64_SAFE:
+    if _overflow_bound(d, mi_int, t_int, basis_int) >= _INT64_SAFE:
         raise OracleBudgetExceeded("oracle scaling exceeds 64-bit integer range")
     rows = _fixed_rows(
         np.array(mi_int, dtype=np.int64).T,

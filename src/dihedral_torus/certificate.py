@@ -5,7 +5,9 @@ only ints, bools, strings, None and nested dicts/lists of the same, so
 serialization is byte-identical across runs and interpreter sessions.
 The elapsed_ms field is always serialized as null: wall-clock timing is
 reported on standard output instead, keeping the written certificate
-bit-reproducible.
+bit-reproducible.  Theorem, mutant and corollary certificates share one
+body, whose five named steps render as step1..step5; only the command
+field tells them apart.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from typing import Any, Mapping, Sequence
 
 from .analysis import ElementReport
-from .dihedral import CorollaryCertificate, TheoremCertificate
+from .dihedral import Certificate
 
 SCHEMA_VERSION = "1"
 
@@ -31,7 +33,7 @@ def _element_entries(reports: Sequence[ElementReport]) -> list[dict[str, Any]]:
     ]
 
 
-def _theorem_body(cert: TheoremCertificate) -> dict[str, Any]:
+def _body(cert: Certificate) -> dict[str, Any]:
     return {
         "dimension": cert.dimension,
         "group_order": cert.group_order_actual,
@@ -43,27 +45,35 @@ def _theorem_body(cert: TheoremCertificate) -> dict[str, Any]:
     }
 
 
-def theorem_document(
-    cert: TheoremCertificate, params: Mapping[str, Any]
+def _document(
+    command: str, cert: Certificate, params: Mapping[str, Any]
 ) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "command": "verify",
+        "command": command,
         "params": dict(params),
     }
-    doc.update(_theorem_body(cert))
+    doc.update(_body(cert))
     doc["elapsed_ms"] = None
     return doc
 
 
+def theorem_document(cert: Certificate, params: Mapping[str, Any]) -> dict[str, Any]:
+    return _document("verify", cert, params)
+
+
+def corollary_document(cert: Certificate, params: Mapping[str, Any]) -> dict[str, Any]:
+    return _document("corollary", cert, params)
+
+
 def range_document(
-    certs: Sequence[TheoremCertificate], params: Mapping[str, Any]
+    certs: Sequence[Certificate], params: Mapping[str, Any]
 ) -> dict[str, Any]:
     """Aggregate of one verify run per n; per-run bodies match the schema."""
     runs = []
     for cert in certs:
         body: dict[str, Any] = {"n": cert.n}
-        body.update(_theorem_body(cert))
+        body.update(_body(cert))
         runs.append(body)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -71,34 +81,6 @@ def range_document(
         "params": dict(params),
         "runs": runs,
         "theorem_verified": all(c.theorem_verified for c in certs),
-        "elapsed_ms": None,
-    }
-
-
-def corollary_document(
-    cert: CorollaryCertificate, params: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Corollary certificate in the shared schema.
-
-    The five step slots carry the corollary's checks: rotation order,
-    reflection order, closure size and presentation, absence of
-    translations, freeness.
-    """
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "corollary",
-        "params": dict(params),
-        "dimension": cert.ambient_dimension,
-        "group_order": cert.group_order_actual,
-        "elements": _element_entries(cert.reports),
-        "steps": {
-            "step1": cert.rotation_order_ok,
-            "step2": cert.reflection_order_ok,
-            "step3": cert.closure_ok,
-            "step4": cert.has_no_translations,
-            "step5": cert.is_free,
-        },
-        "theorem_verified": cert.verified,
         "elapsed_ms": None,
     }
 

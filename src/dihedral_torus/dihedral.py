@@ -160,31 +160,34 @@ class StepResult:
             checks=tuple(checks),
         )
 
-    @classmethod
-    def aborted(cls, name: str, reason: str) -> "StepResult":
-        return cls(name=name, passed=False, checks=((reason, False),))
-
 
 @dataclass(frozen=True)
-class TheoremCertificate:
+class Certificate:
+    """Verdict on one dihedral action: named steps and the group's facts.
+
+    The theorem, its mutants and the corollary all fill five steps; `k`
+    is set only for the corollary's D_k.
+    """
+
     n: int
     dimension: int
     group_order_expected: int
     group_order_actual: int
-    step1: StepResult
-    step2: StepResult
-    step3: StepResult
-    step4: StepResult
-    step5: StepResult
+    steps: tuple[StepResult, ...]
     is_free: bool
     has_no_translations: bool
     theorem_verified: bool
     reports: tuple[ElementReport, ...]
     failure_reason: str | None = None
+    k: int | None = None
 
     @property
-    def steps(self) -> tuple[StepResult, ...]:
-        return (self.step1, self.step2, self.step3, self.step4, self.step5)
+    def verified(self) -> bool:
+        return self.theorem_verified
+
+    @property
+    def ambient_dimension(self) -> int:
+        return self.dimension
 
 
 _STEP_NAMES = (
@@ -195,27 +198,62 @@ _STEP_NAMES = (
     "reflections are fixed-point-free",
 )
 
+_COROLLARY_STEP_NAMES = (
+    "rotation generator has order k",
+    "reflection has order 2",
+    "closure is dihedral of order 2k",
+    "no translations",
+    "free action",
+)
 
-def _aborted_certificate(n: int, reason: str) -> TheoremCertificate:
-    steps = tuple(
-        StepResult.aborted(name, f"not evaluated: {reason}")
-        for name in _STEP_NAMES
-    )
-    return TheoremCertificate(
+
+def _aborted(
+    n: int, expected: int, names: tuple[str, ...], reason: str, k: int | None = None
+) -> Certificate:
+    """A failed certificate whose steps were cut short by a resource cap."""
+    return Certificate(
         n=n,
         dimension=2 * n + 1,
-        group_order_expected=8 * n,
+        group_order_expected=expected,
         group_order_actual=0,
-        step1=steps[0],
-        step2=steps[1],
-        step3=steps[2],
-        step4=steps[3],
-        step5=steps[4],
+        steps=tuple(
+            StepResult(name, False, ((f"not evaluated: {reason}", False),))
+            for name in names
+        ),
         is_free=False,
         has_no_translations=False,
         theorem_verified=False,
         reports=(),
         failure_reason=reason,
+        k=k,
+    )
+
+
+def _conclude(
+    n: int,
+    expected: int,
+    steps: tuple[StepResult, ...],
+    analysis: GroupAnalysis,
+    k: int | None = None,
+) -> Certificate:
+    """The certificate of evaluated steps and the analysis they read."""
+    verified = (
+        all(st.passed for st in steps)
+        and analysis.group_size == expected
+        and analysis.is_free
+        and analysis.has_no_translations
+    )
+    return Certificate(
+        n=n,
+        dimension=2 * n + 1,
+        group_order_expected=expected,
+        group_order_actual=analysis.group_size,
+        steps=steps,
+        is_free=analysis.is_free,
+        has_no_translations=analysis.has_no_translations,
+        theorem_verified=verified,
+        reports=analysis.reports,
+        k=k,
     )
 
 
@@ -233,7 +271,7 @@ def _certify(
     s_ambient: AffineAuto,
     closure_cap: int | None,
     order_cap: int | None,
-) -> TheoremCertificate:
+) -> Certificate:
     """Certify the action of (r, s), also given on the ambient lattice Z^m."""
     shape = TorusShape(n)
     four_n = 4 * n
@@ -373,37 +411,15 @@ def _certify(
             ],
         )
     except CapExceeded as exc:
-        return _aborted_certificate(n, str(exc))
-
-    steps = (step1, step2, step3, step4, step5)
-    verified = (
-        all(st.passed for st in steps)
-        and analysis.group_size == 8 * n
-        and analysis.is_free
-        and analysis.has_no_translations
-    )
-    return TheoremCertificate(
-        n=n,
-        dimension=shape.complex_dim,
-        group_order_expected=8 * n,
-        group_order_actual=analysis.group_size,
-        step1=step1,
-        step2=step2,
-        step3=step3,
-        step4=step4,
-        step5=step5,
-        is_free=analysis.is_free,
-        has_no_translations=analysis.has_no_translations,
-        theorem_verified=verified,
-        reports=analysis.reports,
-    )
+        return _aborted(n, 8 * n, _STEP_NAMES, str(exc))
+    return _conclude(n, 8 * n, (step1, step2, step3, step4, step5), analysis)
 
 
 def verify_theorem(
     params: ConstructionParams | int,
     closure_cap: int | None = None,
     order_cap: int | None = None,
-) -> TheoremCertificate:
+) -> Certificate:
     """Build the order-8n action for this n and machine-check all five steps."""
     n = params.n if isinstance(params, ConstructionParams) else int(params)
     if n < 1:
@@ -429,7 +445,7 @@ def verify_mutant(
     n: int,
     closure_cap: int | None = None,
     order_cap: int | None = None,
-) -> TheoremCertificate:
+) -> Certificate:
     """Run the verifier against a deliberately broken construction.
 
     These negative controls prove the certificate can fail: each mutant
@@ -505,28 +521,11 @@ def build_corollary(k: int) -> CorollaryPlan:
     )
 
 
-@dataclass(frozen=True)
-class CorollaryCertificate:
-    k: int
-    n: int
-    ambient_dimension: int
-    group_order_expected: int
-    group_order_actual: int
-    rotation_order_ok: bool
-    reflection_order_ok: bool
-    closure_ok: bool
-    has_no_translations: bool
-    is_free: bool
-    verified: bool
-    reports: tuple[ElementReport, ...]
-    failure_reason: str | None = None
-
-
 def verify_corollary(
     k: int,
     closure_cap: int | None = None,
     order_cap: int | None = None,
-) -> CorollaryCertificate:
+) -> Certificate:
     """Verify the embedded D_k action directly (not just by inheritance)."""
     plan = build_corollary(k)
     n = plan.params.n
@@ -543,49 +542,25 @@ def verify_corollary(
         rot_facts, refl_facts, product_facts = _facts(
             analysis, rot, refl, compose(rot, refl)
         )
-        rotation_order_ok = rot_facts.order == k
-        reflection_order_ok = refl_facts.order == 2
-        product_order_ok = product_facts.order == 2
     except CapExceeded as exc:
-        return CorollaryCertificate(
-            k=k,
-            n=n,
-            ambient_dimension=plan.expected_dimension,
-            group_order_expected=plan.expected_order,
-            group_order_actual=0,
-            rotation_order_ok=False,
-            reflection_order_ok=False,
-            closure_ok=False,
-            has_no_translations=False,
-            is_free=False,
-            verified=False,
-            reports=(),
-            failure_reason=str(exc),
-        )
-    closure_ok = (
-        analysis.group_size == plan.expected_order
-        and analysis.dihedral_shape
-        and analysis.rotation_order == max(k, 1)
-        and product_order_ok
+        return _aborted(n, plan.expected_order, _COROLLARY_STEP_NAMES, str(exc), k)
+    step_checks = (
+        [("r^{4n/k} has order k on the quotient", rot_facts.order == k)],
+        [("s has order 2 on the quotient", refl_facts.order == 2)],
+        [
+            ("closure of {r^{4n/k}, s} has exactly 2k elements",
+             analysis.group_size == plan.expected_order),
+            (
+                "closure satisfies the dihedral presentation",
+                analysis.dihedral_shape and analysis.rotation_order == k,
+            ),
+            ("r^{4n/k}s has order 2", product_facts.order == 2),
+        ],
+        [("no element is a translation", analysis.has_no_translations)],
+        [("no nonidentity element has a fixed point", analysis.is_free)],
     )
-    verified = (
-        rotation_order_ok
-        and reflection_order_ok
-        and closure_ok
-        and analysis.has_no_translations
-        and analysis.is_free
+    steps = tuple(
+        StepResult.from_checks(name, checks)
+        for name, checks in zip(_COROLLARY_STEP_NAMES, step_checks)
     )
-    return CorollaryCertificate(
-        k=k,
-        n=n,
-        ambient_dimension=plan.expected_dimension,
-        group_order_expected=plan.expected_order,
-        group_order_actual=analysis.group_size,
-        rotation_order_ok=rotation_order_ok,
-        reflection_order_ok=reflection_order_ok,
-        closure_ok=closure_ok,
-        has_no_translations=analysis.has_no_translations,
-        is_free=analysis.is_free,
-        verified=verified,
-        reports=analysis.reports,
-    )
+    return _conclude(n, plan.expected_order, steps, analysis, k)

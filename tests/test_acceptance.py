@@ -76,7 +76,7 @@ def test_theorem_family_verifies_for_all_small_n(capsys):
         assert (
             "symmetries form exactly two conjugacy classes",
             True,
-        ) in cert.step4.checks
+        ) in cert.steps[3].checks
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"family sweep took {elapsed:.1f}s"
 
@@ -114,7 +114,7 @@ def test_broken_constructions_fail_verification():
         # (a) Without the 1/4n shift the rotation fixes the origin.
         cert = verify_mutant("no-rotation-shift", n)
         assert not cert.theorem_verified
-        assert not cert.step1.passed
+        assert not cert.steps[0].passed
         failed = {
             label
             for step in cert.steps
@@ -126,7 +126,7 @@ def test_broken_constructions_fail_verification():
         # (b) Without the offsets the reflection fixes the origin.
         cert = verify_mutant("zero-offsets", n)
         assert not cert.theorem_verified
-        assert not cert.step5.passed
+        assert not cert.steps[4].passed
         failed = {
             label
             for step in cert.steps

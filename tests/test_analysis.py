@@ -425,6 +425,27 @@ class TestTorsionOracle:
         with pytest.raises(ValueError):
             torsion_fixed_points_bruteforce(r, 0)
 
+    def test_scaling_refusal_beyond_int64(self):
+        # W must clear the shift's denominator; 2^63 leaves int64, 2^61 fits.
+        lattice = EnlargedLattice.standard(1)
+        far = AffineAuto.translation_by([Fraction(1, 2**63)], lattice)
+        with pytest.raises(OracleBudgetExceeded, match="64-bit"):
+            torsion_fixed_points_bruteforce(far, 1)
+        near = AffineAuto.translation_by([Fraction(1, 2**61)], lattice)
+        assert len(torsion_fixed_points_bruteforce(near, 1)) == 0
+
+    def test_overflow_bound_charges_only_sheared_rows(self):
+        bound = analysis_module._overflow_bound
+        zero = [[0, 0], [0, 0]]
+        # Start: the largest basis entry times d, here 8.
+        assert bound(1, zero, [0, 0], [[4, 0], [0, 8]]) == 8
+        # Row 0 subtracts q·(4, 4) from column 1, |q| ≤ 8 // 4 + 1 = 3.
+        assert bound(1, zero, [0, 0], [[4, 4], [0, 8]]) == 8 + 3 * 4
+
+    def test_large_n_fits_int64(self):
+        r, _ = realified_action(14)
+        assert len(torsion_fixed_points_bruteforce(r, 1)) == 0
+
     def test_oracle_never_contradicts_the_exact_decision(self, quotient_pair):
         # Soundness at any denominator: a grid fixed point is a fixed point.
         for element in closure(quotient_pair):

@@ -111,11 +111,7 @@ class TestCorollaryDocument:
         assert doc["dimension"] == 7
         assert doc["group_order"] == 6
         assert doc["steps"] == {
-            "step1": cert.rotation_order_ok,
-            "step2": cert.reflection_order_ok,
-            "step3": cert.closure_ok,
-            "step4": cert.has_no_translations,
-            "step5": cert.is_free,
+            f"step{i}": step.passed for i, step in enumerate(cert.steps, 1)
         }
         assert doc["theorem_verified"] is True
 

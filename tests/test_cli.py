@@ -102,6 +102,8 @@ class TestCorollaryCommand:
         assert "D_3 of order 6 (expected 6)" in out
         assert "ambient dimension 7" in out
         assert out.count("PASS") == 5
+        assert "  step1 rotation generator has order k: PASS" in out
+        assert "  step5 free action: PASS" in out
         assert "certificate: verified" in out
 
     def test_rejects_bad_k(self, capsys):
@@ -185,19 +187,26 @@ class TestElementCommand:
 @pytest.mark.parametrize(
     "args",
     [
-        ["element", "--n", "15", "--word", "r", "--oracle", "1"],
-        ["verify", "--n", "15", "--oracle", "1"],
+        ["element", "--n", "2", "--word", "r", "--oracle", "50"],
+        ["verify", "--n", "2", "--oracle", "50"],
     ],
 )
-def test_oracle_scaling_refusal_exits_3_without_traceback(args):
+def test_oracle_refusal_exits_3_without_traceback(args):
     result = subprocess.run(
         [sys.executable, "-m", "dihedral_torus", *args],
         capture_output=True,
         text=True,
     )
     assert result.returncode == EXIT_BUDGET
-    assert "error: oracle scaling exceeds 64-bit integer range" in result.stderr
+    assert "exceed the oracle budget" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_oracle_runs_past_n_13(capsys):
+    # The int64 bound charges only sheared basis rows, so large n fit.
+    assert main(["verify", "--n", "14", "--oracle", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "fixed-point decisions confirmed for all 112 elements of n=14" in out
 
 
 class TestArgumentParsing:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dihedral_torus import analysis, dihedral, torus
 from dihedral_torus.dihedral import (
     MUTANTS,
+    Certificate,
     ConstructionParams,
-    TheoremCertificate,
     ambient_lattice,
     build_b,
     build_corollary,
@@ -171,7 +171,7 @@ class TestVerifyTheorem:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_small_cases_verify(self, n):
         cert = verify_theorem(n)
-        assert isinstance(cert, TheoremCertificate)
+        assert isinstance(cert, Certificate)
         assert cert.theorem_verified
         assert cert.failure_reason is None
         assert cert.dimension == 2 * n + 1
@@ -267,22 +267,22 @@ class TestMutants:
     def test_missing_rotation_shift_breaks_rotation_freeness(self, n):
         cert = verify_mutant("no-rotation-shift", n)
         assert not cert.theorem_verified
-        assert not cert.step1.passed
+        assert not cert.steps[0].passed
         assert not cert.is_free
         failed = self.failed_checks(cert)
         assert "no proper rotation power has a fixed point" in failed
-        assert cert.step2.passed and cert.step3.passed and cert.step4.passed
+        assert all(step.passed for step in cert.steps[1:4])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_zero_offsets_breaks_reflection_freeness(self, n):
         cert = verify_mutant("zero-offsets", n)
         assert not cert.theorem_verified
-        assert not cert.step5.passed
+        assert not cert.steps[4].passed
         assert not cert.is_free
         failed = self.failed_checks(cert)
         assert "s has no fixed point on the quotient" in failed
         assert "s² is the translation by w on the ambient torus" in failed
-        assert cert.step1.passed
+        assert cert.steps[0].passed
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_skipping_the_quotient_leaves_a_translation(self, n):
@@ -290,7 +290,7 @@ class TestMutants:
         assert not cert.theorem_verified
         assert cert.group_order_actual == 16 * n
         assert not cert.has_no_translations
-        assert not cert.step3.passed
+        assert not cert.steps[2].passed
         translations = [rep for rep in cert.reports if rep.is_translation]
         assert len(translations) == 1
         assert translations[0].order == 2
@@ -347,9 +347,7 @@ class TestCorollary:
         assert cert.verified
         assert cert.failure_reason is None
         assert cert.group_order_actual == 2 * k
-        assert cert.rotation_order_ok
-        assert cert.reflection_order_ok
-        assert cert.closure_ok
+        assert all(step.passed for step in cert.steps)
         assert cert.has_no_translations
         assert cert.is_free
         assert cert.ambient_dimension == lcm(4, k) // 2 + 1
@@ -369,6 +367,43 @@ class TestCorollary:
         assert not cert.verified
         assert cert.failure_reason is not None
         assert cert.group_order_actual == 0
+
+    def test_cap_abort_leaves_five_named_steps_unevaluated(self):
+        cert = verify_corollary(3, closure_cap=2)
+        assert cert.k == 3
+        assert cert.reports == ()
+        names = [step.name for step in cert.steps]
+        assert len(set(names)) == 5
+        assert all(names)
+        for step in cert.steps:
+            assert not step.passed
+            assert step.checks == ((f"not evaluated: {cert.failure_reason}", False),)
+
+    def test_step_names_are_distinct(self):
+        cert = verify_corollary(5)
+        names = [step.name for step in cert.steps]
+        assert len(set(names)) == 5
+        assert all(names)
+        assert names == [step.name for step in verify_corollary(3, closure_cap=2).steps]
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_theorem(1),
+        lambda: verify_theorem(1, closure_cap=4),
+        lambda: verify_mutant("no-quotient", 1),
+        lambda: verify_corollary(3),
+        lambda: verify_corollary(3, closure_cap=2),
+    ],
+    ids=["theorem", "theorem-aborted", "mutant", "corollary", "corollary-aborted"],
+)
+def test_every_verifier_returns_one_certificate_type(verify):
+    cert = verify()
+    assert type(cert) is Certificate
+    assert len(cert.steps) == 5
+    assert cert.verified == cert.theorem_verified
+    assert cert.ambient_dimension == cert.dimension == 2 * cert.n + 1
 
 
 # --- property-based coverage ------------------------------------------------
