@@ -33,7 +33,6 @@ from .analysis import (
 from .dihedral import (
     MUTANTS,
     Certificate,
-    ConstructionParams,
     CorollaryPlan,
     StepResult,
     ambient_lattice,
@@ -70,7 +69,6 @@ __all__ = [
     "Certificate",
     "ClosureCapExceeded",
     "ComplexMonomialMap",
-    "ConstructionParams",
     "CorollaryPlan",
     "ElementReport",
     "EnlargedLattice",

@@ -4,6 +4,11 @@ Everything is decided exactly.  The one numerical ingredient, the
 brute-force torsion oracle, enumerates scaled integer grids with numpy
 but never leaves integer arithmetic.
 
+Every call takes its maps as `AffineAuto` values and decides them
+modulo their own lattice.  A question about another lattice L is asked
+of `g.with_lattice(L)`, which refuses an L that g's linear part does
+not preserve.
+
 Every automorphism is g: z ↦ M·z + t modulo a lattice L with M a signed
 permutation, so both decisions have closed forms over the cycles of M.
 Walk a cycle i → σ(i) → ... with potentials c_{σ(i)} = ε_i·c_i, c = ±1;
@@ -104,14 +109,8 @@ class GroupAnalysis:
     group_size: int
     is_free: bool
     has_no_translations: bool
-    dihedral_shape: bool
     rotation_order: int | None
-    conjugacy_class_count: int
     symmetry_class_count: int | None
-
-
-def _as_auto(g: GroupElement | AffineAuto) -> AffineAuto:
-    return g.auto if isinstance(g, GroupElement) else g
 
 
 def dihedral_caps(
@@ -149,20 +148,13 @@ def _signed_cycles(auto: AffineAuto) -> list[tuple[list[int], list[int], bool]]:
     return cycles
 
 
-def order(
-    g: GroupElement | AffineAuto,
-    lattice: EnlargedLattice | None = None,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> int:
-    """Smallest k ≥ 1 with g^k the identity modulo the lattice.
+def order(g: AffineAuto, *, cap: int = DEFAULT_ORDER_CAP) -> int:
+    """Smallest k ≥ 1 with g^k the identity modulo g's lattice.
 
     Closed form (see the module docstring); raises OrderCapExceeded when
     the order is larger than `cap`.
     """
-    auto = _as_auto(g)
-    if lattice is not None:
-        auto = auto.with_lattice(lattice)
-    return _order(auto, _signed_cycles(auto), cap)
+    return _order(g, _signed_cycles(g), cap)
 
 
 def _order(auto: AffineAuto, cycles, cap: int) -> int:
@@ -186,23 +178,17 @@ def _order(auto: AffineAuto, cycles, cap: int) -> int:
     raise OrderCapExceeded(f"order exceeds cap {cap}")
 
 
-def is_translation(g: GroupElement | AffineAuto) -> bool:
+def is_translation(g: AffineAuto) -> bool:
     """True for a nonidentity element whose linear part is the identity."""
-    auto = _as_auto(g)
-    return auto.is_linear_identity and any(auto.shift)
+    return g.is_linear_identity and any(g.shift)
 
 
-def exists_fixed_point(
-    g: GroupElement | AffineAuto, lattice: EnlargedLattice | None = None
-) -> bool:
-    """Exact decision of whether g(z) = z has a solution on the quotient."""
-    auto = _as_auto(g)
-    if lattice is None:
-        lattice = auto.lattice
-    return _has_fixed_point(auto, lattice, _signed_cycles(auto))
+def exists_fixed_point(g: AffineAuto) -> bool:
+    """Exact decision of whether g(z) = z has a solution modulo g's lattice."""
+    return _has_fixed_point(g, _signed_cycles(g))
 
 
-def _has_fixed_point(auto: AffineAuto, lattice: EnlargedLattice, cycles) -> bool:
+def _has_fixed_point(auto: AffineAuto, cycles) -> bool:
     kernel = [(coords, pots) for coords, pots, closed in cycles if closed]
     if not kernel:
         # M - I invertible: (M - I)x = -t always solvable, λ = 0.
@@ -211,6 +197,7 @@ def _has_fixed_point(auto: AffineAuto, lattice: EnlargedLattice, cycles) -> bool
     def project(v):
         return [sum(c * v[i] for i, c in zip(coords, pots)) for coords, pots in kernel]
 
+    lattice = auto.lattice
     den, d = auto.denominator, lattice.denominator
     t_proj = project(auto.shift)
     extras = [project(gen) for gen in lattice.extra_numerators]
@@ -239,14 +226,12 @@ def _report(e: GroupElement, cap: int) -> ElementReport:
         word=e.label,
         order=_order(e.auto, cycles, cap),
         is_translation=is_translation(e.auto),
-        has_fixed_point=_has_fixed_point(e.auto, e.auto.lattice, cycles),
+        has_fixed_point=_has_fixed_point(e.auto, cycles),
     )
 
 
 def closure(
-    gens: Sequence[GroupElement | AffineAuto],
-    lattice: EnlargedLattice | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    gens: Sequence[AffineAuto], *, cap: int = DEFAULT_CLOSURE_CAP
 ) -> list[GroupElement]:
     """Breadth-first closure of the generated group, identity included.
 
@@ -255,10 +240,7 @@ def closure(
     generator has finite order in a group that closes under the cap, so
     closing under composition alone already yields inverses.
     """
-    autos = [_as_auto(g) for g in gens]
-    if lattice is not None:
-        autos = [a.with_lattice(lattice) for a in autos]
-    return _closure(autos, cap, track_words=False)
+    return _closure(list(gens), cap, track_words=False)
 
 
 def _closure(
@@ -300,7 +282,7 @@ def _closure(
 
 def conjugacy_classes(
     group: Sequence[GroupElement],
-    conjugators: Sequence[GroupElement | AffineAuto] | None = None,
+    conjugators: Sequence[AffineAuto] | None = None,
 ) -> list[list[GroupElement]]:
     """Partition of a closed group into conjugacy classes.
 
@@ -311,10 +293,7 @@ def conjugacy_classes(
     """
     autos = [e.auto for e in group]
     by_auto = {a: i for i, a in enumerate(autos)}
-    if conjugators is None:
-        conj_autos = autos
-    else:
-        conj_autos = [_as_auto(c) for c in conjugators]
+    conj_autos = autos if conjugators is None else list(conjugators)
     inverses = [inverse(h) for h in conj_autos]
     assigned = [False] * len(group)
     classes: list[list[GroupElement]] = []
@@ -418,30 +397,26 @@ def _label_classes(k: int) -> list[list[tuple[int, int]]]:
 
 
 def analyze_group(
-    gens: Sequence[GroupElement | AffineAuto],
-    lattice: EnlargedLattice | None = None,
+    gens: Sequence[AffineAuto],
     closure_cap: int = DEFAULT_CLOSURE_CAP,
     order_cap: int = DEFAULT_ORDER_CAP,
-    gen_names: Sequence[str] | None = None,
 ) -> GroupAnalysis:
     """Close the generators, then report order/translation/fixed-point per element.
 
     Elements are labeled by dihedral normal form when the closure
     satisfies a D_k presentation on the given two generators, otherwise
-    by BFS discovery words.  Dihedral reports are in normal-form order,
-    r^a s^b at index 2a + b, and conjugacy classes come from label
-    arithmetic; otherwise reports follow the discovery words and classes
-    come from `conjugacy_classes`.  Each element's verdicts come from one
-    cycle decomposition of its own map.
+    by BFS discovery words over the names r, s (two generators) or
+    g1..gk.  Dihedral reports are in normal-form order, r^a s^b at index
+    2a + b, and the symmetry classes are counted by label arithmetic;
+    otherwise reports follow the discovery words and no class is counted.
+    Each element's verdicts come from one cycle decomposition of its own
+    map.
     """
-    autos = [_as_auto(g) for g in gens]
-    if lattice is not None:
-        autos = [a.with_lattice(lattice) for a in autos]
+    autos = list(gens)
     elements = _closure(autos, closure_cap, track_words=len(autos) == 2)
-    if gen_names is None:
-        gen_names = ("r", "s") if len(autos) == 2 else tuple(
-            f"g{i + 1}" for i in range(len(autos))
-        )
+    gen_names = ("r", "s") if len(autos) == 2 else tuple(
+        f"g{i + 1}" for i in range(len(autos))
+    )
 
     labeled: list[GroupElement]
     rotation_order = _try_dihedral_labels(autos, elements, order_cap)
@@ -469,8 +444,6 @@ def analyze_group(
     if rotation_order is not None:
         classes = _label_classes(rotation_order)
         symmetry_class_count = sum(1 for cls in classes if cls[0][1] == 1)
-    else:
-        classes = conjugacy_classes(labeled, conjugators=autos)
 
     return GroupAnalysis(
         elements=tuple(labeled),
@@ -478,9 +451,7 @@ def analyze_group(
         group_size=len(labeled),
         is_free=is_free,
         has_no_translations=has_no_translations,
-        dihedral_shape=rotation_order is not None,
         rotation_order=rotation_order,
-        conjugacy_class_count=len(classes),
         symmetry_class_count=symmetry_class_count,
     )
 
@@ -689,12 +660,9 @@ class _TorsionPoints(Sequence):
 
 
 def torsion_fixed_points_bruteforce(
-    g: GroupElement | AffineAuto,
-    denominator: int,
-    lattice: EnlargedLattice | None = None,
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    g: AffineAuto, denominator: int
 ) -> Sequence[TorsionPoint]:
-    """All fixed points of g with coordinates in (1/denominator)Z, mod lattice.
+    """All fixed points of g with coordinates in (1/denominator)Z, mod its lattice.
 
     Enumerates the full grid {k/denominator : 0 ≤ k < denominator}^m,
     keeps the points with g(p) = p modulo the lattice, and returns their
@@ -720,25 +688,22 @@ def torsion_fixed_points_bruteforce(
     equal to a list of the same points, and is unhashable.
 
     Refuses enumerations whose expected distinct-point count
-    denominator^m / [L : Z^m] exceeds the budget, and scalings that could
-    leave the int64 range, with OracleBudgetExceeded.
+    denominator^m / [L : Z^m] exceeds DEFAULT_ORACLE_BUDGET, and scalings
+    that could leave the int64 range, with OracleBudgetExceeded.
     """
     if denominator < 1:
         raise ValueError("denominator must be positive")
-    auto = _as_auto(g)
-    if lattice is None:
-        lattice = auto.lattice
-    else:
-        auto = auto.with_lattice(lattice)
+    lattice = g.lattice
     m = lattice.m
     d = denominator
     expected = d**m // lattice.index
-    if expected > budget:
+    if expected > DEFAULT_ORACLE_BUDGET:
         raise OracleBudgetExceeded(
-            f"{expected} grid points exceed the oracle budget of {budget}"
+            f"{expected} grid points exceed the oracle budget of "
+            f"{DEFAULT_ORACLE_BUDGET}"
         )
 
-    w, mi_int, t_int, basis_int = _oracle_arrays(auto, lattice, d)
+    w, mi_int, t_int, basis_int = _oracle_arrays(g, lattice, d)
     # The bound covers every entry of the full image W·((M − I)·p + t).
     # Each chunk's prefix-row-plus-block sum equals that image entry for
     # entry, and both parts are sums over a subset of the same terms, so

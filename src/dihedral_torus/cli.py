@@ -254,7 +254,7 @@ def _print_view(
     cycles = _signed_cycles(auto)
     print(f"  order: {_order(auto, cycles, order_cap)}")
     print(f"  is translation element: {'yes' if is_translation(auto) else 'no'}")
-    has_fp = _has_fixed_point(auto, auto.lattice, cycles)
+    has_fp = _has_fixed_point(auto, cycles)
     print(f"  has fixed point: {'yes' if has_fp else 'no'}")
     if denominator is None:
         return True

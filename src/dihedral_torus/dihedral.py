@@ -50,12 +50,15 @@ from .torus import (
     equal_mod_lattice,
     realify,
 )
+from .words import _power
 
 _HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class ConstructionParams:
+    """Where a corollary embeds: the family parameter n."""
+
     n: int
 
     def __post_init__(self):
@@ -282,12 +285,9 @@ def _certify(
 
     try:
         analysis = analyze_group(
-            [r, s],
-            closure_cap=closure_cap,
-            order_cap=order_cap,
-            gen_names=("r", "s"),
+            [r, s], closure_cap=closure_cap, order_cap=order_cap
         )
-        if analysis.dihedral_shape and analysis.rotation_order == four_n:
+        if analysis.rotation_order == four_n:
             # A dihedral analysis holds r^j s^b and its verdicts at 2j + b.
             powers = [e.auto for e in analysis.elements[2 : 2 * four_n : 2]]
             power_facts = analysis.reports[2 : 2 * four_n : 2]
@@ -378,8 +378,7 @@ def _certify(
                  analysis.group_size == 8 * n),
                 (
                     "closure satisfies the dihedral presentation",
-                    analysis.dihedral_shape
-                    and analysis.rotation_order == four_n,
+                    analysis.rotation_order == four_n,
                 ),
             ],
         )
@@ -416,12 +415,11 @@ def _certify(
 
 
 def verify_theorem(
-    params: ConstructionParams | int,
+    n: int,
     closure_cap: int | None = None,
     order_cap: int | None = None,
 ) -> Certificate:
     """Build the order-8n action for this n and machine-check all five steps."""
-    n = params.n if isinstance(params, ConstructionParams) else int(params)
     if n < 1:
         raise ValueError("n must be a positive integer")
     return _certify(
@@ -494,8 +492,6 @@ class CorollaryPlan:
     rotation_power: int
     expected_dimension: int
     expected_order: int
-    rotation_map: ComplexMonomialMap
-    reflection_map: ComplexMonomialMap
 
 
 def build_corollary(k: int) -> CorollaryPlan:
@@ -507,17 +503,12 @@ def build_corollary(k: int) -> CorollaryPlan:
     if k < 1:
         raise ValueError("k must be a positive integer")
     four_n = lcm(4, k)
-    n = four_n // 4
-    e = four_n // k
-    r_map = build_r(n)
     return CorollaryPlan(
         k=k,
-        params=ConstructionParams(n),
-        rotation_power=e,
+        params=ConstructionParams(four_n // 4),
+        rotation_power=four_n // k,
         expected_dimension=four_n // 2 + 1,
         expected_order=2 * k,
-        rotation_map=r_map.power(e),
-        reflection_map=build_s(n),
     )
 
 
@@ -530,14 +521,12 @@ def verify_corollary(
     plan = build_corollary(k)
     n = plan.params.n
     closure_cap, order_cap = dihedral_caps(k, closure_cap, order_cap)
-    rot = realify(plan.rotation_map, TorusShape(n), quotient_lattice(n))
-    refl = realified_action(n)[1]  # the reflection is the family's s itself
+    # r^{4n/k} of the family's cached r; the reflection is its s itself.
+    r, refl = realified_action(n)
+    rot = _power(r, plan.rotation_power)
     try:
         analysis = analyze_group(
-            [rot, refl],
-            closure_cap=closure_cap,
-            order_cap=order_cap,
-            gen_names=("r", "s"),
+            [rot, refl], closure_cap=closure_cap, order_cap=order_cap
         )
         rot_facts, refl_facts, product_facts = _facts(
             analysis, rot, refl, compose(rot, refl)
@@ -552,7 +541,7 @@ def verify_corollary(
              analysis.group_size == plan.expected_order),
             (
                 "closure satisfies the dihedral presentation",
-                analysis.dihedral_shape and analysis.rotation_order == k,
+                analysis.rotation_order == k,
             ),
             ("r^{4n/k}s has order 2", product_facts.order == 2),
         ],

@@ -73,16 +73,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    @property
-    def is_identity(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            e == (_F1 if i == j else _F0)
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
-        )
-
     def transpose(self) -> "Matrix":
         return Matrix._wrap(tuple(zip(*self.rows)))
 
@@ -125,31 +115,6 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def signed_permutation(m: Matrix) -> tuple[tuple[int, int], ...] | None:
-    """Decompose a signed permutation matrix into (source column, sign) per row.
-
-    Returns None when `m` is not a signed permutation.  Row i of such a
-    matrix sends x to sign_i * x[source_i], which covers every linear part
-    arising from monomial maps of complex coordinates.
-    """
-    if not m.is_square:
-        return None
-    seen = set()
-    out = []
-    for row in m.rows:
-        nz = [(j, e) for j, e in enumerate(row) if e]
-        if len(nz) != 1:
-            return None
-        j, e = nz[0]
-        if e != 1 and e != -1:
-            return None
-        if j in seen:
-            return None
-        seen.add(j)
-        out.append((j, 1 if e == 1 else -1))
-    return tuple(out)
-
-
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if not m.is_square:
@@ -174,27 +139,6 @@ def det(m: Matrix) -> Fraction:
     return result
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square invertible matrix."""
-    if not m.is_square:
-        raise ValueError("inverse requires a square matrix")
-    n = m.n_rows
-    rows = [list(r) + [_F1 if i == j else _F0 for j in range(n)] for i, r in enumerate(m.rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv_p = _F1 / rows[c][c]
-        if inv_p != 1:
-            rows[c] = [e * inv_p for e in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
-    return Matrix(row[n:] for row in rows)
-
-
 def _row_reduce(rows: list[list[Fraction]]) -> list[int]:
     """In-place reduced row echelon form; returns the pivot columns."""
     n_rows, n_cols = len(rows), len(rows[0])
@@ -217,11 +161,6 @@ def _row_reduce(rows: list[list[Fraction]]) -> list[int]:
         if pr == n_rows:
             break
     return pivots
-
-
-def rank(m: Matrix) -> int:
-    rows = [list(r) for r in m.rows]
-    return len(_row_reduce(rows))
 
 
 def left_nullspace(m: Matrix) -> tuple[Vector, ...]:

@@ -10,9 +10,12 @@ the elliptic curves at once.
 
 `AffineAuto` stores exactly that: one (source, sign) pair per real
 coordinate, and the shift as integer numerators over one common
-denominator, reduced modulo the lattice.  Composition, inversion,
-equality and hashing are O(m) integer operations; the dense matrix is
-built only when a caller asks for it.
+denominator, reduced modulo the lattice.  It is built from that form
+only, `AffineAuto(perm, signs, translation, lattice)`, or by `realify`
+from a `ComplexMonomialMap`, which is a map's description and not an
+algebra: composition, powers and inversion act on `AffineAuto` values.
+Those, equality and hashing are O(m) integer operations; the dense
+matrix is built only when a caller asks for it.
 
 Coordinate layout: complex coordinate i (0-based) owns the two real
 slots 2i, 2i+1, in order (1-part, τ-part).
@@ -26,15 +29,7 @@ from functools import cache, cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .linalg import (
-    Matrix,
-    Rational,
-    Vector,
-    det,
-    hnf,
-    signed_permutation,
-    vector,
-)
+from .linalg import Matrix, Rational, Vector, hnf, vector
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -263,41 +258,6 @@ class ComplexMonomialMap:
         if len(self.translation) != 2 * c:
             raise ValueError("translation must have two slots per coordinate")
 
-    @classmethod
-    def identity(cls, complex_dim: int) -> "ComplexMonomialMap":
-        return cls(
-            perm=tuple(range(complex_dim)),
-            signs=(1,) * complex_dim,
-            translation=TorsionPoint.zero(2 * complex_dim),
-        )
-
-    def translation_pair(self, j: int) -> tuple[Fraction, Fraction]:
-        return (self.translation[2 * j], self.translation[2 * j + 1])
-
-    def compose(self, other: "ComplexMonomialMap") -> "ComplexMonomialMap":
-        """self ∘ other, still in monomial form (other is applied first)."""
-        c = len(self.perm)
-        if len(other.perm) != c:
-            raise ValueError("maps act on different products")
-        perm = tuple(other.perm[self.perm[j]] for j in range(c))
-        signs = tuple(self.signs[j] * other.signs[self.perm[j]] for j in range(c))
-        shift = []
-        for j in range(c):
-            p, q = other.translation_pair(self.perm[j])
-            shift.extend(
-                (self.signs[j] * p + self.translation[2 * j],
-                 self.signs[j] * q + self.translation[2 * j + 1])
-            )
-        return ComplexMonomialMap(perm, signs, TorsionPoint.of(shift))
-
-    def power(self, e: int) -> "ComplexMonomialMap":
-        if e < 0:
-            raise ValueError("negative powers not needed at the monomial level")
-        acc = ComplexMonomialMap.identity(len(self.perm))
-        for _ in range(e):
-            acc = acc.compose(self)
-        return acc
-
 
 class AffineAuto:
     """Automorphism z ↦ M·z + t of R^m modulo an enlarged lattice L.
@@ -307,34 +267,40 @@ class AffineAuto:
     lowest terms, so equal maps have equal fields.  Values are immutable
     and hashable, so they double as closure keys.
 
-    The public constructor takes a dense matrix and checks that it is
-    unimodular, maps the lattice onto itself and is a signed permutation.
+    The constructor takes (perm, signs, translation, lattice) and checks
+    that perm is a permutation of the m coordinates, that every sign is
+    ±1 and that M maps the lattice onto itself.
     """
 
     __slots__ = ("perm", "signs", "shift", "denominator", "lattice", "_linear")
 
     def __init__(
         self,
-        linear: Matrix,
+        perm: Sequence[int],
+        signs: Sequence[int],
         translation: Sequence[Rational] | TorsionPoint,
         lattice: EnlargedLattice,
     ):
         m = lattice.m
-        if not (linear.is_square and linear.n_rows == m):
-            raise ValueError("linear part must be m×m for the lattice's m")
-        if abs(det(linear)) != 1:
-            raise ValueError("linear part must have determinant ±1")
-        for row in lattice.canonical_basis:
-            if not lattice.contains(linear.matvec(row)):
+        perm, signs = tuple(perm), tuple(signs)
+        if len(perm) != m or len(signs) != m:
+            raise ValueError("perm and signs must have length m for the lattice's m")
+        if sorted(perm) != list(range(m)):
+            raise ValueError("perm must be a permutation of 0..m-1")
+        if any(s != 1 and s != -1 for s in signs):
+            raise ValueError("every sign must be ±1")
+        # A signed permutation maps Z^m onto itself, so it preserves
+        # L = Z^m + Σ Z·g_i iff it maps every extra generator g_i into L
+        # (then M·L ⊆ L, with equality because M has finite order).
+        for g in lattice.extra_numerators:
+            image = [s * g[src] for src, s in zip(perm, signs)]
+            if any(lattice.reduce_scaled(image, lattice.denominator)[0]):
                 raise ValueError("linear part does not preserve the lattice")
-        pairs = signed_permutation(linear)
-        if pairs is None:
-            raise ValueError("linear part must be a signed permutation")
-        self.perm, self.signs = (tuple(p) for p in zip(*pairs))
+        self.perm, self.signs = perm, signs
         self.shift, self.denominator = lattice.reduce_scaled(
             *lattice.scaled(translation)
         )
-        self.lattice, self._linear = lattice, linear
+        self.lattice, self._linear = lattice, None
 
     @classmethod
     def _make(cls, perm, signs, shift, denominator, lattice) -> "AffineAuto":
@@ -344,18 +310,6 @@ class AffineAuto:
         g.perm, g.signs, g.shift, g.denominator = perm, signs, shift, denominator
         g.lattice, g._linear = lattice, None
         return g
-
-    @classmethod
-    def _checked(cls, perm, signs, shift, denominator, lattice) -> "AffineAuto":
-        # A signed permutation maps Z^m onto itself, so it preserves
-        # L = Z^m + Σ Z·g_i iff it maps every extra generator g_i into L
-        # (then M·L ⊆ L, with equality because M has finite order).
-        for g in lattice.extra_numerators:
-            image = [s * g[src] for src, s in zip(perm, signs)]
-            if any(lattice.reduce_scaled(image, lattice.denominator)[0]):
-                raise ValueError("linear part does not preserve the lattice")
-        reduced = lattice.reduce_scaled(shift, denominator)
-        return cls._make(perm, signs, *reduced, lattice)
 
     @classmethod
     def identity(cls, lattice: EnlargedLattice) -> "AffineAuto":
@@ -407,9 +361,7 @@ class AffineAuto:
         """The same affine map regarded modulo a different lattice (revalidated)."""
         if lattice == self.lattice:
             return self
-        return AffineAuto._checked(
-            self.perm, self.signs, self.shift, self.denominator, lattice
-        )
+        return AffineAuto(self.perm, self.signs, self.translation, lattice)
 
     def _key(self) -> tuple:
         return self.perm, self.signs, self.shift, self.denominator
@@ -460,8 +412,7 @@ def realify(
     signs = tuple(eps for eps in cmap.signs for _ in (0, 1))
     if lattice is None:
         lattice = EnlargedLattice.standard(shape.real_dim)
-    shift = lattice.scaled(cmap.translation)
-    return AffineAuto._checked(perm, signs, *shift, lattice)
+    return AffineAuto(perm, signs, cmap.translation, lattice)
 
 
 def _moved(g: AffineAuto, num: Sequence[int], den: int) -> tuple[list[int], int]:

@@ -93,7 +93,6 @@ def test_order_eight_action_in_dimension_three():
     assert cert.group_order_actual == 8
     assert cert.is_free
     analysis = analyze_group(realified_action(1))
-    assert analysis.dihedral_shape
     assert analysis.rotation_order == 4  # D_4: ⟨r, s | r⁴ = s² = (rs)² = 1⟩
 
 

@@ -1,0 +1,52 @@
+"""The names the benchmark tracer binds still exist in the package.
+
+`perfbench/tracing.py` wraps each `(module, attribute)` of its `TARGETS`
+by reading `vars(owner)[attr]`, so a deleted or inherited name breaks a
+`--trace 1` run.  The file is loaded by path and only read.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from dihedral_torus import analysis, dihedral, words
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_exists():
+    tracing = _tracing()
+    assert tracing.TARGETS
+    for module_name, path, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"{tracing.PACKAGE}.{module_name}")
+        for attr in path.split("."):
+            assert attr in vars(owner), f"{module_name}.{path} is gone"
+            owner = vars(owner)[attr]
+        assert callable(owner)
+
+
+def test_compose_is_one_binding_across_modules():
+    assert analysis.compose is dihedral.compose is words.compose
+
+
+def test_traced_queries_take_the_map_positionally_and_nothing_else():
+    # The tracer reads a second positional argument of `order` and
+    # `exists_fixed_point`, and a third of the oracle, as a lattice.
+    for fn, count in (
+        (analysis.order, 1),
+        (analysis.exists_fixed_point, 1),
+        (analysis.torsion_fixed_points_bruteforce, 2),
+    ):
+        positional = [
+            p for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        ]
+        assert len(positional) == count, fn.__name__

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis, dihedral, torus
+from dihedral_torus.analysis import order
 from dihedral_torus.dihedral import (
     MUTANTS,
     Certificate,
@@ -26,7 +27,7 @@ from dihedral_torus.dihedral import (
 )
 from dihedral_torus.linalg import Matrix, hnf
 from dihedral_torus.torus import EnlargedLattice, TorusShape, realify
-from dihedral_torus.words import evaluate_word, parse_word
+from dihedral_torus.words import _power, evaluate_word, parse_word
 
 F = Fraction
 H = F(1, 2)
@@ -75,7 +76,8 @@ class TestBuilders:
         # r^{2n} acts as −1 on every E factor and as +1 on E′.
         for n in (1, 2):
             shape = TorusShape(n)
-            half_turn = realify(build_r(n).power(2 * n), shape)
+            r, _ = realified_action(n, ambient_lattice(n))
+            half_turn = _power(r, 2 * n)
             m = shape.real_dim
             expected = Matrix(
                 [
@@ -136,6 +138,21 @@ class TestSharedConstructions:
         assert len(set(reductions)) == 3
         assert quotient_lattice(n) is quotient_lattice(n)
         assert ambient_lattice(n) is EnlargedLattice.standard(4 * n + 2)
+
+    def test_corollary_realifies_nothing_once_warm(self, monkeypatch):
+        # The corollary's rotation r^{4n/k} is a power of the cached r.
+        verify_corollary(5)
+        calls = []
+
+        def counting_realify(*args):
+            calls.append(args)
+            return realify(*args)
+
+        monkeypatch.setattr(torus, "realify", counting_realify)
+        monkeypatch.setattr(dihedral, "realify", counting_realify)
+        assert verify_corollary(5).verified
+        assert verify_corollary(5).verified
+        assert calls == []
 
     def test_constructors_return_shared_immutable_values(self):
         for build in (build_w, build_b, build_r, build_s, realified_action):
@@ -206,8 +223,7 @@ class TestVerifyTheorem:
         assert len(set(names)) == 5
         assert all(names)
 
-    def test_accepts_params_and_validates(self):
-        assert verify_theorem(ConstructionParams(1)).theorem_verified
+    def test_validates_n(self):
         with pytest.raises(ValueError):
             verify_theorem(0)
 
@@ -330,12 +346,14 @@ class TestCorollary:
         assert plan.expected_dimension == dimension
         assert plan.expected_dimension == lcm(4, k) // 2 + 1
         assert plan.expected_order == 2 * k
-        assert plan.rotation_map == build_r(n).power(power)
-        assert plan.reflection_map == build_s(n)
+        r, _ = realified_action(n)
+        assert order(_power(r, power)) == k
 
     def test_full_rotation_reused_when_k_is_a_multiple_of_four(self):
         plan = build_corollary(4)
-        assert plan.rotation_map == build_r(1)
+        assert plan.rotation_power == 1
+        r, _ = realified_action(1)
+        assert _power(r, plan.rotation_power) == r
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -412,11 +430,12 @@ def test_every_verifier_returns_one_certificate_type(verify):
 @given(st.integers(1, 5))
 @settings(deadline=None, max_examples=5)
 def test_rotation_power_cycles_factors_with_one_sign_flip(n):
-    r = build_r(n)
+    r, _ = realified_action(n, ambient_lattice(n))
     # One full cycle of the 2n E factors returns each with a single flip.
-    full = r.power(2 * n)
-    assert full.perm == tuple(range(2 * n + 1))
-    assert full.signs == (-1,) * (2 * n) + (1,)
+    full = _power(r, 2 * n)
+    assert full.perm == tuple(range(4 * n + 2))
+    assert full.signs == (-1,) * (4 * n) + (1, 1)
+    assert full.translation[4 * n] == F(1, 2)
 
 
 @given(st.integers(1, 24))

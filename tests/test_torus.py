@@ -26,6 +26,7 @@ from dihedral_torus.torus import (
     inverse,
     realify,
 )
+from dihedral_torus.words import _power
 
 F = Fraction
 H = F(1, 2)
@@ -137,33 +138,31 @@ class TestEnlargedLattice:
             EnlargedLattice.standard(2).reduce((F(0),))
 
 
-class TestMonomialMaps:
-    def test_identity(self):
-        e = ComplexMonomialMap.identity(3)
-        assert e.perm == (0, 1, 2)
-        assert e.signs == (1, 1, 1)
-        assert e.translation.is_zero
+def monomial_identity(c):
+    return ComplexMonomialMap(tuple(range(c)), (1,) * c, TorsionPoint.zero(2 * c))
 
+
+class TestMonomialMaps:
     def test_compose_applies_right_map_first(self):
-        # f: z0 ↦ z1, z1 ↦ z0;  g: z0 ↦ −z0 + t.
-        f = ComplexMonomialMap((1, 0), (1, 1), TorsionPoint.zero(4))
-        g = ComplexMonomialMap(
-            (0, 1), (-1, 1), TorsionPoint.of((H, F(0), F(0), F(0)))
+        # f: z0 ↦ z1, z1 ↦ z0;  g: z0 ↦ −z0 + t, on E × E × E′.
+        shape = TorusShape(1)
+        f = ComplexMonomialMap((1, 0, 2), (1, 1, 1), TorsionPoint.zero(6))
+        t = TorsionPoint.of((H, F(0), F(0), F(0), F(0), F(0)))
+        g = ComplexMonomialMap((0, 1, 2), (-1, 1, 1), t)
+        fg = compose(realify(f, shape), realify(g, shape))
+        # (f∘g)(z0, z1, z2) = f(−z0 + t, z1, z2) = (z1, −z0 + t, z2).
+        expected = ComplexMonomialMap(
+            (1, 0, 2), (1, -1, 1), TorsionPoint.of((0, 0, H, 0, 0, 0))
         )
-        fg = f.compose(g)
-        # (f∘g)(z0, z1) = f(−z0 + t, z1) = (z1, −z0 + t).
-        assert fg.perm == (1, 0)
-        assert fg.signs == (1, -1)
-        assert fg.translation.coords == (F(0), F(0), H, F(0))
+        assert fg == realify(expected, shape)
 
     def test_power_matches_repeated_compose(self):
-        r = build_r(2)
-        acc = ComplexMonomialMap.identity(5)
-        for e in range(5):
-            assert r.power(e) == acc
-            acc = acc.compose(r)
-        with pytest.raises(ValueError):
-            r.power(-1)
+        r = realify(build_r(2), TorusShape(2))
+        acc = AffineAuto.identity(r.lattice)
+        for e in range(9):
+            assert _power(r, e) == acc
+            assert _power(r, -e) == inverse(acc)
+            acc = compose(acc, r)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -207,7 +206,7 @@ class TestRealify:
 
     def test_identity_realifies_to_identity(self):
         shape = TorusShape(1)
-        g = realify(ComplexMonomialMap.identity(3), shape)
+        g = realify(monomial_identity(3), shape)
         assert g.is_identity
 
     def test_rejects_mixing_curve_types(self):
@@ -220,25 +219,44 @@ class TestRealify:
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            realify(ComplexMonomialMap.identity(2), TorusShape(1))
+            realify(monomial_identity(2), TorusShape(1))
 
 
 class TestAffineAuto:
     def test_constructor_validates_unimodularity(self):
+        # A signed permutation is unimodular; a repeated source or a sign
+        # other than ±1 is not.
         lat = EnlargedLattice.standard(2)
-        with pytest.raises(ValueError, match="determinant"):
-            AffineAuto(Matrix([[2, 0], [0, 1]]), (F(0), F(0)), lat)
+        with pytest.raises(ValueError, match="sign"):
+            AffineAuto((0, 1), (2, 1), (F(0), F(0)), lat)
+        with pytest.raises(ValueError, match="permutation"):
+            AffineAuto((0, 0), (1, 1), (F(0), F(0)), lat)
 
     def test_constructor_validates_shape(self):
         lat = EnlargedLattice.standard(2)
-        with pytest.raises(ValueError, match="m×m"):
-            AffineAuto(Matrix.identity(3), (F(0),) * 3, lat)
+        with pytest.raises(ValueError, match="length m"):
+            AffineAuto((0, 1, 2), (1, 1, 1), (F(0), F(0)), lat)
+        with pytest.raises(ValueError, match="length m"):
+            AffineAuto((0, 1), (1,), (F(0), F(0)), lat)
+        with pytest.raises(ValueError, match="length"):
+            AffineAuto((0, 1), (1, 1), (F(0),) * 3, lat)
 
     def test_constructor_validates_lattice_preservation(self):
+        # The swap sends the extra generator (1/2, 0) to (0, 1/2) ∉ L.
         lat = EnlargedLattice.from_extra_generators(2, [(H, F(0))])
-        shear = Matrix([[1, 0], [1, 1]])
         with pytest.raises(ValueError, match="preserve"):
-            AffineAuto(shear, (F(0), F(0)), lat)
+            AffineAuto((1, 0), (1, 1), (F(0), F(0)), lat)
+        negation = AffineAuto((0, 1), (-1, -1), (F(3, 2), F(1, 3)), lat)
+        assert negation.translation.coords == (F(0), F(1, 3))
+        assert negation.linear == Matrix([[-1, 0], [0, -1]])
+
+    def test_constructor_matches_realify(self):
+        for n in (1, 2):
+            for cmap in (build_r(n), build_s(n)):
+                g = realify(cmap, TorusShape(n), quotient_lattice(n))
+                again = AffineAuto(g.perm, g.signs, cmap.translation, g.lattice)
+                assert again == g
+                assert (again.shift, again.denominator) == (g.shift, g.denominator)
 
     def test_translation_stored_in_reduced_form(self):
         lat = EnlargedLattice.standard(2)
@@ -254,8 +272,7 @@ class TestAffineAuto:
 
     def test_with_lattice_revalidates(self):
         lat = EnlargedLattice.from_extra_generators(2, [(H, F(0))])
-        swap = AffineAuto(Matrix([[0, 1], [1, 0]]), (F(0), F(0)),
-                          EnlargedLattice.standard(2))
+        swap = AffineAuto((1, 0), (1, 1), (F(0), F(0)), EnlargedLattice.standard(2))
         with pytest.raises(ValueError, match="preserve"):
             swap.with_lattice(lat)
         same = swap.with_lattice(EnlargedLattice.standard(2))
@@ -400,11 +417,22 @@ def test_realified_maps_are_unimodular(cmap):
     assert abs(det(g.linear)) == 1
 
 
+def monomial_compose(f, g):
+    """f ∘ g in monomial form (g applied first), for the property below."""
+    perm = tuple(g.perm[src] for src in f.perm)
+    signs = tuple(e * g.signs[src] for src, e in zip(f.perm, f.signs))
+    shift = []
+    for j, (src, e) in enumerate(zip(f.perm, f.signs)):
+        for k in (0, 1):
+            shift.append(e * g.translation[2 * src + k] + f.translation[2 * j + k])
+    return ComplexMonomialMap(perm, signs, TorsionPoint.of(shift))
+
+
 @given(monomial_maps(), monomial_maps())
 @settings(deadline=None)
 def test_realify_commutes_with_composition(f, g):
     shape = TorusShape(1)
-    assert realify(f.compose(g), shape) == compose(
+    assert realify(monomial_compose(f, g), shape) == compose(
         realify(f, shape), realify(g, shape)
     )
 
