@@ -521,37 +521,6 @@ def _triangular_residues(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return v
 
 
-def _members(
-    block: np.ndarray, offset: np.ndarray, basis: np.ndarray, tails: list[list[int]]
-) -> np.ndarray:
-    """Indices k such that column k of `block` plus `offset` is in the lattice.
-
-    `block` holds one image per column.  Reducing modulo the upper-
-    triangular basis, residue i is final once basis rows 0..i−1 have been
-    subtracted, so images with a nonzero residue there are dropped before
-    coordinate i + 1 is read.  `carry` holds, per later coordinate, what
-    the sheared rows (`tails`) have subtracted so far from the survivors.
-    """
-    idx = None  # None while every image survives
-    carry: dict[int, np.ndarray] = {}
-    for i, tail in enumerate(tails):
-        col = (block[i] if idx is None else block[i, idx]) + offset[i]
-        if i in carry:
-            col -= carry.pop(i)
-        pivot = basis[i, i]
-        hit = col % pivot == 0
-        if not hit.all():
-            kept = np.flatnonzero(hit)
-            if not len(kept):
-                return kept
-            idx = kept if idx is None else idx[kept]
-            col = col[kept]
-            carry = {j: c[kept] for j, c in carry.items()}
-        for j in tail:
-            carry[j] = carry.get(j, 0) + col // pivot * basis[i, j]
-    return np.arange(block.shape[1]) if idx is None else idx
-
-
 def _packed_keys(rows: np.ndarray, radices: Sequence[int]) -> list[np.ndarray]:
     """Mixed-radix sort keys for rows whose column j lies in [0, radices[j]).
 
@@ -572,38 +541,84 @@ def _packed_keys(rows: np.ndarray, radices: Sequence[int]) -> list[np.ndarray]:
     return keys
 
 
+def _expand(partial: np.ndarray, digits: Sequence[int], d: int):
+    """Every column of `partial` with every assignment to the `digits` rows.
+
+    Yields the candidates in pieces of at most _CHUNK columns.
+    """
+    per_column = d ** len(digits)
+    total = partial.shape[1] * per_column
+    for start in range(0, total, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        piece = partial.take(flat // per_column, axis=1)
+        # The first digit varies slowest, so a grid comes out in sort order.
+        for k in reversed(digits):
+            quotient = flat // d
+            piece[k] = flat - quotient * d
+            flat = quotient
+        yield piece
+
+
 def _fixed_rows(
     mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, d: int, grid_scale: int
 ) -> np.ndarray:
     """Scaled canonical fixed points of the grid, sorted and deduplicated.
 
-    Grid points are digit vectors in [0, d)^m.  The trailing b digits span
-    a block of d^b points, b the largest with d^b ≤ _CHUNK but at least 1,
-    whose image is computed once and stored one coordinate per row; each
-    chunk is one prefix of the leading m − b digits, and its image is the
-    block plus the prefix's constant row.  `_members` tests a chunk one
-    coordinate at a time, and only the surviving grid points get their
-    digits rebuilt and reduced to canonical form.  The canonical rows are
+    Grid points are digit vectors in [0, d)^m, found by a search over
+    partial digit vectors that tests the image coordinates i = 0..m−1 in
+    the triangular order of the basis.  Image coordinate i reads only the
+    digits k with mi_t[k, i] ≠ 0, so those not yet assigned are expanded
+    just before it is tested: it is the image entry plus t_i, less what
+    the sheared basis rows have carried into it, and must be a multiple
+    of the pivot, since that residue is final once basis rows 0..i−1
+    are subtracted.  A partial vector that fails is dropped before any
+    later digit is assigned.  Digits that no coordinate reads are
+    expanded last; for the identity that is the whole grid, untested.
+    The search goes depth first and no array holds more than _CHUNK
+    partial vectors.  The survivors are reduced to canonical form, then
     sorted and deduplicated on `_packed_keys`.
     """
     m = basis.shape[0]
-    b = 1
-    while b < m and d ** (b + 1) <= _CHUNK:
-        b += 1
-    a = m - b
-    trail = np.indices((d,) * b, dtype=np.int64).reshape(b, -1).T
-    block = np.ascontiguousarray((trail @ mi_t[a:] + t_arr).T)
     tails = [[j for j in range(i + 1, m) if basis[i, j]] for i in range(m)]
-    survivors = []
-    for lead in itertools.product(range(d), repeat=a):
-        lead_arr = np.array(lead, dtype=np.int64)
-        idx = _members(block, lead_arr @ mi_t[:a], basis, tails)
-        if len(idx):
-            digits = np.empty((len(idx), m), dtype=np.int64)
-            digits[:, :a] = lead_arr
-            digits[:, a:] = trail[idx]
-            digits *= grid_scale
-            survivors.append(_triangular_residues(digits, basis))
+    # Partial vectors are stored one per column: m digit rows, then one
+    # carry row per coordinate that a sheared row subtracts from.
+    carry_row = {
+        j: m + k for k, j in enumerate(sorted({j for tail in tails for j in tail}))
+    }
+    supports, new_digits, assigned = [], [], set()
+    for i in range(m):
+        support = np.flatnonzero(mi_t[:, i])
+        supports.append((support, mi_t[support, i]))
+        new_digits.append([k for k in support.tolist() if k not in assigned])
+        assigned.update(support.tolist())
+    free = [k for k in range(m) if k not in assigned]
+
+    def search(partial: np.ndarray, i: int):
+        if i == m:
+            yield from _expand(partial, free, d) if free else (partial,)
+            return
+        pivot = basis[i, i]
+        support, coef = supports[i]
+        fresh = new_digits[i]
+        for piece in _expand(partial, fresh, d) if fresh else (partial,):
+            image = coef @ piece[support] + t_arr[i]
+            if i in carry_row:
+                image -= piece[carry_row[i]]
+            hit = image % pivot == 0
+            if not hit.all():
+                piece, image = piece[:, hit], image[hit]
+                if not len(image):
+                    continue
+            # Each piece is handed down once, so it takes its carries in place.
+            for j in tails[i]:
+                piece[carry_row[j]] += image // pivot * basis[i, j]
+            yield from search(piece, i + 1)
+
+    start = np.zeros((m + len(carry_row), 1), dtype=np.int64)
+    survivors = [
+        _triangular_residues((piece[:m] * grid_scale).T, basis)
+        for piece in search(start, 0)
+    ]
     if not survivors:
         return np.empty((0, m), dtype=np.int64)
     rows = np.concatenate(survivors)
@@ -664,7 +679,7 @@ def torsion_fixed_points_bruteforce(
 ) -> Sequence[TorsionPoint]:
     """All fixed points of g with coordinates in (1/denominator)Z, mod its lattice.
 
-    Enumerates the full grid {k/denominator : 0 ≤ k < denominator}^m,
+    Decides every point of the grid {k/denominator : 0 ≤ k < denominator}^m,
     keeps the points with g(p) = p modulo the lattice, and returns their
     canonical representatives deduplicated and sorted lexicographically.
     Serves as an independent oracle for exists_fixed_point: any fixed
@@ -673,15 +688,15 @@ def torsion_fixed_points_bruteforce(
     denominator (a multiple of lcm(order, denominators involved)) makes
     the comparison exact.
 
-    The scaled image W·((M − I)·p + t) is linear in the grid digits, so
-    the grid is split into a block of trailing digits (at most 2^16
-    points, or one coordinate), imaged once per call, and one chunk per
-    prefix of the leading digits (the block's image plus a constant row).
-    Each chunk is tested for lattice membership in int64 one coordinate
-    at a time, dropping an image at the first coordinate whose residue
-    is nonzero.  The canonical forms of the survivors are sorted with
-    np.lexsort on mixed-radix keys that pack as many coordinates as fit
-    in 62 bits, and deduplicated by comparing adjacent keys.
+    Image coordinate W·((M − I)·p + t)_i depends on at most two grid
+    digits, so the grid is searched level by level: the digits one
+    coordinate reads are assigned just before its lattice-membership
+    test in int64, and partial digit vectors that fail are dropped before
+    the next digits are assigned.  Digits no coordinate reads are
+    assigned last, untested.  The canonical forms of the survivors are
+    sorted with np.lexsort on mixed-radix keys that pack as many
+    coordinates as fit in 62 bits, and deduplicated by comparing adjacent
+    keys.
 
     The result is an immutable sequence of the sorted integer rows: it
     builds a TorsionPoint only when one is indexed or iterated, compares
@@ -704,10 +719,10 @@ def torsion_fixed_points_bruteforce(
         )
 
     w, mi_int, t_int, basis_int = _oracle_arrays(g, lattice, d)
-    # The bound covers every entry of the full image W·((M − I)·p + t).
-    # Each chunk's prefix-row-plus-block sum equals that image entry for
-    # entry, and both parts are sums over a subset of the same terms, so
-    # no intermediate exceeds the bound either.
+    # The bound covers every entry of the full image W·((M − I)·p + t):
+    # |entry i| ≤ Σ_k |e_ik|·(d − 1) + |t_i|.  The search forms each entry
+    # as a sum over its support, whose partial sums are bounded by the
+    # same terms, and its carries are the reduction's own intermediates.
     if _overflow_bound(d, mi_int, t_int, basis_int) >= _INT64_SAFE:
         raise OracleBudgetExceeded("oracle scaling exceeds 64-bit integer range")
     rows = _fixed_rows(

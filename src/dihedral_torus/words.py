@@ -61,17 +61,18 @@ def parse_word(text: str) -> GroupWord:
 
 def _power(base: AffineAuto, e: int) -> AffineAuto:
     # Square and multiply: O(log |e|) compositions and no order
-    # computation, so no cap limits the exponent or the generator.
+    # computation, so no cap limits the exponent or the generator.  The
+    # product starts at the lowest set bit, not at the identity.
     if e < 0:
         base, e = inverse(base), -e
-    acc = AffineAuto.identity(base.lattice)
+    acc = None
     while e:
         if e & 1:
-            acc = compose(acc, base)
+            acc = base if acc is None else compose(acc, base)
         e >>= 1
         if e:
             base = compose(base, base)
-    return acc
+    return AffineAuto.identity(base.lattice) if acc is None else acc
 
 
 def evaluate_word(
@@ -80,8 +81,8 @@ def evaluate_word(
     """Evaluate tokens against concrete generators (rightmost applied first)."""
     if rotation.lattice != reflection.lattice:
         raise ValueError("generators live on different lattices")
-    acc = AffineAuto.identity(rotation.lattice)
+    acc = None
     for gen, exp in word:
-        base = rotation if gen == "r" else reflection
-        acc = compose(acc, _power(base, exp))
-    return acc
+        power = _power(rotation if gen == "r" else reflection, exp)
+        acc = power if acc is None else compose(acc, power)
+    return AffineAuto.identity(rotation.lattice) if acc is None else acc

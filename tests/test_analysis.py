@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis as analysis_module
@@ -575,6 +575,107 @@ def _enumerated_fixed_points(g, d):
 @settings(deadline=None, max_examples=30)
 def test_oracle_matches_pure_python_enumeration(g, d):
     assert torsion_fixed_points_bruteforce(g, d) == _enumerated_fixed_points(g, d)
+
+
+# --- the oracle's level-wise search -----------------------------------------
+
+shifts = st.sampled_from((F(0),) * 5 + (F(1, 2), F(1, 3), F(1, 4)))
+# Thirds make a carry's sign matter: a sheared entry b with 2·b ∉ Z.
+fractions = st.sampled_from((F(0), F(1, 4), F(1, 2), F(3, 4), F(1, 3), F(2, 3)))
+
+
+def _orbit(perm, signs, v):
+    """v and its images under the signed permutation until it returns."""
+    orbit = [tuple(v)]
+    while True:
+        v = tuple(sign * v[src] for src, sign in zip(perm, signs))
+        if v == orbit[0]:
+            return orbit
+        orbit.append(v)
+
+
+@st.composite
+def signed_permutation_autos(draw, m, *, fixed=0, sign=None, sheared=False):
+    """Signed permutations of R^m with small rational shifts.
+
+    The first `fixed` coordinates stay put with sign +1, so the oracle's
+    search assigns their digits last; `sign` pins every other sign.  With
+    `sheared`, the lattice adds the orbits of two vectors of quarters and
+    thirds, so the map preserves it, and is kept only if two basis rows
+    are sheared.
+    """
+    perm = [*range(fixed), *draw(st.permutations(range(fixed, m)))]
+    signs = [1] * fixed + [
+        draw(st.sampled_from((1, -1))) if sign is None else sign
+        for _ in range(fixed, m)
+    ]
+    extras = []
+    if sheared:
+        for _ in range(2):
+            v = draw(st.lists(fractions, min_size=m, max_size=m))
+            extras += _orbit(perm, signs, v)
+    lattice = EnlargedLattice.from_extra_generators(m, extras)
+    assume(len(lattice.sheared_rows) >= 2 or not sheared)
+    shift = draw(st.lists(shifts, min_size=m, max_size=m))
+    return AffineAuto(perm, signs, shift, lattice)
+
+
+def _search_matches_enumeration(g, *denominators):
+    for d in denominators:
+        points = torsion_fixed_points_bruteforce(g, d)
+        assert points == _enumerated_fixed_points(g, d)
+
+
+@given(signed_permutation_autos(6))
+@settings(deadline=None, max_examples=30)
+def test_search_matches_enumeration_at_m6(g):
+    _search_matches_enumeration(g, 2, 3)
+
+
+@given(signed_permutation_autos(10), st.sampled_from((2, 3)))
+@settings(deadline=None, max_examples=6)
+def test_search_matches_enumeration_at_m10(g, d):
+    # 3^10 grid points in exact arithmetic take about a second, so each
+    # example checks one denominator.
+    _search_matches_enumeration(g, d)
+
+
+@given(signed_permutation_autos(6, sheared=True))
+@settings(deadline=None, max_examples=40)
+def test_search_carries_across_sheared_rows(g):
+    _search_matches_enumeration(g, 2, 3)
+
+
+@given(st.integers(1, 5).flatmap(lambda k: signed_permutation_autos(6, fixed=k)))
+@settings(deadline=None, max_examples=20)
+def test_search_expands_free_digits_last(g):
+    _search_matches_enumeration(g, 2, 3)
+
+
+@given(signed_permutation_autos(6, sign=-1))
+@settings(deadline=None, max_examples=20)
+def test_search_without_free_digits(g):
+    _search_matches_enumeration(g, 2, 3)
+
+
+def test_search_prunes_before_the_whole_grid(monkeypatch, quotient_pair):
+    """Free elements build few candidates; the identity builds the grid once."""
+    built, expand = [], analysis_module._expand
+
+    def spy(partial, digits, d):
+        for piece in expand(partial, digits, d):
+            built[-1] += piece.shape[1]
+            yield piece
+
+    monkeypatch.setattr(analysis_module, "_expand", spy)
+    for element in closure(quotient_pair):
+        built.append(0)
+        points = torsion_fixed_points_bruteforce(element.auto, 8)
+        if element.path == ():
+            assert built[-1] == 8**6 and len(points) == 8**6 // 2
+        else:
+            assert built[-1] <= 4096 and not points
+    assert len(built) == 8
 
 
 # --- the oracle's lazy result -----------------------------------------------

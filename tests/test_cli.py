@@ -57,6 +57,20 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "oracle (D=2): not run: closure exceeds cap 4" in out
 
+    def test_oracle_reads_the_certificate(self, capsys, monkeypatch):
+        # Every closure, from whichever module, goes through _closure.
+        calls, close = [], analysis._closure
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return close(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_closure", spy)
+        assert main(["verify", "--n", "2", "--oracle", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "confirmed for all 16 elements of n=2" in out
+        assert len(calls) == 1
+
     def test_closure_cap_failure_sets_exit_code(self, capsys):
         assert main(
             ["verify", "--n", "1", "--closure-cap", "4"]

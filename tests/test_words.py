@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_torus import words
 from dihedral_torus.analysis import analyze_group, dihedral_caps, order
 from dihedral_torus.dihedral import ambient_lattice, realified_action
 from dihedral_torus.torus import AffineAuto, compose, inverse
@@ -91,6 +92,25 @@ class TestEvaluation:
         s_ambient = s.with_lattice(ambient_lattice(1))
         with pytest.raises(ValueError, match="lattice"):
             evaluate_word(parse_word("r s"), r, s_ambient)
+
+    def test_no_composition_with_the_identity(self, generators, monkeypatch):
+        r, s = generators
+        expected = {
+            "r^4": compose(compose(r, r), compose(r, r)),
+            "r s": compose(r, s),
+        }
+        calls = []
+
+        def spy(a, b):
+            calls.append((a, b))
+            return compose(a, b)
+
+        monkeypatch.setattr(words, "compose", spy)
+        assert words._power(r, 4) == expected["r^4"]
+        assert len(calls) == 2
+        calls.clear()
+        assert evaluate_word(parse_word("r s"), r, s) == expected["r s"]
+        assert len(calls) == 1
 
     def test_exponents_past_the_default_order_cap(self):
         # r has order 4n = 516 here, above the fixed default cap of 512.
