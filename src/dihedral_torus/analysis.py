@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .torus import (
     compose,
     inverse,
 )
+from .words import _power
 
 DEFAULT_CLOSURE_CAP = 1024
 DEFAULT_ORDER_CAP = 512
@@ -102,7 +103,10 @@ class ElementReport:
 
 @dataclass(frozen=True)
 class GroupAnalysis:
-    """Closure of a generating set together with per-element verdicts."""
+    """Closure of a generating set together with per-element verdicts.
+
+    `elements` is empty when the verdicts come from the dihedral presentation.
+    """
 
     elements: tuple[GroupElement, ...]
     reports: tuple[ElementReport, ...]
@@ -343,6 +347,14 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in parts)
 
 
+def _rotation_order(r: AffineAuto, s: AffineAuto, order_cap: int) -> int | None:
+    """ord r when ord s = ord rs = 2, so ⟨r, s⟩ is a quotient of D_{ord r}."""
+    k = order(r, cap=order_cap)
+    if order(s, cap=order_cap) != 2 or order(compose(r, s), cap=order_cap) != 2:
+        return None
+    return k
+
+
 def _try_dihedral_labels(
     gens: list[AffineAuto], elements: list[GroupElement], order_cap: int
 ) -> int | None:
@@ -353,23 +365,57 @@ def _try_dihedral_labels(
     edges is r^a s^b with a taken mod k; 2k distinct words then make the
     quotient D_k itself.
     """
-    if len(gens) != 2:
+    if len(gens) != 2 or len(elements) % 2:
         return None
     size = len(elements)
-    if size % 2:
-        return None
     k = size // 2
-    r, s = gens
-    try:
-        if order(r, cap=order_cap) != k or order(s, cap=order_cap) != 2:
-            return None
-        if order(compose(r, s), cap=order_cap) != 2:
-            return None
-    except OrderCapExceeded:
+    if _rotation_order(*gens, order_cap) != k:
         return None
     if len({(a % k, b) for a, b in (e.word for e in elements)}) != size:
         return None
     return k
+
+
+def _prove_dihedral(
+    r: AffineAuto, s: AffineAuto, closure_cap: int, order_cap: int
+) -> GroupAnalysis | None:
+    """The dihedral analysis of ⟨r, s⟩ derived from its presentation, if it holds.
+
+    With ord r = k > 2 and ord s = ord rs = 2 the group is D_k of order
+    2k: s ∈ ⟨r⟩ would commute with r, so r = s r s⁻¹ = r⁻¹ and k ≤ 2.  A
+    nonidentity element that fixes a point, or is a translation, has a
+    power of prime order that does too (the translations form a normal
+    subgroup), and up to conjugacy the elements of prime order are
+    r^{k/p} for the primes p | k, s and rs.  When none of these ω(k) + 2
+    is a translation or has a fixed point, every report follows in closed
+    form.  None, so that the caller enumerates, when k ≤ 2 or a condition
+    fails; ClosureCapExceeded, as from the closure, when 2k exceeds the cap.
+    """
+    k = _rotation_order(r, s, order_cap)
+    if k is None or k <= 2:
+        return None
+    if 2 * k > closure_cap:
+        raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
+    primes: list[int] = []
+    for p in range(2, k + 1):
+        if k % p == 0 and all(p % q for q in primes):
+            primes.append(p)
+    prime_order = [s, compose(r, s)] + [_power(r, k // p) for p in primes]
+    if any(is_translation(g) or exists_fixed_point(g) for g in prime_order):
+        return None
+    # r^a s^b at index 2a + b, as analyze_group lists a dihedral closure.
+    reports = tuple(
+        ElementReport(
+            _dihedral_label(a, b), 2 if b else k // gcd(a, k), False, a == b == 0
+        )
+        for a in range(k)
+        for b in (0, 1)
+    )
+    return GroupAnalysis(
+        elements=(), reports=reports, group_size=2 * k, is_free=True,
+        has_no_translations=True, rotation_order=k,
+        symmetry_class_count=_symmetry_class_count(k),
+    )
 
 
 def _label_classes(k: int) -> list[list[tuple[int, int]]]:
@@ -394,6 +440,11 @@ def _label_classes(k: int) -> list[list[tuple[int, int]]]:
         assigned |= orbit
         classes.append(sorted(orbit))
     return classes
+
+
+def _symmetry_class_count(k: int) -> int:
+    """The number of conjugacy classes of reflections r^a s in D_k."""
+    return sum(1 for cls in _label_classes(k) if cls[0][1] == 1)
 
 
 def analyze_group(
@@ -442,8 +493,7 @@ def analyze_group(
 
     symmetry_class_count = None
     if rotation_order is not None:
-        classes = _label_classes(rotation_order)
-        symmetry_class_count = sum(1 for cls in classes if cls[0][1] == 1)
+        symmetry_class_count = _symmetry_class_count(rotation_order)
 
     return GroupAnalysis(
         elements=tuple(labeled),

@@ -36,6 +36,7 @@ from .analysis import (
     CapExceeded,
     ElementReport,
     GroupAnalysis,
+    _prove_dihedral,
     analyze_group,
     dihedral_caps,
     order,
@@ -284,15 +285,15 @@ def _certify(
     offsets = build_b(n)
 
     try:
-        analysis = analyze_group(
-            [r, s], closure_cap=closure_cap, order_cap=order_cap
-        )
-        if analysis.rotation_order == four_n:
-            # A dihedral analysis holds r^j s^b and its verdicts at 2j + b.
-            powers = [e.auto for e in analysis.elements[2 : 2 * four_n : 2]]
-            power_facts = analysis.reports[2 : 2 * four_n : 2]
+        analysis = _prove_dihedral(r, s, closure_cap, order_cap)
+        if analysis is not None:
+            # A derived analysis holds r^j s^b and its verdicts at 2j + b.
             s_facts, r_facts, rs_facts = analysis.reports[1:4]
+            power_facts = analysis.reports[2 : 2 * four_n : 2]
         else:
+            analysis = analyze_group(
+                [r, s], closure_cap=closure_cap, order_cap=order_cap
+            )
             powers = [r]
             while len(powers) < four_n - 1:
                 powers.append(compose(powers[-1], r))
@@ -315,12 +316,16 @@ def _certify(
                 r_ambient.linear_part().apply(w) == ambient.reduce(w),
             ),
         ]
+        # r fixes the E′ block and translates only along it, so no sheared
+        # lattice row reaches the shift of r^j; the lattice is Z in the E′
+        # coordinate, so that shift reduces to j/4n for every j < 4n.
         last = 2 * shape.eprime_index
-        shifts_ok = all(
-            power.perm[last : last + 2] == (last, last + 1)
-            and power.signs[last : last + 2] == (1, 1)
-            and power.shift[last] * four_n == j * power.denominator
-            for j, power in enumerate(powers, 1)
+        shifts_ok = (
+            r.perm[last : last + 2] == (last, last + 1)
+            and r.signs[last : last + 2] == (1, 1)
+            and not any(r.shift[:last])
+            and r.shift[last] * four_n == r.denominator
+            and r.lattice.pivots[last] == r.lattice.denominator
         )
         rotation_checks += [
             ("every power r^j shifts the E′ coordinate by exactly j/4n", shifts_ok),
@@ -525,12 +530,16 @@ def verify_corollary(
     r, refl = realified_action(n)
     rot = _power(r, plan.rotation_power)
     try:
-        analysis = analyze_group(
-            [rot, refl], closure_cap=closure_cap, order_cap=order_cap
-        )
-        rot_facts, refl_facts, product_facts = _facts(
-            analysis, rot, refl, compose(rot, refl)
-        )
+        analysis = _prove_dihedral(rot, refl, closure_cap, order_cap)
+        if analysis is not None:
+            refl_facts, rot_facts, product_facts = analysis.reports[1:4]
+        else:
+            analysis = analyze_group(
+                [rot, refl], closure_cap=closure_cap, order_cap=order_cap
+            )
+            rot_facts, refl_facts, product_facts = _facts(
+                analysis, rot, refl, compose(rot, refl)
+            )
     except CapExceeded as exc:
         return _aborted(n, plan.expected_order, _COROLLARY_STEP_NAMES, str(exc), k)
     step_checks = (

@@ -1,5 +1,7 @@
 """Tests for the action builders, the five-step verifier, and the embeddings."""
 
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus import analysis, dihedral, torus
+from dihedral_torus import analysis, certificate, dihedral, torus
 from dihedral_torus.analysis import order
 from dihedral_torus.dihedral import (
     MUTANTS,
@@ -245,12 +247,12 @@ class TestVerifyTheorem:
     def test_each_element_is_composed_twice_and_decomposed_once(
         self, monkeypatch
     ):
-        # Machine-independent work counts for a group of 128 elements: the
-        # closure composes each element with r and s, and each element's
-        # verdicts come from one cycle decomposition of its map.
+        # Machine-independent work counts of the enumerating analysis for a
+        # group of 128 elements: the closure composes each element with r
+        # and s, and each element's verdicts come from one cycle
+        # decomposition of its map.
         n, size = 16, 128
-        realified_action(n)
-        realified_action(n, ambient_lattice(n))
+        gens = realified_action(n)
         counts = {"compose": 0, "_signed_cycles": 0}
 
         def counting(module, name):
@@ -265,7 +267,7 @@ class TestVerifyTheorem:
         counting(analysis, "compose")
         counting(dihedral, "compose")
         counting(analysis, "_signed_cycles")
-        assert verify_theorem(n).theorem_verified
+        assert analysis.analyze_group(gens).rotation_order == 4 * n
         assert 2 * size <= counts["compose"] <= 2 * size + 8
         assert size <= counts["_signed_cycles"] <= size + 16
 
@@ -403,6 +405,168 @@ class TestCorollary:
         assert len(set(names)) == 5
         assert all(names)
         assert names == [step.name for step in verify_corollary(3, closure_cap=2).steps]
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The generator lists of every closure built while the test runs."""
+    calls, close = [], analysis._closure
+
+    def spy(autos, *args, **kwargs):
+        calls.append(autos)
+        return close(autos, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_closure", spy)
+    return calls
+
+
+def _enumerated(monkeypatch, verify, *args):
+    """The certificate the enumerating analysis alone gives."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dihedral, "_prove_dihedral", lambda *args: None)
+        return verify(*args)
+
+
+class TestPresentationProof:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_theorem_equals_the_enumeration(self, n, monkeypatch, closures):
+        enumerated = _enumerated(monkeypatch, verify_theorem, n)
+        assert len(closures) == 1
+        cert = verify_theorem(n)
+        assert len(closures) == 1
+        assert cert.theorem_verified
+        # Reports, steps and every other field.
+        assert cert == enumerated
+        params = {"n": n}
+        assert certificate.render_json(
+            certificate.theorem_document(cert, params)
+        ) == certificate.render_json(
+            certificate.theorem_document(enumerated, params)
+        )
+        r, s = realified_action(n)
+        proved = analysis._prove_dihedral(r, s, 8 * n, 32 * n)
+        assert proved == replace(analysis.analyze_group([r, s]), elements=())
+
+    @pytest.mark.parametrize("k", range(1, 32))
+    def test_corollary_equals_the_enumeration(self, k, monkeypatch, closures):
+        enumerated = _enumerated(monkeypatch, verify_corollary, k)
+        cert = verify_corollary(k)
+        # D_1 and D_2 are not decided by the presentation and enumerate.
+        assert len(closures) == (2 if k <= 2 else 1)
+        assert cert.verified
+        # Reports, steps and every other field.
+        assert cert == enumerated
+        params = {"k": k}
+        assert certificate.render_json(
+            certificate.corollary_document(cert, params)
+        ) == certificate.render_json(
+            certificate.corollary_document(enumerated, params)
+        )
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_mutants_enumerate_once(self, name, closures):
+        assert not verify_mutant(name, 2).theorem_verified
+        assert len(closures) == 1
+
+    def test_theorem_composes_logarithmically_often(self, monkeypatch):
+        # At n = 128, enumerating the 1,024 elements makes 2,050
+        # compositions and 1,028 cycle decompositions.
+        n = 128
+        realified_action(n)
+        realified_action(n, ambient_lattice(n))
+        counts = {"compose": 0, "_signed_cycles": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        original = torus.compose
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("dihedral_torus")
+                    and vars(module).get("compose") is original):
+                monkeypatch.setattr(
+                    module, "compose", counting("compose", original)
+                )
+        monkeypatch.setattr(
+            analysis, "_signed_cycles",
+            counting("_signed_cycles", analysis._signed_cycles),
+        )
+        assert verify_theorem(n).theorem_verified
+        assert 0 < counts["compose"] <= 32
+        assert 0 < counts["_signed_cycles"] <= 16
+
+    def test_closure_cap_aborts_without_a_closure(self, closures):
+        cert = verify_theorem(64, closure_cap=511)
+        assert cert.failure_reason == "closure exceeds cap 511"
+        assert not cert.theorem_verified
+        assert cert.reports == ()
+        assert closures == []
+        assert verify_theorem(64, closure_cap=512).theorem_verified
+
+    @pytest.mark.parametrize(
+        "extras, e_shift, holds",
+        [
+            ([], 0, True),
+            ([(H, 0, H, 0, 0, 0)], 0, True),
+            ([(0, 0, 0, 0, H, 0)], 0, False),
+            ([(H, 0, H, 0, 0, 0), (H, 0, 0, 0, H, 0)], 0, True),
+            ([(H, 0, H, 0, 0, 0), (H, 0, 0, 0, H, 0)], F(1, 4), False),
+        ],
+        ids=["ambient", "quotient", "E′-halved", "E′-sheared", "E-shifted"],
+    )
+    def test_power_shift_check_matches_the_powers(self, extras, e_shift, holds):
+        # The closed-form check on r agrees with the E′ shift of every
+        # power r^j, also on lattices that reduce the E′ coordinate and
+        # for an r that also translates along E, where a sheared row
+        # carries into E′.
+        lattice = EnlargedLattice.from_extra_generators(6, extras)
+        r, s = realified_action(1, lattice)
+        r = torus.AffineAuto(r.perm, r.signs, (0, 0, e_shift, 0, F(1, 4), 0), lattice)
+        cert = dihedral._certify(
+            1, r, s, *realified_action(1, ambient_lattice(1)), None, None
+        )
+        checks = dict(cert.steps[0].checks)
+        powers = [_power(r, j) for j in range(1, 4)]
+        assert all(
+            g.perm[4:] == (4, 5)
+            and g.signs[4:] == (1, 1)
+            and g.shift[4] * 4 == j * g.denominator
+            for j, g in enumerate(powers, 1)
+        ) == holds
+        label = "every power r^j shifts the E′ coordinate by exactly j/4n"
+        assert checks[label] == holds
+
+    @pytest.mark.parametrize("offsets", [(H, 0, 0, 0), (0, H, 0, H)])
+    def test_each_reflection_class_is_checked(self, offsets):
+        # One of s and rs has a fixed point and the other has none, so
+        # the presentation cannot prove the pair free.
+        r, s = realified_action(1)
+        s = torus.AffineAuto(s.perm, s.signs, offsets + (0, 0), s.lattice)
+        assert analysis.exists_fixed_point(s) != analysis.exists_fixed_point(
+            torus.compose(r, s)
+        )
+        assert analysis._prove_dihedral(r, s, 8, 32) is None
+        enumerated = analysis.analyze_group([r, s])
+        assert enumerated.rotation_order == 4
+        assert not enumerated.is_free
+
+
+    def test_each_prime_order_rotation_is_checked(self):
+        # With E′ shift 1/4 at n = 3, r has order 12 and r^4 = r^{12/3}
+        # has a fixed point while r^6 = r^{12/2} has none.
+        r, s = realified_action(3)
+        shift = [0] * len(r.perm)
+        shift[12] = F(1, 4)
+        r = torus.AffineAuto(r.perm, r.signs, shift, r.lattice)
+        assert analysis.exists_fixed_point(_power(r, 4))
+        assert not analysis.exists_fixed_point(_power(r, 6))
+        assert analysis._prove_dihedral(r, s, 24, 96) is None
+        enumerated = analysis.analyze_group([r, s])
+        assert enumerated.rotation_order == 12
+        assert not enumerated.is_free
 
 
 @pytest.mark.parametrize(
