@@ -15,13 +15,11 @@ orders and fixed points in closed form over the permutation's cycles.
 """
 
 from .analysis import (
-    CapExceeded,
     ClosureCapExceeded,
     ElementReport,
     GroupAnalysis,
     GroupElement,
     OracleBudgetExceeded,
-    OrderCapExceeded,
     analyze_group,
     closure,
     conjugacy_classes,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineAuto",
-    "CapExceeded",
     "Certificate",
     "ClosureCapExceeded",
     "ComplexMonomialMap",
@@ -78,7 +75,6 @@ __all__ = [
     "Matrix",
     "MUTANTS",
     "OracleBudgetExceeded",
-    "OrderCapExceeded",
     "StepResult",
     "TorsionPoint",
     "TorusShape",

@@ -17,8 +17,11 @@ the cycle is closed when the product of its signs is +1.
 - Order: M has order k = lcm over cycles of the cycle length, doubled
   for a cycle that is not closed.  g^k is the translation by
   T = Σ_{j<k} M^j·t, which vanishes on open cycles and is
-  (k/len)·(c·t)·c on a closed one; the order of g is k times the order
-  of T modulo L.
+  (k/len)·(c·t)·c on a closed one; the order of g is k times the least
+  q with q·T ∈ L.  With T = num/den in lowest terms and d the lattice
+  denominator, L ⊆ (1/d)Z^m forces den | q·d and den·T ∈ Z^m ⊆ L, so
+  q = base·e with base = den/gcd(den, d) and e the least divisor of
+  gcd(den, d) that passes: at most d lattice reductions, and no cap.
 - Fixed points: a fixed point solves (M − I)·x = −t + λ with λ ∈ L.
   The left kernel of M − I has one ±1 vector c per closed cycle, so a
   solution exists iff the projection of t onto those vectors lies in the
@@ -30,7 +33,6 @@ the cycle is closed when the product of its signs is +1.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -51,23 +53,14 @@ from .torus import (
 from .words import _power
 
 DEFAULT_CLOSURE_CAP = 1024
-DEFAULT_ORDER_CAP = 512
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
 _CHUNK = 1 << 16
 _INT64_SAFE = 1 << 62
 
 
-class CapExceeded(RuntimeError):
-    """A closure or order computation ran past its configured cap."""
-
-
-class ClosureCapExceeded(CapExceeded):
-    pass
-
-
-class OrderCapExceeded(CapExceeded):
-    pass
+class ClosureCapExceeded(RuntimeError):
+    """A closure grew past its configured cap."""
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -117,20 +110,13 @@ class GroupAnalysis:
     symmetry_class_count: int | None
 
 
-def dihedral_caps(
-    k: int, closure_cap: int | None = None, order_cap: int | None = None
-) -> tuple[int, int]:
-    """(closure cap, order cap) for a dihedral group D_k of order 2k.
+def dihedral_caps(k: int, closure_cap: int | None = None) -> int:
+    """The closure cap for a dihedral group D_k of order 2k.
 
-    A cap left as None defaults to four times the group order (closure)
-    or eight times the largest element order max(k, 2) (order): every
-    verifier and query derives its caps here, so they grow with the
-    group they guard.
+    A cap left as None defaults to four times the group order: every
+    verifier derives its cap here, so it grows with the group it guards.
     """
-    return (
-        8 * k if closure_cap is None else closure_cap,
-        8 * max(k, 2) if order_cap is None else order_cap,
-    )
+    return 8 * k if closure_cap is None else closure_cap
 
 
 def _signed_cycles(auto: AffineAuto) -> list[tuple[list[int], list[int], bool]]:
@@ -152,18 +138,15 @@ def _signed_cycles(auto: AffineAuto) -> list[tuple[list[int], list[int], bool]]:
     return cycles
 
 
-def order(g: AffineAuto, *, cap: int = DEFAULT_ORDER_CAP) -> int:
+def order(g: AffineAuto) -> int:
     """Smallest k ≥ 1 with g^k the identity modulo g's lattice.
 
-    Closed form (see the module docstring); raises OrderCapExceeded when
-    the order is larger than `cap`.
+    Closed form, exact at any size (see the module docstring).
     """
-    return _order(g, _signed_cycles(g), cap)
+    return _order(g, _signed_cycles(g))
 
 
-def _order(auto: AffineAuto, cycles, cap: int) -> int:
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+def _order(auto: AffineAuto, cycles) -> int:
     k = lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed in cycles))
     total = [0] * len(auto.perm)
     for coords, potentials, closed in cycles:
@@ -171,15 +154,20 @@ def _order(auto: AffineAuto, cycles, cap: int) -> int:
             proj = sum(c * auto.shift[i] for i, c in zip(coords, potentials))
             for i, c in zip(coords, potentials):
                 total[i] = k // len(coords) * proj * c
-    # g^k is the translation by T; the least q with q·T ∈ L divides T's
-    # reduced denominator, because Z^m ⊆ L.
-    num, den = auto.lattice.reduce_scaled(total, auto.denominator)
-    for q in range(1, cap // k + 1):
-        if den % q == 0 and not any(
-            auto.lattice.reduce_scaled([x * q for x in num], den)[0]
+    # g^k is the translation by T = num/den; the least q with q·T ∈ L is
+    # base·e for the least divisor e of gcd(den, d) that passes, and
+    # e = gcd(den, d), q = den, always passes.
+    lattice = auto.lattice
+    num, den = lattice.reduce_scaled(total, auto.denominator)
+    common = gcd(den, lattice.denominator)
+    base = den // common
+    for e in range(1, common):
+        q = base * e
+        if common % e == 0 and not any(
+            lattice.reduce_scaled([x * q for x in num], den)[0]
         ):
             return k * q
-    raise OrderCapExceeded(f"order exceeds cap {cap}")
+    return k * den
 
 
 def is_translation(g: AffineAuto) -> bool:
@@ -223,14 +211,14 @@ def _has_fixed_point(auto: AffineAuto, cycles) -> bool:
     )
 
 
-def _report(e: GroupElement, cap: int) -> ElementReport:
+def _report(auto: AffineAuto, word: str) -> ElementReport:
     """Order, translation flag and fixed-point verdict from one decomposition."""
-    cycles = _signed_cycles(e.auto)
+    cycles = _signed_cycles(auto)
     return ElementReport(
-        word=e.label,
-        order=_order(e.auto, cycles, cap),
-        is_translation=is_translation(e.auto),
-        has_fixed_point=_has_fixed_point(e.auto, cycles),
+        word=word,
+        order=_order(auto, cycles),
+        is_translation=is_translation(auto),
+        has_fixed_point=_has_fixed_point(auto, cycles),
     )
 
 
@@ -347,16 +335,16 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in parts)
 
 
-def _rotation_order(r: AffineAuto, s: AffineAuto, order_cap: int) -> int | None:
+def _rotation_order(r: AffineAuto, s: AffineAuto) -> int | None:
     """ord r when ord s = ord rs = 2, so ⟨r, s⟩ is a quotient of D_{ord r}."""
-    k = order(r, cap=order_cap)
-    if order(s, cap=order_cap) != 2 or order(compose(r, s), cap=order_cap) != 2:
+    k = order(r)
+    if order(s) != 2 or order(compose(r, s)) != 2:
         return None
     return k
 
 
 def _try_dihedral_labels(
-    gens: list[AffineAuto], elements: list[GroupElement], order_cap: int
+    gens: list[AffineAuto], elements: list[GroupElement]
 ) -> int | None:
     """k when the closure of (r, s) is D_k, so its BFS words are normal forms.
 
@@ -369,7 +357,7 @@ def _try_dihedral_labels(
         return None
     size = len(elements)
     k = size // 2
-    if _rotation_order(*gens, order_cap) != k:
+    if _rotation_order(*gens) != k:
         return None
     if len({(a % k, b) for a, b in (e.word for e in elements)}) != size:
         return None
@@ -377,7 +365,7 @@ def _try_dihedral_labels(
 
 
 def _prove_dihedral(
-    r: AffineAuto, s: AffineAuto, closure_cap: int, order_cap: int
+    r: AffineAuto, s: AffineAuto, closure_cap: int
 ) -> GroupAnalysis | None:
     """The dihedral analysis of ⟨r, s⟩ derived from its presentation, if it holds.
 
@@ -391,7 +379,7 @@ def _prove_dihedral(
     form.  None, so that the caller enumerates, when k ≤ 2 or a condition
     fails; ClosureCapExceeded, as from the closure, when 2k exceeds the cap.
     """
-    k = _rotation_order(r, s, order_cap)
+    k = _rotation_order(r, s)
     if k is None or k <= 2:
         return None
     if 2 * k > closure_cap:
@@ -418,39 +406,18 @@ def _prove_dihedral(
     )
 
 
-def _label_classes(k: int) -> list[list[tuple[int, int]]]:
-    """Conjugacy classes of D_k as orbits on normal forms (a, b) = r^a s^b.
-
-    Conjugation by r sends (a, b) to (a + 2b, b) and conjugation by s
-    sends it to (−a, b); r and s generate D_k, so their orbits are the
-    classes.  Classes are listed by their first member in (a, b) order.
-    """
-    assigned: set[tuple[int, int]] = set()
-    classes = []
-    for start in itertools.product(range(k), (0, 1)):
-        if start in assigned:
-            continue
-        orbit, frontier = {start}, [start]
-        while frontier:
-            a, b = frontier.pop()
-            for image in (((a + 2 * b) % k, b), (-a % k, b)):
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        assigned |= orbit
-        classes.append(sorted(orbit))
-    return classes
-
-
 def _symmetry_class_count(k: int) -> int:
-    """The number of conjugacy classes of reflections r^a s in D_k."""
-    return sum(1 for cls in _label_classes(k) if cls[0][1] == 1)
+    """The number of conjugacy classes of reflections r^a s in D_k.
+
+    Conjugation by r sends r^a s to r^{a+2} s and conjugation by s sends
+    it to r^{−a} s, so the classes are the residues of a modulo gcd(2, k):
+    two for even k, one for odd k, k = 1 and 2 included.
+    """
+    return 2 - k % 2
 
 
 def analyze_group(
-    gens: Sequence[AffineAuto],
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-    order_cap: int = DEFAULT_ORDER_CAP,
+    gens: Sequence[AffineAuto], closure_cap: int = DEFAULT_CLOSURE_CAP
 ) -> GroupAnalysis:
     """Close the generators, then report order/translation/fixed-point per element.
 
@@ -458,7 +425,7 @@ def analyze_group(
     satisfies a D_k presentation on the given two generators, otherwise
     by BFS discovery words over the names r, s (two generators) or
     g1..gk.  Dihedral reports are in normal-form order, r^a s^b at index
-    2a + b, and the symmetry classes are counted by label arithmetic;
+    2a + b, and the symmetry classes are counted by the parity of k;
     otherwise reports follow the discovery words and no class is counted.
     Each element's verdicts come from one cycle decomposition of its own
     map.
@@ -470,7 +437,7 @@ def analyze_group(
     )
 
     labeled: list[GroupElement]
-    rotation_order = _try_dihedral_labels(autos, elements, order_cap)
+    rotation_order = _try_dihedral_labels(autos, elements)
     if rotation_order is not None:
         labeled = [None] * len(elements)
         for e in elements:
@@ -483,7 +450,7 @@ def analyze_group(
         ]
         labeled.sort(key=lambda e: (len(e.path), e.path))
 
-    reports = tuple(_report(e, order_cap) for e in labeled)
+    reports = tuple(_report(e.auto, e.label) for e in labeled)
     is_free = all(
         rep.has_fixed_point is False
         for e, rep in zip(labeled, reports)

@@ -14,11 +14,7 @@ from typing import Sequence
 
 from .analysis import (
     OracleBudgetExceeded,
-    _has_fixed_point,
-    _order,
-    _signed_cycles,
-    dihedral_caps,
-    is_translation,
+    _report,
     torsion_fixed_points_bruteforce,
 )
 from .certificate import (
@@ -243,21 +239,19 @@ def cmd_corollary(args) -> int:
 
 
 def _print_view(
-    name: str, auto: AffineAuto, order_cap: int, denominator: int | None
+    name: str, auto: AffineAuto, word: str, denominator: int | None
 ) -> bool:
     print(f"{name}:")
     coords = ", ".join(str(c) for c in auto.translation)
     print(f"  translation (canonical): ({coords})")
-    # One cycle decomposition gives both the order and the fixed-point verdict.
-    cycles = _signed_cycles(auto)
-    print(f"  order: {_order(auto, cycles, order_cap)}")
-    print(f"  is translation element: {'yes' if is_translation(auto) else 'no'}")
-    has_fp = _has_fixed_point(auto, cycles)
-    print(f"  has fixed point: {'yes' if has_fp else 'no'}")
+    report = _report(auto, word)
+    print(f"  order: {report.order}")
+    print(f"  is translation element: {'yes' if report.is_translation else 'no'}")
+    print(f"  has fixed point: {'yes' if report.has_fixed_point else 'no'}")
     if denominator is None:
         return True
     points = torsion_fixed_points_bruteforce(auto, denominator)
-    agree = bool(points) == has_fp
+    agree = bool(points) == report.has_fixed_point
     print(
         f"  oracle (D={denominator}): {len(points)} torsion fixed point(s) "
         f"-> {'agrees' if agree else 'DISAGREES'}"
@@ -289,9 +283,8 @@ def cmd_element(args) -> int:
     width = max(len(e) for row in entries for e in row)
     for row in entries:
         print("  " + " ".join(e.rjust(width) for e in row))
-    _, order_cap = dihedral_caps(4 * n)
-    ok = _print_view("ambient product (mod Z^m)", g_ambient, order_cap, args.oracle)
-    ok &= _print_view("quotient by w", g_quot, order_cap, args.oracle)
+    ok = _print_view("ambient product (mod Z^m)", g_ambient, rendered, args.oracle)
+    ok &= _print_view("quotient by w", g_quot, rendered, args.oracle)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 

@@ -33,7 +33,7 @@ from functools import cache
 from math import lcm
 
 from .analysis import (
-    CapExceeded,
+    ClosureCapExceeded,
     ElementReport,
     GroupAnalysis,
     _prove_dihedral,
@@ -214,7 +214,7 @@ _COROLLARY_STEP_NAMES = (
 def _aborted(
     n: int, expected: int, names: tuple[str, ...], reason: str, k: int | None = None
 ) -> Certificate:
-    """A failed certificate whose steps were cut short by a resource cap."""
+    """A failed certificate whose steps were cut short by the closure cap."""
     return Certificate(
         n=n,
         dimension=2 * n + 1,
@@ -274,26 +274,23 @@ def _certify(
     r_ambient: AffineAuto,
     s_ambient: AffineAuto,
     closure_cap: int | None,
-    order_cap: int | None,
 ) -> Certificate:
     """Certify the action of (r, s), also given on the ambient lattice Z^m."""
     shape = TorusShape(n)
     four_n = 4 * n
-    closure_cap, order_cap = dihedral_caps(four_n, closure_cap, order_cap)
+    closure_cap = dihedral_caps(four_n, closure_cap)
     ambient = ambient_lattice(n)
     w = build_w(n)
     offsets = build_b(n)
 
     try:
-        analysis = _prove_dihedral(r, s, closure_cap, order_cap)
+        analysis = _prove_dihedral(r, s, closure_cap)
         if analysis is not None:
             # A derived analysis holds r^j s^b and its verdicts at 2j + b.
             s_facts, r_facts, rs_facts = analysis.reports[1:4]
             power_facts = analysis.reports[2 : 2 * four_n : 2]
         else:
-            analysis = analyze_group(
-                [r, s], closure_cap=closure_cap, order_cap=order_cap
-            )
+            analysis = analyze_group([r, s], closure_cap=closure_cap)
             powers = [r]
             while len(powers) < four_n - 1:
                 powers.append(compose(powers[-1], r))
@@ -307,10 +304,7 @@ def _certify(
         # neither a translation nor has a fixed point.
         rotation_checks: list[tuple[str, bool]] = [
             ("r has order 4n on the quotient", r_order == four_n),
-            (
-                "the linear part of r has order 4n",
-                order(r.linear_part(), cap=order_cap) == four_n,
-            ),
+            ("the linear part of r has order 4n", order(r.linear_part()) == four_n),
             (
                 "the linear part of r fixes w on the ambient torus",
                 r_ambient.linear_part().apply(w) == ambient.reduce(w),
@@ -414,16 +408,12 @@ def _certify(
                 ("no nonidentity element has a fixed point", analysis.is_free),
             ],
         )
-    except CapExceeded as exc:
+    except ClosureCapExceeded as exc:
         return _aborted(n, 8 * n, _STEP_NAMES, str(exc))
     return _conclude(n, 8 * n, (step1, step2, step3, step4, step5), analysis)
 
 
-def verify_theorem(
-    n: int,
-    closure_cap: int | None = None,
-    order_cap: int | None = None,
-) -> Certificate:
+def verify_theorem(n: int, closure_cap: int | None = None) -> Certificate:
     """Build the order-8n action for this n and machine-check all five steps."""
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -432,7 +422,6 @@ def verify_theorem(
         *realified_action(n),
         *realified_action(n, ambient_lattice(n)),
         closure_cap,
-        order_cap,
     )
 
 
@@ -444,10 +433,7 @@ MUTANTS = {
 
 
 def verify_mutant(
-    name: str,
-    n: int,
-    closure_cap: int | None = None,
-    order_cap: int | None = None,
+    name: str, n: int, closure_cap: int | None = None
 ) -> Certificate:
     """Run the verifier against a deliberately broken construction.
 
@@ -468,7 +454,7 @@ def verify_mutant(
         s, s_ambient = _realify_both(n, _without_translation(build_s(n)))
     elif name == "no-quotient":
         r, s = r_ambient, s_ambient
-    return _certify(n, r, s, r_ambient, s_ambient, closure_cap, order_cap)
+    return _certify(n, r, s, r_ambient, s_ambient, closure_cap)
 
 
 def _without_translation(cmap: ComplexMonomialMap) -> ComplexMonomialMap:
@@ -517,30 +503,24 @@ def build_corollary(k: int) -> CorollaryPlan:
     )
 
 
-def verify_corollary(
-    k: int,
-    closure_cap: int | None = None,
-    order_cap: int | None = None,
-) -> Certificate:
+def verify_corollary(k: int, closure_cap: int | None = None) -> Certificate:
     """Verify the embedded D_k action directly (not just by inheritance)."""
     plan = build_corollary(k)
     n = plan.params.n
-    closure_cap, order_cap = dihedral_caps(k, closure_cap, order_cap)
+    closure_cap = dihedral_caps(k, closure_cap)
     # r^{4n/k} of the family's cached r; the reflection is its s itself.
     r, refl = realified_action(n)
     rot = _power(r, plan.rotation_power)
     try:
-        analysis = _prove_dihedral(rot, refl, closure_cap, order_cap)
+        analysis = _prove_dihedral(rot, refl, closure_cap)
         if analysis is not None:
             refl_facts, rot_facts, product_facts = analysis.reports[1:4]
         else:
-            analysis = analyze_group(
-                [rot, refl], closure_cap=closure_cap, order_cap=order_cap
-            )
+            analysis = analyze_group([rot, refl], closure_cap=closure_cap)
             rot_facts, refl_facts, product_facts = _facts(
                 analysis, rot, refl, compose(rot, refl)
             )
-    except CapExceeded as exc:
+    except ClosureCapExceeded as exc:
         return _aborted(n, plan.expected_order, _COROLLARY_STEP_NAMES, str(exc), k)
     step_checks = (
         [("r^{4n/k} has order k on the quotient", rot_facts.order == k)],

@@ -1,6 +1,7 @@
 """Tests for group closure, fixed-point decisions, and the torsion oracle."""
 
 import hashlib
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -13,8 +14,6 @@ from dihedral_torus.analysis import (
     ClosureCapExceeded,
     GroupElement,
     OracleBudgetExceeded,
-    OrderCapExceeded,
-    _label_classes,
     analyze_group,
     closure,
     conjugacy_classes,
@@ -76,12 +75,9 @@ class TestOrder:
         assert order(s) == 4
         assert order(s.with_lattice(quotient_lattice(1))) == 2
 
-    def test_cap_enforced(self, quotient_pair):
-        r, _ = quotient_pair
-        with pytest.raises(OrderCapExceeded):
-            order(r, cap=3)
-        with pytest.raises(ValueError):
-            order(r, cap=0)
+    def test_order_is_exact_past_512(self):
+        r, _ = realified_action(129)
+        assert order(r) == 516
 
 
 class TestIsTranslation:
@@ -148,13 +144,10 @@ class TestOneInputForm:
             torsion_fixed_points_bruteforce(swap, 2, lattice=lat)
 
     def test_caps_are_keyword_only(self, quotient_pair):
-        r, _ = quotient_pair
-        with pytest.raises(TypeError):
-            order(r, 64)
         with pytest.raises(TypeError):
             closure(quotient_pair, 64)
-        assert order(r, cap=64) == 4
         assert len(closure(quotient_pair, cap=64)) == 8
+        assert list(inspect.signature(order).parameters) == ["g"]
 
 
 class TestClosure:
@@ -323,9 +316,10 @@ class TestAnalyzeGroup:
 
 
 def _dihedral_pairs():
-    """(name, (r, s)) for the family at n = 1..4 and corollary k ∈ {3, 5, 6}."""
+    """(name, (r, s)) for the family at n = 1..4 and corollary k ∈ {1, 2, 3, 5, 6}."""
     pairs = [(f"n={n}", realified_action(n)) for n in (1, 2, 3, 4)]
-    for k in (3, 5, 6):
+    # k = 1 and 2 come last, so the other cases keep their test ids.
+    for k in (3, 5, 6, 1, 2):
         plan = build_corollary(k)
         r, s = realified_action(plan.params.n)
         pairs.append((f"k={k}", (_power(r, plan.rotation_power), s)))
@@ -338,15 +332,17 @@ class TestFastPathsAgainstGenericCode:
     @pytest.mark.parametrize("name, pair", _dihedral_pairs())
     def test_label_classes_are_the_conjugacy_classes(self, name, pair):
         analysis = analyze_group(pair)
-        assert analysis.rotation_order is not None
-        by_labels = {
-            frozenset(cls) for cls in _label_classes(analysis.rotation_order)
-        }
+        k = analysis.rotation_order
+        assert k is not None
         generic = conjugacy_classes(analysis.elements)
-        assert by_labels == {frozenset(e.word for e in cls) for cls in generic}
-        assert analysis.symmetry_class_count == sum(
-            1 for cls in generic if cls[0].word[1] == 1
-        )
+        reflection_classes = [cls for cls in generic if cls[0].word[1] == 1]
+        assert analysis.symmetry_class_count == 2 - k % 2
+        assert analysis.symmetry_class_count == len(reflection_classes)
+        # The classes of r^a s are the residues of a modulo gcd(2, k).
+        step = 2 - k % 2
+        assert sorted(
+            sorted(e.word[0] for e in cls) for cls in reflection_classes
+        ) == [list(range(c, k, step)) for c in range(step)]
 
     @pytest.mark.parametrize("name, pair", _dihedral_pairs())
     def test_every_label_is_its_normal_form(self, name, pair):
@@ -542,7 +538,7 @@ def test_oracle_points_are_fixed_and_sound(g):
 @given(quotient_monomial_autos())
 @settings(deadline=None, max_examples=40)
 def test_order_matches_smallest_trivial_power(g):
-    k = order(g, cap=64)
+    k = order(g)
     acc = g
     for step in range(1, k):
         assert not acc.is_identity
@@ -554,7 +550,7 @@ def test_order_matches_smallest_trivial_power(g):
 @settings(deadline=None, max_examples=20)
 def test_conjugate_elements_share_order(g, h):
     conjugate = compose(h, compose(g, inverse(h)))
-    assert order(g, cap=64) == order(conjugate, cap=64)
+    assert order(g) == order(conjugate)
 
 
 def _enumerated_fixed_points(g, d):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus import analysis, cli
+from dihedral_torus import analysis
 from dihedral_torus.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -191,7 +191,6 @@ class TestElementCommand:
             return decompose(auto)
 
         monkeypatch.setattr(analysis, "_signed_cycles", spy)
-        monkeypatch.setattr(cli, "_signed_cycles", spy)
         assert main(["element", "--n", "4", "--word", "r^3 s"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "order: 2" in out

@@ -7,12 +7,16 @@ It is the general-matrix method and uses none of the cycle structure the
 core's closed forms rely on.
 """
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus.analysis import exists_fixed_point, order
 from dihedral_torus.linalg import Matrix, left_nullspace, subgroup_membership
 from dihedral_torus.torus import (
+    AffineAuto,
     EnlargedLattice,
     TorusShape,
     compose,
@@ -113,3 +117,22 @@ def test_order_and_fixed_points_match_dense_decisions(case):
     for g in (case[0], compose(*case)):
         assert order(g) == dense_order(g)
         assert exists_fixed_point(g) == dense_fixed_point(g)
+
+
+# L = Z^6 + Z·(1/6, 1/6, 0, 0, 0, 0) has denominator d = 6.  g^k is the
+# translation by T = (1/12, y, 0, ...), whose denominator modulo L is 12,
+# so base = 12/gcd(12, 6) = 2; 2T = (1/6, 2y) lies in L after e steps.
+SIXTHS = EnlargedLattice.from_extra_generators(
+    M, [(Fraction(1, 6), Fraction(1, 6), 0, 0, 0, 0)]
+)
+
+
+@pytest.mark.parametrize(
+    "e, y",
+    [(1, Fraction(1, 12)), (2, Fraction(1, 3)), (3, Fraction(1, 4)), (6, 0)],
+)
+@pytest.mark.parametrize("perm, k", [((0, 1, 2, 3, 4, 5), 1), ((0, 1, 3, 2, 4, 5), 2)])
+def test_order_is_base_times_least_passing_divisor(e, y, perm, k):
+    shift = (Fraction(1, 12 * k), Fraction(y) / k, 0, 0, 0, 0)
+    g = AffineAuto(perm, (1,) * M, shift, SIXTHS)
+    assert order(g) == k * 2 * e == dense_order(g)

@@ -239,11 +239,6 @@ class TestVerifyTheorem:
             assert not step.passed
             assert step.checks[0][0].startswith("not evaluated")
 
-    def test_order_cap_aborts_with_reason(self):
-        cert = verify_theorem(1, order_cap=2)
-        assert not cert.theorem_verified
-        assert "cap" in cert.failure_reason
-
     def test_each_element_is_composed_twice_and_decomposed_once(
         self, monkeypatch
     ):
@@ -444,7 +439,7 @@ class TestPresentationProof:
             certificate.theorem_document(enumerated, params)
         )
         r, s = realified_action(n)
-        proved = analysis._prove_dihedral(r, s, 8 * n, 32 * n)
+        proved = analysis._prove_dihedral(r, s, 8 * n)
         assert proved == replace(analysis.analyze_group([r, s]), elements=())
 
     @pytest.mark.parametrize("k", range(1, 32))
@@ -526,7 +521,7 @@ class TestPresentationProof:
         r, s = realified_action(1, lattice)
         r = torus.AffineAuto(r.perm, r.signs, (0, 0, e_shift, 0, F(1, 4), 0), lattice)
         cert = dihedral._certify(
-            1, r, s, *realified_action(1, ambient_lattice(1)), None, None
+            1, r, s, *realified_action(1, ambient_lattice(1)), None
         )
         checks = dict(cert.steps[0].checks)
         powers = [_power(r, j) for j in range(1, 4)]
@@ -548,7 +543,7 @@ class TestPresentationProof:
         assert analysis.exists_fixed_point(s) != analysis.exists_fixed_point(
             torus.compose(r, s)
         )
-        assert analysis._prove_dihedral(r, s, 8, 32) is None
+        assert analysis._prove_dihedral(r, s, 8) is None
         enumerated = analysis.analyze_group([r, s])
         assert enumerated.rotation_order == 4
         assert not enumerated.is_free
@@ -563,7 +558,7 @@ class TestPresentationProof:
         r = torus.AffineAuto(r.perm, r.signs, shift, r.lattice)
         assert analysis.exists_fixed_point(_power(r, 4))
         assert not analysis.exists_fixed_point(_power(r, 6))
-        assert analysis._prove_dihedral(r, s, 24, 96) is None
+        assert analysis._prove_dihedral(r, s, 24) is None
         enumerated = analysis.analyze_group([r, s])
         assert enumerated.rotation_order == 12
         assert not enumerated.is_free

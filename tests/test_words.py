@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import words
-from dihedral_torus.analysis import analyze_group, dihedral_caps, order
+from dihedral_torus.analysis import analyze_group, order
 from dihedral_torus.dihedral import ambient_lattice, realified_action
 from dihedral_torus.torus import AffineAuto, compose, inverse
 from dihedral_torus.words import (
@@ -113,10 +113,10 @@ class TestEvaluation:
         assert len(calls) == 1
 
     def test_exponents_past_the_default_order_cap(self):
-        # r has order 4n = 516 here, above the fixed default cap of 512.
+        # r has order 4n = 516 here, and orders are exact at any size.
         n = 129
         g = evaluate_word(parse_word("r^-1"), *realified_action(n))
-        assert order(g, cap=dihedral_caps(4 * n)[1]) == 4 * n
+        assert order(g) == 4 * n
         assert g.translation[4 * n] == Fraction(4 * n - 1, 4 * n)
 
     @pytest.mark.parametrize("n", [1, 2])
