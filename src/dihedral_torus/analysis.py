@@ -29,12 +29,20 @@ the cycle is closed when the product of its signs is +1.
   extras).  All data is rational, and the rational points of the affine
   solution space are dense in its real points, so rational solvability
   and real solvability coincide.
+
+Dihedral groups are known from their presentation, for every k ≥ 1: if
+ord r = k and ord s = ord rs = 2, then ⟨r, s⟩ is D_k of order 2k.  By
+von Dyck's theorem it is a quotient of D_k, so its elements are r^a s^b;
+it has order 2k because s ∉ ⟨r⟩.  Such an s would commute with r, so
+r = s r s⁻¹ = r⁻¹ and k ≤ 2; but k = 1 would make s = 1, and k = 2 would
+make s = r and so rs = 1.  Three orders therefore decide the group, and
+its elements are listed without a closure.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -69,13 +77,14 @@ class OracleBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Closure element: automorphism plus bookkeeping words.
+    """Group element: automorphism plus bookkeeping words.
 
-    path is the BFS discovery word as generator indices (left-to-right
-    composition order, empty for the identity).  word and label are the
-    dihedral normal form (a, b) for r^a s^b and its rendering; the word
-    is stepped from the parent's along the BFS edge that discovered the
-    element, and kept when the group turns out to be dihedral.
+    path is a word for the element as generator indices (left-to-right
+    composition order, empty for the identity): its BFS discovery word
+    in a closure, (0,)*a + (1,)*b for the normal form r^a s^b.  word and
+    label are that normal form (a, b) and its rendering when the group
+    is D_k by its presentation (module docstring); a closure sets no
+    word, and `analyze_group` labels it by the path.
     """
 
     auto: AffineAuto
@@ -96,9 +105,10 @@ class ElementReport:
 
 @dataclass(frozen=True)
 class GroupAnalysis:
-    """Closure of a generating set together with per-element verdicts.
+    """The elements of a generated group together with per-element verdicts.
 
-    `elements` is empty when the verdicts come from the dihedral presentation.
+    `elements` is empty when the verdicts are derived from the dihedral
+    presentation; reports then hold r^a s^b at index 2a + b.
     """
 
     elements: tuple[GroupElement, ...]
@@ -232,44 +242,24 @@ def closure(
     generator has finite order in a group that closes under the cap, so
     closing under composition alone already yields inverses.
     """
-    return _closure(list(gens), cap, track_words=False)
-
-
-def _closure(
-    autos: list[AffineAuto], cap: int, track_words: bool
-) -> list[GroupElement]:
-    """closure(), optionally carrying a tentative word along every BFS edge.
-
-    With `track_words` the two generators are read as r and s, and each
-    element gets the integer pair (a, b) of its parent stepped by the
-    dihedral rules (a, 0)·r = (a + 1, 0), (a, 1)·r = (a − 1, 1) and
-    (a, b)·s = (a, 1 − b).  The pair is r^a s^b only once the D_k
-    presentation is known to hold; `_try_dihedral_labels` checks that.
-    """
+    autos = list(gens)
     if not autos:
         raise ValueError("need at least one generator")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     identity = AffineAuto.identity(autos[0].lattice)
-    found: dict[AffineAuto, tuple[tuple[int, ...], tuple[int, int] | None]] = {
-        identity: ((), (0, 0) if track_words else None)
-    }
+    found: dict[AffineAuto, tuple[int, ...]] = {identity: ()}
     queue = [identity]
     for current in queue:
-        path, word = found[current]
+        path = found[current]
         for gi, gen in enumerate(autos):
             nxt = compose(current, gen)
             if nxt not in found:
                 if len(found) >= cap:
                     raise ClosureCapExceeded(f"closure exceeds cap {cap}")
-                if word is not None:
-                    a, b = word
-                    step = (a + 1 - 2 * b, b) if gi == 0 else (a, 1 - b)
-                else:
-                    step = None
-                found[nxt] = (path + (gi,), step)
+                found[nxt] = path + (gi,)
                 queue.append(nxt)
-    return [GroupElement(auto=a, path=p, word=w) for a, (p, w) in found.items()]
+    return [GroupElement(auto=a, path=p) for a, p in found.items()]
 
 
 def conjugacy_classes(
@@ -336,74 +326,47 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
 
 
 def _rotation_order(r: AffineAuto, s: AffineAuto) -> int | None:
-    """ord r when ord s = ord rs = 2, so ⟨r, s⟩ is a quotient of D_{ord r}."""
+    """ord r when ord s = ord rs = 2, so ⟨r, s⟩ is D_{ord r} of order 2·ord r."""
     k = order(r)
     if order(s) != 2 or order(compose(r, s)) != 2:
         return None
     return k
 
 
-def _try_dihedral_labels(
-    gens: list[AffineAuto], elements: list[GroupElement]
-) -> int | None:
-    """k when the closure of (r, s) is D_k, so its BFS words are normal forms.
-
-    By von Dyck's theorem, ord r = k, ord s = 2 and ord rs = 2 make the
-    group a quotient of D_k, so the word (a, b) carried along the BFS
-    edges is r^a s^b with a taken mod k; 2k distinct words then make the
-    quotient D_k itself.
-    """
-    if len(gens) != 2 or len(elements) % 2:
-        return None
-    size = len(elements)
-    k = size // 2
-    if _rotation_order(*gens) != k:
-        return None
-    if len({(a % k, b) for a, b in (e.word for e in elements)}) != size:
-        return None
-    return k
-
-
 def _prove_dihedral(
     r: AffineAuto, s: AffineAuto, closure_cap: int
-) -> GroupAnalysis | None:
-    """The dihedral analysis of ⟨r, s⟩ derived from its presentation, if it holds.
+) -> GroupAnalysis:
+    """The analysis of ⟨r, s⟩, derived from its presentation where it can be.
 
-    With ord r = k > 2 and ord s = ord rs = 2 the group is D_k of order
-    2k: s ∈ ⟨r⟩ would commute with r, so r = s r s⁻¹ = r⁻¹ and k ≤ 2.  A
-    nonidentity element that fixes a point, or is a translation, has a
-    power of prime order that does too (the translations form a normal
-    subgroup), and up to conjugacy the elements of prime order are
-    r^{k/p} for the primes p | k, s and rs.  When none of these ω(k) + 2
-    is a translation or has a fixed point, every report follows in closed
-    form.  None, so that the caller enumerates, when k ≤ 2 or a condition
-    fails; ClosureCapExceeded, as from the closure, when 2k exceeds the cap.
+    With ord r = k and ord s = ord rs = 2 the group is D_k of order 2k,
+    for every k ≥ 1 (module docstring).  A nonidentity element that fixes
+    a point, or is a translation, has a power of prime order that does
+    too (the translations form a normal subgroup), and up to conjugacy
+    the elements of prime order are r^{k/p} for the primes p | k, s and
+    rs.  When none of these ω(k) + 2 is a translation or has a fixed
+    point, every report follows in closed form and no element is listed.
+    Otherwise the pair is analysed as `analyze_group` does, with the k
+    decided here.  ClosureCapExceeded when the group exceeds the cap.
     """
     k = _rotation_order(r, s)
-    if k is None or k <= 2:
-        return None
-    if 2 * k > closure_cap:
-        raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
-    primes: list[int] = []
-    for p in range(2, k + 1):
-        if k % p == 0 and all(p % q for q in primes):
-            primes.append(p)
-    prime_order = [s, compose(r, s)] + [_power(r, k // p) for p in primes]
-    if any(is_translation(g) or exists_fixed_point(g) for g in prime_order):
-        return None
-    # r^a s^b at index 2a + b, as analyze_group lists a dihedral closure.
-    reports = tuple(
-        ElementReport(
-            _dihedral_label(a, b), 2 if b else k // gcd(a, k), False, a == b == 0
-        )
-        for a in range(k)
-        for b in (0, 1)
-    )
-    return GroupAnalysis(
-        elements=(), reports=reports, group_size=2 * k, is_free=True,
-        has_no_translations=True, rotation_order=k,
-        symmetry_class_count=_symmetry_class_count(k),
-    )
+    if k is not None and 2 * k <= closure_cap:
+        primes = [
+            p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))
+        ]
+        prime_order = [s, compose(r, s)] + [_power(r, k // p) for p in primes]
+        if not any(is_translation(g) or exists_fixed_point(g) for g in prime_order):
+            # r^a s^b at index 2a + b, as analyze_group lists a dihedral group.
+            reports = tuple(
+                ElementReport(
+                    _dihedral_label(a, b), 2 if b else k // gcd(a, k), False,
+                    a == b == 0,
+                )
+                for a in range(k)
+                for b in (0, 1)
+            )
+            return _analysis((), reports, k)
+    # Listed, or closed breadth first; ClosureCapExceeded past the cap.
+    return _enumerate([r, s], k, closure_cap)
 
 
 def _symmetry_class_count(k: int) -> int:
@@ -419,57 +382,63 @@ def _symmetry_class_count(k: int) -> int:
 def analyze_group(
     gens: Sequence[AffineAuto], closure_cap: int = DEFAULT_CLOSURE_CAP
 ) -> GroupAnalysis:
-    """Close the generators, then report order/translation/fixed-point per element.
+    """Every element of the generated group with its verdicts.
 
-    Elements are labeled by dihedral normal form when the closure
-    satisfies a D_k presentation on the given two generators, otherwise
-    by BFS discovery words over the names r, s (two generators) or
-    g1..gk.  Dihedral reports are in normal-form order, r^a s^b at index
-    2a + b, and the symmetry classes are counted by the parity of k;
-    otherwise reports follow the discovery words and no class is counted.
-    Each element's verdicts come from one cycle decomposition of its own
-    map.
+    Two generators with ord r = k and ord s = ord rs = 2 generate D_k of
+    order 2k (module docstring), so its elements are listed directly as
+    the normal forms r^a s^b at index 2a + b, labeled by them, and the
+    symmetry classes are counted by the parity of k.  Any other
+    generating set is closed breadth first, its elements labeled by
+    their discovery words over the names r, s (two generators) or
+    g1..gk in discovery-word order, and no class is counted.  Each
+    element's verdicts come from one cycle decomposition of its own map.
     """
     autos = list(gens)
-    elements = _closure(autos, closure_cap, track_words=len(autos) == 2)
-    gen_names = ("r", "s") if len(autos) == 2 else tuple(
-        f"g{i + 1}" for i in range(len(autos))
-    )
+    k = _rotation_order(*autos) if len(autos) == 2 else None
+    return _enumerate(autos, k, closure_cap)
 
-    labeled: list[GroupElement]
-    rotation_order = _try_dihedral_labels(autos, elements)
-    if rotation_order is not None:
-        labeled = [None] * len(elements)
-        for e in elements:
-            a, b = e.word[0] % rotation_order, e.word[1]
-            labeled[2 * a + b] = replace(e, word=(a, b), label=_dihedral_label(a, b))
+
+def _enumerate(
+    autos: list[AffineAuto], k: int | None, closure_cap: int
+) -> GroupAnalysis:
+    """analyze_group once the D_k presentation is decided: k, or None if it fails."""
+    if k is None:
+        names = ("r", "s") if len(autos) == 2 else tuple(
+            f"g{i + 1}" for i in range(len(autos))
+        )
+        elements = sorted(
+            (
+                replace(e, label=_path_label(e.path, names))
+                for e in closure(autos, cap=closure_cap)
+            ),
+            key=lambda e: (len(e.path), e.path),
+        )
+    elif 2 * k > closure_cap:
+        raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
     else:
-        labeled = [
-            replace(e, word=None, label=_path_label(e.path, gen_names))
-            for e in elements
-        ]
-        labeled.sort(key=lambda e: (len(e.path), e.path))
+        r, s = autos
+        elements, rotation = [], AffineAuto.identity(r.lattice)
+        for a in range(k):
+            if a:
+                rotation = compose(rotation, r)
+            for b, auto in enumerate((rotation, compose(rotation, s))):
+                path = (0,) * a + (1,) * b
+                elements.append(GroupElement(auto, path, (a, b), _dihedral_label(a, b)))
+    return _analysis(elements, tuple(_report(e.auto, e.label) for e in elements), k)
 
-    reports = tuple(_report(e.auto, e.label) for e in labeled)
-    is_free = all(
-        rep.has_fixed_point is False
-        for e, rep in zip(labeled, reports)
-        if not e.auto.is_identity
-    )
-    has_no_translations = not any(rep.is_translation for rep in reports)
 
-    symmetry_class_count = None
-    if rotation_order is not None:
-        symmetry_class_count = _symmetry_class_count(rotation_order)
-
+def _analysis(
+    elements: Sequence[GroupElement], reports: tuple[ElementReport, ...], k: int | None
+) -> GroupAnalysis:
+    """The analysis of these reports, the identity's first, for D_k or no k."""
     return GroupAnalysis(
-        elements=tuple(labeled),
+        elements=tuple(elements),
         reports=reports,
-        group_size=len(labeled),
-        is_free=is_free,
-        has_no_translations=has_no_translations,
-        rotation_order=rotation_order,
-        symmetry_class_count=symmetry_class_count,
+        group_size=len(reports),
+        is_free=not any(rep.has_fixed_point for rep in reports[1:]),
+        has_no_translations=not any(rep.is_translation for rep in reports),
+        rotation_order=k,
+        symmetry_class_count=None if k is None else _symmetry_class_count(k),
     )
 
 
@@ -576,10 +545,10 @@ def _expand(partial: np.ndarray, digits: Sequence[int], d: int):
         yield piece
 
 
-def _fixed_rows(
-    mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, d: int, grid_scale: int
-) -> np.ndarray:
-    """Scaled canonical fixed points of the grid, sorted and deduplicated.
+def _surviving_pieces(
+    mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, d: int
+) -> Iterator[np.ndarray]:
+    """The fixed grid points, as digit columns in pieces of at most _CHUNK.
 
     Grid points are digit vectors in [0, d)^m, found by a search over
     partial digit vectors that tests the image coordinates i = 0..m−1 in
@@ -591,9 +560,9 @@ def _fixed_rows(
     are subtracted.  A partial vector that fails is dropped before any
     later digit is assigned.  Digits that no coordinate reads are
     expanded last; for the identity that is the whole grid, untested.
-    The search goes depth first and no array holds more than _CHUNK
-    partial vectors.  The survivors are reduced to canonical form, then
-    sorted and deduplicated on `_packed_keys`.
+    The search goes depth first, no array holds more than _CHUNK
+    partial vectors, and no piece it yields is empty.  Rows 0..m−1 of
+    a piece are the digits; the rows below are the search's carries.
     """
     m = basis.shape[0]
     tails = [[j for j in range(i + 1, m) if basis[i, j]] for i in range(m)]
@@ -631,24 +600,7 @@ def _fixed_rows(
                 piece[carry_row[j]] += image // pivot * basis[i, j]
             yield from search(piece, i + 1)
 
-    start = np.zeros((m + len(carry_row), 1), dtype=np.int64)
-    survivors = [
-        _triangular_residues((piece[:m] * grid_scale).T, basis)
-        for piece in search(start, 0)
-    ]
-    if not survivors:
-        return np.empty((0, m), dtype=np.int64)
-    rows = np.concatenate(survivors)
-    del survivors
-    keys = _packed_keys(rows, [int(basis[j, j]) for j in range(m)])
-    # lexsort takes its last key as the primary one: the first key leads.
-    by_key = np.lexsort(keys[::-1])
-    keep = np.zeros(len(rows), dtype=bool)
-    keep[0] = True
-    for key in keys:
-        key = key[by_key]
-        keep[1:] |= key[1:] != key[:-1]
-    return rows[by_key[keep]]
+    return search(np.zeros((m + len(carry_row), 1), dtype=np.int64), 0)
 
 
 class _TorsionPoints(Sequence):
@@ -723,12 +675,44 @@ def torsion_fixed_points_bruteforce(
     denominator^m / [L : Z^m] exceeds DEFAULT_ORACLE_BUDGET, and scalings
     that could leave the int64 range, with OracleBudgetExceeded.
     """
+    w, mi_t, t_arr, basis = _oracle_input(g, denominator)
+    m = basis.shape[0]
+    survivors = [
+        _triangular_residues((piece[:m] * (w // denominator)).T, basis)
+        for piece in _surviving_pieces(mi_t, t_arr, basis, denominator)
+    ]
+    if not survivors:
+        return _TorsionPoints(np.empty((0, m), dtype=np.int64), w)
+    rows = np.concatenate(survivors)
+    del survivors
+    keys = _packed_keys(rows, [int(basis[j, j]) for j in range(m)])
+    # lexsort takes its last key as the primary one: the first key leads.
+    by_key = np.lexsort(keys[::-1])
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[0] = True
+    for key in keys:
+        key = key[by_key]
+        keep[1:] |= key[1:] != key[:-1]
+    return _TorsionPoints(rows[by_key[keep]], w)
+
+
+def _has_torsion_fixed_point(g: AffineAuto, denominator: int) -> bool:
+    """Whether `torsion_fixed_points_bruteforce(g, denominator)` is nonempty.
+
+    Refuses what the oracle refuses, and stops at the first surviving
+    candidate, so it neither holds nor sorts the fixed points.
+    """
+    _, mi_t, t_arr, basis = _oracle_input(g, denominator)
+    return next(_surviving_pieces(mi_t, t_arr, basis, denominator), None) is not None
+
+
+def _oracle_input(g: AffineAuto, denominator: int):
+    """W and the int64 arrays of the grid search, once the oracle's checks pass."""
     if denominator < 1:
         raise ValueError("denominator must be positive")
     lattice = g.lattice
-    m = lattice.m
     d = denominator
-    expected = d**m // lattice.index
+    expected = d**lattice.m // lattice.index
     if expected > DEFAULT_ORACLE_BUDGET:
         raise OracleBudgetExceeded(
             f"{expected} grid points exceed the oracle budget of "
@@ -742,11 +726,9 @@ def torsion_fixed_points_bruteforce(
     # same terms, and its carries are the reduction's own intermediates.
     if _overflow_bound(d, mi_int, t_int, basis_int) >= _INT64_SAFE:
         raise OracleBudgetExceeded("oracle scaling exceeds 64-bit integer range")
-    rows = _fixed_rows(
+    return (
+        w,
         np.array(mi_int, dtype=np.int64).T,
         np.array(t_int, dtype=np.int64),
         np.array(basis_int, dtype=np.int64),
-        d,
-        w // d,
     )
-    return _TorsionPoints(rows, w)

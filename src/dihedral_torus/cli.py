@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .analysis import (
     OracleBudgetExceeded,
+    _has_torsion_fixed_point,
     _report,
     torsion_fixed_points_bruteforce,
 )
@@ -157,8 +158,7 @@ def _oracle_sweep(cert: Certificate, denominator: int) -> list[str]:
     mismatches = []
     for rep in cert.reports:
         g = evaluate_word(parse_word(rep.word), r, s)
-        points = torsion_fixed_points_bruteforce(g, denominator)
-        if bool(points) != rep.has_fixed_point:
+        if _has_torsion_fixed_point(g, denominator) != rep.has_fixed_point:
             mismatches.append(rep.word)
     return mismatches
 

@@ -37,7 +37,6 @@ from .analysis import (
     ElementReport,
     GroupAnalysis,
     _prove_dihedral,
-    analyze_group,
     dihedral_caps,
     order,
 )
@@ -261,10 +260,26 @@ def _conclude(
     )
 
 
-def _facts(analysis: GroupAnalysis, *maps: AffineAuto) -> list[ElementReport]:
-    """The verdicts the analysis holds for the given elements of its group."""
+def _facts(
+    analysis: GroupAnalysis, r: AffineAuto, s: AffineAuto, *forms: tuple[int, int]
+) -> list[ElementReport]:
+    """The verdicts the analysis of ⟨r, s⟩ holds for r^a s^b, given as (a, b).
+
+    A dihedral analysis holds them at index 2(a mod k) + b; a closure is
+    searched for each map, the powers of r stepped one at a time.
+    """
+    k = analysis.rotation_order
+    if k is not None:
+        return [analysis.reports[2 * (a % k) + b] for a, b in forms]
     by_map = dict(zip((e.auto for e in analysis.elements), analysis.reports))
-    return [by_map[g] for g in maps]
+    powers = [AffineAuto.identity(r.lattice), r]
+    facts = []
+    for a, b in forms:
+        while len(powers) <= a:
+            powers.append(compose(powers[-1], r))
+        g = (compose(powers[a], s) if a else s) if b else powers[a]
+        facts.append(by_map[g])
+    return facts
 
 
 def _certify(
@@ -285,131 +300,118 @@ def _certify(
 
     try:
         analysis = _prove_dihedral(r, s, closure_cap)
-        if analysis is not None:
-            # A derived analysis holds r^j s^b and its verdicts at 2j + b.
-            s_facts, r_facts, rs_facts = analysis.reports[1:4]
-            power_facts = analysis.reports[2 : 2 * four_n : 2]
-        else:
-            analysis = analyze_group([r, s], closure_cap=closure_cap)
-            powers = [r]
-            while len(powers) < four_n - 1:
-                powers.append(compose(powers[-1], r))
-            r_facts, s_facts, rs_facts, *power_facts = _facts(
-                analysis, r, s, compose(r, s), *powers
-            )
-        r_order, s_order, rs_order = r_facts.order, s_facts.order, rs_facts.order
-
-        # Step 1: the rotation and its bare linear part have order exactly
-        # 4n; every proper power shifts the E′ coordinate by j/4n, so it is
-        # neither a translation nor has a fixed point.
-        rotation_checks: list[tuple[str, bool]] = [
-            ("r has order 4n on the quotient", r_order == four_n),
-            ("the linear part of r has order 4n", order(r.linear_part()) == four_n),
-            (
-                "the linear part of r fixes w on the ambient torus",
-                r_ambient.linear_part().apply(w) == ambient.reduce(w),
-            ),
-        ]
-        # r fixes the E′ block and translates only along it, so no sheared
-        # lattice row reaches the shift of r^j; the lattice is Z in the E′
-        # coordinate, so that shift reduces to j/4n for every j < 4n.
-        last = 2 * shape.eprime_index
-        shifts_ok = (
-            r.perm[last : last + 2] == (last, last + 1)
-            and r.signs[last : last + 2] == (1, 1)
-            and not any(r.shift[:last])
-            and r.shift[last] * four_n == r.denominator
-            and r.lattice.pivots[last] == r.lattice.denominator
-        )
-        rotation_checks += [
-            ("every power r^j shifts the E′ coordinate by exactly j/4n", shifts_ok),
-            (
-                "no proper rotation power is a translation",
-                not any(f.is_translation for f in power_facts),
-            ),
-            (
-                "no proper rotation power has a fixed point",
-                not any(f.has_fixed_point for f in power_facts),
-            ),
-        ]
-        step1 = StepResult.from_checks(_STEP_NAMES[0], rotation_checks)
-
-        # Step 2: s² is the translation by w upstairs, the linear part of s
-        # fixes w, and the offsets telescope to half periods.
-        s_squared = compose(s_ambient, s_ambient)
-        w_translation = AffineAuto.translation_by(w, ambient)
-        # The fold identity holds as torsion points of E, i.e. modulo Z²:
-        # the raw difference alternates between (1/2, 0) and (−1/2, 0).
-        curve_lattice = EnlargedLattice.standard(2)
-        offset_fold = all(
-            curve_lattice.reduce(offsets[i] - offsets[2 * n - 1 - i]).coords
-            == (_HALF, Fraction(0))
-            for i in range(2 * n)
-        )
-        step2 = StepResult.from_checks(
-            _STEP_NAMES[1],
-            [
-                (
-                    "s² is the translation by w on the ambient torus",
-                    equal_mod_lattice(s_squared, w_translation, ambient),
-                ),
-                (
-                    "the linear part of s fixes w on the ambient torus",
-                    s_ambient.linear_part().apply(w) == ambient.reduce(w),
-                ),
-                (
-                    "offsets satisfy b_i − b_{2n+1−i} = 1/2 for every i",
-                    offset_fold,
-                ),
-                ("s has order 2 on the quotient", s_order == 2),
-            ],
-        )
-
-        # Step 3: the defining dihedral relations and the closure size.
-        step3 = StepResult.from_checks(
-            _STEP_NAMES[2],
-            [
-                (
-                    "orders of (r, s, rs) are (4n, 2, 2)",
-                    (r_order, s_order, rs_order) == (four_n, 2, 2),
-                ),
-                ("closure of {r, s} has exactly 8n elements",
-                 analysis.group_size == 8 * n),
-                (
-                    "closure satisfies the dihedral presentation",
-                    analysis.rotation_order == four_n,
-                ),
-            ],
-        )
-
-        # Step 4: the symmetries fall into exactly two conjugacy classes
-        # (those of s and rs), and neither representative is a translation.
-        step4 = StepResult.from_checks(
-            _STEP_NAMES[3],
-            [
-                (
-                    "symmetries form exactly two conjugacy classes",
-                    analysis.symmetry_class_count == 2,
-                ),
-                ("s is not a translation", not s_facts.is_translation),
-                ("rs is not a translation", not rs_facts.is_translation),
-            ],
-        )
-
-        # Step 5: the two class representatives, and with them every
-        # nonidentity element, act without fixed points.
-        step5 = StepResult.from_checks(
-            _STEP_NAMES[4],
-            [
-                ("s has no fixed point on the quotient",
-                 not s_facts.has_fixed_point),
-                ("rs has no fixed point on the quotient",
-                 not rs_facts.has_fixed_point),
-                ("no nonidentity element has a fixed point", analysis.is_free),
-            ],
-        )
     except ClosureCapExceeded as exc:
         return _aborted(n, 8 * n, _STEP_NAMES, str(exc))
+    r_facts, s_facts, rs_facts, *power_facts = _facts(
+        analysis, r, s, (1, 0), (0, 1), (1, 1),
+        *((j, 0) for j in range(1, four_n)),
+    )
+    r_order, s_order, rs_order = r_facts.order, s_facts.order, rs_facts.order
+
+    # Step 1: the rotation and its bare linear part have order exactly
+    # 4n; every proper power shifts the E′ coordinate by j/4n, so it is
+    # neither a translation nor has a fixed point.
+    rotation_checks: list[tuple[str, bool]] = [
+        ("r has order 4n on the quotient", r_order == four_n),
+        ("the linear part of r has order 4n", order(r.linear_part()) == four_n),
+        (
+            "the linear part of r fixes w on the ambient torus",
+            r_ambient.linear_part().apply(w) == ambient.reduce(w),
+        ),
+    ]
+    # r fixes the E′ block and translates only along it, so no sheared
+    # lattice row reaches the shift of r^j; the lattice is Z in the E′
+    # coordinate, so that shift reduces to j/4n for every j < 4n.
+    last = 2 * shape.eprime_index
+    shifts_ok = (
+        r.perm[last : last + 2] == (last, last + 1)
+        and r.signs[last : last + 2] == (1, 1)
+        and not any(r.shift[:last])
+        and r.shift[last] * four_n == r.denominator
+        and r.lattice.pivots[last] == r.lattice.denominator
+    )
+    rotation_checks += [
+        ("every power r^j shifts the E′ coordinate by exactly j/4n", shifts_ok),
+        (
+            "no proper rotation power is a translation",
+            not any(f.is_translation for f in power_facts),
+        ),
+        (
+            "no proper rotation power has a fixed point",
+            not any(f.has_fixed_point for f in power_facts),
+        ),
+    ]
+    step1 = StepResult.from_checks(_STEP_NAMES[0], rotation_checks)
+
+    # Step 2: s² is the translation by w upstairs, the linear part of s
+    # fixes w, and the offsets telescope to half periods.
+    s_squared = compose(s_ambient, s_ambient)
+    w_translation = AffineAuto.translation_by(w, ambient)
+    # The fold identity holds as torsion points of E, i.e. modulo Z²:
+    # the raw difference alternates between (1/2, 0) and (−1/2, 0).
+    curve_lattice = EnlargedLattice.standard(2)
+    offset_fold = all(
+        curve_lattice.reduce(offsets[i] - offsets[2 * n - 1 - i]).coords
+        == (_HALF, Fraction(0))
+        for i in range(2 * n)
+    )
+    step2 = StepResult.from_checks(
+        _STEP_NAMES[1],
+        [
+            (
+                "s² is the translation by w on the ambient torus",
+                equal_mod_lattice(s_squared, w_translation, ambient),
+            ),
+            (
+                "the linear part of s fixes w on the ambient torus",
+                s_ambient.linear_part().apply(w) == ambient.reduce(w),
+            ),
+            ("offsets satisfy b_i − b_{2n+1−i} = 1/2 for every i", offset_fold),
+            ("s has order 2 on the quotient", s_order == 2),
+        ],
+    )
+
+    # Step 3: the defining dihedral relations and the closure size.
+    step3 = StepResult.from_checks(
+        _STEP_NAMES[2],
+        [
+            (
+                "orders of (r, s, rs) are (4n, 2, 2)",
+                (r_order, s_order, rs_order) == (four_n, 2, 2),
+            ),
+            ("closure of {r, s} has exactly 8n elements",
+             analysis.group_size == 8 * n),
+            (
+                "closure satisfies the dihedral presentation",
+                analysis.rotation_order == four_n,
+            ),
+        ],
+    )
+
+    # Step 4: the symmetries fall into exactly two conjugacy classes
+    # (those of s and rs), and neither representative is a translation.
+    step4 = StepResult.from_checks(
+        _STEP_NAMES[3],
+        [
+            (
+                "symmetries form exactly two conjugacy classes",
+                analysis.symmetry_class_count == 2,
+            ),
+            ("s is not a translation", not s_facts.is_translation),
+            ("rs is not a translation", not rs_facts.is_translation),
+        ],
+    )
+
+    # Step 5: the two class representatives, and with them every
+    # nonidentity element, act without fixed points.
+    step5 = StepResult.from_checks(
+        _STEP_NAMES[4],
+        [
+            ("s has no fixed point on the quotient", not s_facts.has_fixed_point),
+            ("rs has no fixed point on the quotient", not rs_facts.has_fixed_point),
+            ("no nonidentity element has a fixed point", analysis.is_free),
+        ],
+    )
     return _conclude(n, 8 * n, (step1, step2, step3, step4, step5), analysis)
 
 
@@ -513,15 +515,11 @@ def verify_corollary(k: int, closure_cap: int | None = None) -> Certificate:
     rot = _power(r, plan.rotation_power)
     try:
         analysis = _prove_dihedral(rot, refl, closure_cap)
-        if analysis is not None:
-            refl_facts, rot_facts, product_facts = analysis.reports[1:4]
-        else:
-            analysis = analyze_group([rot, refl], closure_cap=closure_cap)
-            rot_facts, refl_facts, product_facts = _facts(
-                analysis, rot, refl, compose(rot, refl)
-            )
     except ClosureCapExceeded as exc:
         return _aborted(n, plan.expected_order, _COROLLARY_STEP_NAMES, str(exc), k)
+    rot_facts, refl_facts, product_facts = _facts(
+        analysis, rot, refl, (1, 0), (0, 1), (1, 1)
+    )
     step_checks = (
         [("r^{4n/k} has order k on the quotient", rot_facts.order == k)],
         [("s has order 2 on the quotient", refl_facts.order == 2)],

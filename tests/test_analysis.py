@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis as analysis_module
+from dihedral_torus import dihedral
 from dihedral_torus.analysis import (
     ClosureCapExceeded,
     GroupElement,
@@ -25,6 +26,7 @@ from dihedral_torus.analysis import (
 from dihedral_torus.dihedral import (
     ambient_lattice,
     build_corollary,
+    build_r,
     build_s,
     build_w,
     quotient_lattice,
@@ -326,6 +328,16 @@ def _dihedral_pairs():
     return pairs
 
 
+def _mutant_pair(name, n):
+    """(r, s) of a mutant that keeps the D_{4n} presentation, on the quotient."""
+    r, s = realified_action(n)
+    if name == "no-rotation-shift":
+        r = dihedral._realify_both(n, dihedral._without_translation(build_r(n)))[0]
+    else:
+        s = dihedral._realify_both(n, dihedral._without_translation(build_s(n)))[0]
+    return r, s
+
+
 class TestFastPathsAgainstGenericCode:
     """The label-arithmetic fast paths agree with composition-based code."""
 
@@ -376,6 +388,24 @@ class TestFastPathsAgainstGenericCode:
             assert all(e.word is None for e in analysis.elements)
         analyze_group(realified_action(1))
         assert seen == []
+
+    @pytest.mark.parametrize(
+        "name, pair",
+        _dihedral_pairs() + [
+            (f"{mutant} n={n}", _mutant_pair(mutant, n))
+            for mutant in ("zero-offsets", "no-rotation-shift")
+            for n in (1, 2, 3)
+        ],
+    )
+    def test_listed_forms_are_the_closure(self, name, pair):
+        # The presentation lemma, checked against an independent BFS: the
+        # 2k listed normal forms are exactly the closure of the pair.
+        listed = analyze_group(pair)
+        closed = closure(pair)
+        k = listed.rotation_order
+        assert k is not None
+        assert len(listed.elements) == len(closed) == 2 * k
+        assert {e.auto for e in listed.elements} == {e.auto for e in closed}
 
     def test_pair_failing_the_presentation_gets_path_labels(self):
         # r^4 and r^6 at n = 3 generate the cyclic group ⟨r^2⟩ of order 6:
@@ -442,6 +472,18 @@ class TestTorsionOracle:
             torsion_fixed_points_bruteforce(far, 1)
         near = AffineAuto.translation_by([Fraction(1, 2**61)], lattice)
         assert len(torsion_fixed_points_bruteforce(near, 1)) == 0
+
+    def test_emptiness_query_refuses_what_the_oracle_refuses(self, quotient_pair):
+        r, _ = quotient_pair
+        has_point = analysis_module._has_torsion_fixed_point
+        with pytest.raises(OracleBudgetExceeded, match="budget"):
+            has_point(r, 20)
+        with pytest.raises(ValueError):
+            has_point(r, 0)
+        lattice = EnlargedLattice.standard(1)
+        far = AffineAuto.translation_by([Fraction(1, 2**63)], lattice)
+        with pytest.raises(OracleBudgetExceeded, match="64-bit"):
+            has_point(far, 1)
 
     def test_overflow_bound_charges_only_sheared_rows(self):
         bound = analysis_module._overflow_bound
@@ -551,6 +593,14 @@ def test_order_matches_smallest_trivial_power(g):
 def test_conjugate_elements_share_order(g, h):
     conjugate = compose(h, compose(g, inverse(h)))
     assert order(g) == order(conjugate)
+
+
+@given(quotient_monomial_autos(), st.sampled_from((1, 2, 3, 4)))
+@settings(deadline=None, max_examples=40)
+def test_emptiness_query_matches_the_oracle(g, d):
+    assert analysis_module._has_torsion_fixed_point(g, d) == bool(
+        torsion_fixed_points_bruteforce(g, d)
+    )
 
 
 def _enumerated_fixed_points(g, d):

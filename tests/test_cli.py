@@ -58,19 +58,36 @@ class TestVerifyCommand:
         assert "oracle (D=2): not run: closure exceeds cap 4" in out
 
     def test_oracle_reads_the_certificate(self, capsys, monkeypatch):
-        # Every closure, from whichever module, goes through _closure.
-        calls, close = [], analysis._closure
+        # Every closure goes through analysis.closure.
+        calls, close = [], analysis.closure
 
         def spy(*args, **kwargs):
             calls.append(args)
             return close(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "_closure", spy)
+        monkeypatch.setattr(analysis, "closure", spy)
         assert main(["verify", "--n", "2", "--oracle", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "confirmed for all 16 elements of n=2" in out
         # The theorem is proved from the presentation, with no closure.
         assert len(calls) == 0
+
+    def test_oracle_sweep_stops_at_the_first_fixed_point(
+        self, capsys, monkeypatch
+    ):
+        # The sweep asks only whether a fixed point exists, so it never
+        # sorts the fixed rows: the identity at n = 3, D = 3 fixes 3^14.
+        calls, pack = [], analysis._packed_keys
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return pack(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_packed_keys", spy)
+        assert main(["verify", "--range", "3", "--oracle", "3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "confirmed for all 24 elements of n=3" in out
+        assert calls == []
 
     def test_closure_cap_failure_sets_exit_code(self, capsys):
         assert main(

@@ -239,13 +239,13 @@ class TestVerifyTheorem:
             assert not step.passed
             assert step.checks[0][0].startswith("not evaluated")
 
-    def test_each_element_is_composed_twice_and_decomposed_once(
+    def test_each_element_is_composed_once_and_decomposed_once(
         self, monkeypatch
     ):
         # Machine-independent work counts of the enumerating analysis for a
-        # group of 128 elements: the closure composes each element with r
-        # and s, and each element's verdicts come from one cycle
-        # decomposition of its map.
+        # group of 128 elements: each normal form r^a s^b is one
+        # composition from r^{a-1} or r^a, and each element's verdicts
+        # come from one cycle decomposition of its map.
         n, size = 16, 128
         gens = realified_action(n)
         counts = {"compose": 0, "_signed_cycles": 0}
@@ -263,7 +263,7 @@ class TestVerifyTheorem:
         counting(dihedral, "compose")
         counting(analysis, "_signed_cycles")
         assert analysis.analyze_group(gens).rotation_order == 4 * n
-        assert 2 * size <= counts["compose"] <= 2 * size + 8
+        assert size <= counts["compose"] <= size + 8
         assert size <= counts["_signed_cycles"] <= size + 16
 
 
@@ -405,20 +405,23 @@ class TestCorollary:
 @pytest.fixture
 def closures(monkeypatch):
     """The generator lists of every closure built while the test runs."""
-    calls, close = [], analysis._closure
+    calls, close = [], analysis.closure
 
     def spy(autos, *args, **kwargs):
         calls.append(autos)
         return close(autos, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "_closure", spy)
+    monkeypatch.setattr(analysis, "closure", spy)
     return calls
 
 
 def _enumerated(monkeypatch, verify, *args):
     """The certificate the enumerating analysis alone gives."""
     with monkeypatch.context() as patch:
-        patch.setattr(dihedral, "_prove_dihedral", lambda *args: None)
+        patch.setattr(
+            dihedral, "_prove_dihedral",
+            lambda r, s, cap: analysis.analyze_group([r, s], cap),
+        )
         return verify(*args)
 
 
@@ -426,9 +429,9 @@ class TestPresentationProof:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_theorem_equals_the_enumeration(self, n, monkeypatch, closures):
         enumerated = _enumerated(monkeypatch, verify_theorem, n)
-        assert len(closures) == 1
+        assert len(closures) == 0
         cert = verify_theorem(n)
-        assert len(closures) == 1
+        assert len(closures) == 0
         assert cert.theorem_verified
         # Reports, steps and every other field.
         assert cert == enumerated
@@ -446,8 +449,8 @@ class TestPresentationProof:
     def test_corollary_equals_the_enumeration(self, k, monkeypatch, closures):
         enumerated = _enumerated(monkeypatch, verify_corollary, k)
         cert = verify_corollary(k)
-        # D_1 and D_2 are not decided by the presentation and enumerate.
-        assert len(closures) == (2 if k <= 2 else 1)
+        # Every D_k, D_1 and D_2 included, is listed from its presentation.
+        assert len(closures) == 0
         assert cert.verified
         # Reports, steps and every other field.
         assert cert == enumerated
@@ -461,7 +464,44 @@ class TestPresentationProof:
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutants_enumerate_once(self, name, closures):
         assert not verify_mutant(name, 2).theorem_verified
-        assert len(closures) == 1
+        # Only the no-quotient pair fails the presentation (ord s = 4).
+        assert len(closures) == (name == "no-quotient")
+
+    @pytest.mark.parametrize(
+        "verify",
+        [
+            lambda: verify_mutant("zero-offsets", 2),
+            lambda: verify_mutant("no-rotation-shift", 2),
+            lambda: verify_corollary(2),
+        ],
+        ids=["zero-offsets", "no-rotation-shift", "corollary"],
+    )
+    def test_generator_orders_are_decided_once(
+        self, verify, monkeypatch, closures
+    ):
+        # ord r, ord s and ord rs, once each, decide the group.
+        calls, decide = [], analysis.order
+
+        def spy(g):
+            calls.append(g)
+            return decide(g)
+
+        monkeypatch.setattr(analysis, "order", spy)
+        verify()
+        assert len(calls) == 3
+        assert closures == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_corollaries_one_and_two_derive(self, k, closures):
+        # D_1 and D_2 are decided by the prime-order checks, like every D_k.
+        plan = build_corollary(k)
+        r, s = realified_action(plan.params.n)
+        proved = analysis._prove_dihedral(_power(r, plan.rotation_power), s, 2 * k)
+        assert proved.elements == ()
+        assert (proved.group_size, proved.rotation_order) == (2 * k, k)
+        assert proved.is_free and proved.has_no_translations
+        assert verify_corollary(k).verified
+        assert closures == []
 
     def test_theorem_composes_logarithmically_often(self, monkeypatch):
         # At n = 128, enumerating the 1,024 elements makes 2,050
@@ -543,10 +583,10 @@ class TestPresentationProof:
         assert analysis.exists_fixed_point(s) != analysis.exists_fixed_point(
             torus.compose(r, s)
         )
-        assert analysis._prove_dihedral(r, s, 8) is None
-        enumerated = analysis.analyze_group([r, s])
-        assert enumerated.rotation_order == 4
-        assert not enumerated.is_free
+        listed = analysis._prove_dihedral(r, s, 8)
+        assert len(listed.elements) == listed.group_size == 8
+        assert listed.rotation_order == 4
+        assert not listed.is_free
 
 
     def test_each_prime_order_rotation_is_checked(self):
@@ -558,10 +598,10 @@ class TestPresentationProof:
         r = torus.AffineAuto(r.perm, r.signs, shift, r.lattice)
         assert analysis.exists_fixed_point(_power(r, 4))
         assert not analysis.exists_fixed_point(_power(r, 6))
-        assert analysis._prove_dihedral(r, s, 24) is None
-        enumerated = analysis.analyze_group([r, s])
-        assert enumerated.rotation_order == 12
-        assert not enumerated.is_free
+        listed = analysis._prove_dihedral(r, s, 24)
+        assert len(listed.elements) == listed.group_size == 24
+        assert listed.rotation_order == 12
+        assert not listed.is_free
 
 
 @pytest.mark.parametrize(
