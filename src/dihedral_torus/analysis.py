@@ -35,8 +35,13 @@ ord r = k and ord s = ord rs = 2, then ⟨r, s⟩ is D_k of order 2k.  By
 von Dyck's theorem it is a quotient of D_k, so its elements are r^a s^b;
 it has order 2k because s ∉ ⟨r⟩.  Such an s would commute with r, so
 r = s r s⁻¹ = r⁻¹ and k ≤ 2; but k = 1 would make s = 1, and k = 2 would
-make s = r and so rs = 1.  Three orders therefore decide the group, and
-its elements are listed without a closure.
+make s = r and so rs = 1.  Three orders therefore decide the group.
+Each verdict (order, translation, fixed point) is a class function.
+Conjugation by r sends r^a s to r^{a+2} s and by s to r^{−a} s, so the
+reflections form 2 − k mod 2 classes, led by s and rs; r^a shares the
+verdicts of r^{gcd(a, k)}, a generator of the same subgroup.  A power of
+g fixes every point g fixes, and is a translation or the identity when
+g is one, so r^d is free of both when some proper r^m with d | m is.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ class GroupAnalysis:
     """The elements of a generated group together with per-element verdicts.
 
     `elements` is empty when the verdicts are derived from the dihedral
-    presentation; reports then hold r^a s^b at index 2a + b.
+    presentation, free or not; reports then hold r^a s^b at index 2a + b.
     """
 
     elements: tuple[GroupElement, ...]
@@ -124,8 +129,11 @@ def dihedral_caps(k: int, closure_cap: int | None = None) -> int:
     """The closure cap for a dihedral group D_k of order 2k.
 
     A cap left as None defaults to four times the group order: every
-    verifier derives its cap here, so it grows with the group it guards.
+    verifier derives its cap here, so it grows with the group it guards,
+    and a cap below 1 is refused here with the closure's ValueError.
     """
+    if closure_cap is not None and closure_cap < 1:
+        raise ValueError("cap must be at least 1")
     return 8 * k if closure_cap is None else closure_cap
 
 
@@ -325,58 +333,44 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in parts)
 
 
-def _rotation_order(r: AffineAuto, s: AffineAuto) -> int | None:
-    """ord r when ord s = ord rs = 2, so ⟨r, s⟩ is D_{ord r} of order 2·ord r."""
-    k = order(r)
-    if order(s) != 2 or order(compose(r, s)) != 2:
-        return None
-    return k
-
-
 def _prove_dihedral(
     r: AffineAuto, s: AffineAuto, closure_cap: int
 ) -> GroupAnalysis:
-    """The analysis of ⟨r, s⟩, derived from its presentation where it can be.
+    """The analysis of ⟨r, s⟩, derived from its presentation where it holds.
 
-    With ord r = k and ord s = ord rs = 2 the group is D_k of order 2k,
-    for every k ≥ 1 (module docstring).  A nonidentity element that fixes
-    a point, or is a translation, has a power of prime order that does
-    too (the translations form a normal subgroup), and up to conjugacy
-    the elements of prime order are r^{k/p} for the primes p | k, s and
-    rs.  When none of these ω(k) + 2 is a translation or has a fixed
-    point, every report follows in closed form and no element is listed.
-    Otherwise the pair is analysed as `analyze_group` does, with the k
-    decided here.  ClosureCapExceeded when the group exceeds the cap.
+    A pair with ord s = ord rs = 2 is D_k, k = ord r, and lists nothing:
+    its rows follow from s, rs and the r^d, d | k (module docstring), the
+    largest d first, each decided unless a decided r^m with d | m is free,
+    so a free action decides only the r^{k/p}, p | k prime.  Other pairs
+    are closed as in `analyze_group`.  ClosureCapExceeded past the cap.
     """
-    k = _rotation_order(r, s)
-    if k is not None and 2 * k <= closure_cap:
-        primes = [
-            p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))
+    r_cycles = _signed_cycles(r)
+    k = _order(r, r_cycles)
+    reflections = [_report(s, "s")]
+    if reflections[0].order == 2:
+        reflections.append(_report(compose(r, s), "r s"))
+    if [rep.order for rep in reflections] != [2, 2]:
+        return _enumerate([r, s], None, closure_cap)
+    if 2 * k > closure_cap:
+        raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
+    # (is_translation, has_fixed_point) of s and rs, and of r^d for d | k, r^k = 1.
+    mirrors = [(rep.is_translation, rep.has_fixed_point) for rep in reflections]
+    flags = {k: (False, True)}
+    for d in [d for d in range(k - 1, 0, -1) if k % d == 0]:
+        if any(m % d == 0 and not any(f) for m, f in flags.items()):
+            flags[d] = (False, False)
+        else:
+            g = _power(r, d)
+            cycles = r_cycles if d == 1 else _signed_cycles(g)
+            flags[d] = (is_translation(g), _has_fixed_point(g, cycles))
+    # r^a s^b at index 2a + b, as analyze_group lists a dihedral group.
+    reports = []
+    for a in range(k):
+        reports += [
+            ElementReport(_dihedral_label(a, 0), k // gcd(a, k), *flags[gcd(a, k)]),
+            ElementReport(_dihedral_label(a, 1), 2, *mirrors[a % (2 - k % 2)]),
         ]
-        prime_order = [s, compose(r, s)] + [_power(r, k // p) for p in primes]
-        if not any(is_translation(g) or exists_fixed_point(g) for g in prime_order):
-            # r^a s^b at index 2a + b, as analyze_group lists a dihedral group.
-            reports = tuple(
-                ElementReport(
-                    _dihedral_label(a, b), 2 if b else k // gcd(a, k), False,
-                    a == b == 0,
-                )
-                for a in range(k)
-                for b in (0, 1)
-            )
-            return _analysis((), reports, k)
-    # Listed, or closed breadth first; ClosureCapExceeded past the cap.
-    return _enumerate([r, s], k, closure_cap)
-
-
-def _symmetry_class_count(k: int) -> int:
-    """The number of conjugacy classes of reflections r^a s in D_k.
-
-    Conjugation by r sends r^a s to r^{a+2} s and conjugation by s sends
-    it to r^{−a} s, so the classes are the residues of a modulo gcd(2, k):
-    two for even k, one for odd k, k = 1 and 2 included.
-    """
-    return 2 - k % 2
+    return _analysis((), tuple(reports), k)
 
 
 def analyze_group(
@@ -384,17 +378,21 @@ def analyze_group(
 ) -> GroupAnalysis:
     """Every element of the generated group with its verdicts.
 
-    Two generators with ord r = k and ord s = ord rs = 2 generate D_k of
-    order 2k (module docstring), so its elements are listed directly as
-    the normal forms r^a s^b at index 2a + b, labeled by them, and the
-    symmetry classes are counted by the parity of k.  Any other
-    generating set is closed breadth first, its elements labeled by
-    their discovery words over the names r, s (two generators) or
-    g1..gk in discovery-word order, and no class is counted.  Each
-    element's verdicts come from one cycle decomposition of its own map.
+    A cap below 1 raises ValueError before anything is decided.  Two
+    generators with ord r = k and ord s = ord rs = 2 generate D_k of
+    order 2k (module docstring): its elements are listed as the normal
+    forms r^a s^b at index 2a + b, labeled by them, and its symmetry
+    classes counted by the parity of k.  Any other generating set is
+    closed breadth first, labeled by discovery words over r, s (two
+    generators) or g1..gk, and counts no class.  Each element's
+    verdicts come from one cycle decomposition of its own map.
     """
+    if closure_cap < 1:
+        raise ValueError("cap must be at least 1")
     autos = list(gens)
-    k = _rotation_order(*autos) if len(autos) == 2 else None
+    k = order(autos[0]) if len(autos) == 2 else None
+    if k is not None and (order(autos[1]) != 2 or order(compose(*autos)) != 2):
+        k = None
     return _enumerate(autos, k, closure_cap)
 
 
@@ -438,7 +436,8 @@ def _analysis(
         is_free=not any(rep.has_fixed_point for rep in reports[1:]),
         has_no_translations=not any(rep.is_translation for rep in reports),
         rotation_order=k,
-        symmetry_class_count=None if k is None else _symmetry_class_count(k),
+        # The reflections r^a s fall into classes by a mod gcd(2, k).
+        symmetry_class_count=None if k is None else 2 - k % 2,
     )
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -316,6 +317,20 @@ class TestAnalyzeGroup:
     def test_analysis_is_deterministic(self, quotient_pair):
         assert analyze_group(quotient_pair) == analyze_group(quotient_pair)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_refused_before_any_decision(
+        self, cap, quotient_pair, ambient_pair, monkeypatch
+    ):
+        # The dihedral quotient pair and the ambient pair it closes are
+        # refused alike, and neither is decomposed.
+        def undecided(auto):
+            raise AssertionError("decided a map")
+
+        monkeypatch.setattr(analysis_module, "_signed_cycles", undecided)
+        for pair in (quotient_pair, ambient_pair):
+            with pytest.raises(ValueError, match="cap must be at least 1"):
+                analyze_group(pair, cap)
+
 
 def _dihedral_pairs():
     """(name, (r, s)) for the family at n = 1..4 and corollary k ∈ {1, 2, 3, 5, 6}."""
@@ -593,6 +608,51 @@ def test_order_matches_smallest_trivial_power(g):
 def test_conjugate_elements_share_order(g, h):
     conjugate = compose(h, compose(g, inverse(h)))
     assert order(g) == order(conjugate)
+
+
+@st.composite
+def perturbed_family_pairs(draw):
+    """n and (r, s) of the family at n ≤ 4 with redrawn shifts, on either lattice.
+
+    r shifts E′ by c/4n and optionally one E coordinate by 1/2; s takes
+    offsets from {0, 1/2}.  Some pairs keep the presentation, most of
+    those without acting freely; the others fail it.
+    """
+    n = draw(st.integers(1, 4))
+    lattice = draw(st.sampled_from((quotient_lattice(n), ambient_lattice(n))))
+    r, s = realified_action(n, lattice)
+    r_shift = [F(0)] * len(r.perm)
+    r_shift[4 * n] = F(draw(st.integers(0, 4 * n - 1)), 4 * n)
+    e = draw(st.none() | st.integers(0, 4 * n - 1))
+    if e is not None:
+        r_shift[e] = F(1, 2)
+    offsets = [draw(st.sampled_from((F(0), F(1, 2)))) for _ in range(4 * n)]
+    return n, (
+        AffineAuto(r.perm, r.signs, r_shift, lattice),
+        AffineAuto(s.perm, s.signs, offsets + [F(0)] * 2, lattice),
+    )
+
+
+@given(perturbed_family_pairs())
+@settings(deadline=None, max_examples=100)
+def test_derived_rows_equal_the_listing(case):
+    # Free or not, a pair that keeps the presentation derives every row;
+    # a pair that fails it is closed, or refused past the cap, exactly as
+    # analyze_group closes or refuses it.
+    n, pair = case
+
+    def outcome(analyze, *args):
+        try:
+            return analyze(*args)
+        except ClosureCapExceeded as exc:
+            return str(exc)
+
+    derived = outcome(analysis_module._prove_dihedral, *pair, 64 * n)
+    listed = outcome(analyze_group, pair, 64 * n)
+    if isinstance(derived, str) or derived.elements:
+        assert derived == listed
+    else:
+        assert derived == replace(listed, elements=())
 
 
 @given(quotient_monomial_autos(), st.sampled_from((1, 2, 3, 4)))

@@ -479,16 +479,36 @@ class TestPresentationProof:
     def test_generator_orders_are_decided_once(
         self, verify, monkeypatch, closures
     ):
-        # ord r, ord s and ord rs, once each, decide the group.
-        calls, decide = [], analysis.order
+        # r, s and rs are decomposed once each, and rs is composed once.
+        pairs, decomposed, composed = [], [], []
+        prove, decompose = analysis._prove_dihedral, analysis._signed_cycles
+        original = torus.compose
 
-        def spy(g):
-            calls.append(g)
-            return decide(g)
+        def capture(r, s, cap):
+            pairs.append((r, s))
+            return prove(r, s, cap)
 
-        monkeypatch.setattr(analysis, "order", spy)
+        def spy(auto):
+            decomposed.append(auto)
+            return decompose(auto)
+
+        def composing(g, h):
+            composed.append(original(g, h))
+            return composed[-1]
+
+        monkeypatch.setattr(dihedral, "_prove_dihedral", capture)
+        monkeypatch.setattr(analysis, "_signed_cycles", spy)
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("dihedral_torus")
+                    and vars(module).get("compose") is original):
+                monkeypatch.setattr(module, "compose", composing)
         verify()
-        assert len(calls) == 3
+        (r, s), = pairs
+        rs = original(r, s)
+        assert sum(g is r for g in decomposed) == 1
+        assert sum(g is s for g in decomposed) == 1
+        assert decomposed.count(rs) == 1
+        assert composed.count(rs) == 1
         assert closures == []
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -541,6 +561,43 @@ class TestPresentationProof:
         assert closures == []
         assert verify_theorem(64, closure_cap=512).theorem_verified
 
+    @pytest.mark.parametrize("name", ["zero-offsets", "no-rotation-shift"])
+    def test_mutants_that_keep_the_presentation_list_nothing(
+        self, name, monkeypatch
+    ):
+        # At n = 64 listing the 512 elements made 521 compositions and
+        # 517-519 cycle decompositions; the derivation decides a few
+        # rotation classes instead.
+        n = 64
+        realified_action(n)
+        realified_action(n, ambient_lattice(n))
+        counts = {"compose": 0, "_signed_cycles": 0, "_enumerate": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        original = torus.compose
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("dihedral_torus")
+                    and vars(module).get("compose") is original):
+                monkeypatch.setattr(
+                    module, "compose", counting("compose", original)
+                )
+        for private in ("_signed_cycles", "_enumerate"):
+            monkeypatch.setattr(
+                analysis, private, counting(private, getattr(analysis, private))
+            )
+        cert = verify_mutant(name, n)
+        assert not cert.theorem_verified
+        assert cert.group_order_actual == 8 * n
+        assert counts["_enumerate"] == 0
+        assert 0 < counts["_signed_cycles"] <= 16
+        assert 0 < counts["compose"] <= 48
+
     @pytest.mark.parametrize(
         "extras, e_shift, holds",
         [
@@ -583,11 +640,10 @@ class TestPresentationProof:
         assert analysis.exists_fixed_point(s) != analysis.exists_fixed_point(
             torus.compose(r, s)
         )
-        listed = analysis._prove_dihedral(r, s, 8)
-        assert len(listed.elements) == listed.group_size == 8
-        assert listed.rotation_order == 4
-        assert not listed.is_free
-
+        derived = analysis._prove_dihedral(r, s, 8)
+        assert derived.elements == ()
+        assert not derived.is_free
+        assert derived == replace(analysis.analyze_group([r, s], 8), elements=())
 
     def test_each_prime_order_rotation_is_checked(self):
         # With E′ shift 1/4 at n = 3, r has order 12 and r^4 = r^{12/3}
@@ -598,10 +654,10 @@ class TestPresentationProof:
         r = torus.AffineAuto(r.perm, r.signs, shift, r.lattice)
         assert analysis.exists_fixed_point(_power(r, 4))
         assert not analysis.exists_fixed_point(_power(r, 6))
-        listed = analysis._prove_dihedral(r, s, 24)
-        assert len(listed.elements) == listed.group_size == 24
-        assert listed.rotation_order == 12
-        assert not listed.is_free
+        derived = analysis._prove_dihedral(r, s, 24)
+        assert derived.elements == ()
+        assert not derived.is_free
+        assert derived == replace(analysis.analyze_group([r, s], 24), elements=())
 
 
 @pytest.mark.parametrize(
@@ -621,6 +677,21 @@ def test_every_verifier_returns_one_certificate_type(verify):
     assert len(cert.steps) == 5
     assert cert.verified == cert.theorem_verified
     assert cert.ambient_dimension == cert.dimension == 2 * cert.n + 1
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_theorem(1, closure_cap=0),
+        lambda: verify_mutant("no-quotient", 1, closure_cap=0),
+        lambda: verify_mutant("zero-offsets", 1, closure_cap=-1),
+        lambda: verify_corollary(3, closure_cap=-5),
+    ],
+    ids=["theorem", "no-quotient", "zero-offsets", "corollary"],
+)
+def test_every_verifier_refuses_a_cap_below_one(verify):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        verify()
 
 
 # --- property-based coverage ------------------------------------------------
