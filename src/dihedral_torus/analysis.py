@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -89,13 +89,15 @@ class GroupElement:
     in a closure, (0,)*a + (1,)*b for the normal form r^a s^b.  word and
     label are that normal form (a, b) and its rendering when the group
     is D_k by its presentation (module docstring); a closure sets no
-    word, and `analyze_group` labels it by the path.
+    word, and `analyze_group` labels it by the path.  Only a closure
+    keeps `products`: the element times each generator, as its own element.
     """
 
     auto: AffineAuto
     path: tuple[int, ...]
     word: tuple[int, int] | None = None
     label: str | None = None
+    products: tuple[AffineAuto, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,9 +248,10 @@ def closure(
     """Breadth-first closure of the generated group, identity included.
 
     Deterministic: elements appear in BFS discovery order with the given
-    generator order, each remembered by its discovery word.  Every
-    generator has finite order in a group that closes under the cap, so
-    closing under composition alone already yields inverses.
+    generator order (shortlex in the discovery words), each with its word
+    and its products with the generators.  Every generator has finite
+    order in a group that closes under the cap, so closing under
+    composition alone already yields inverses.
     """
     autos = list(gens)
     if not autos:
@@ -256,18 +259,22 @@ def closure(
     if cap < 1:
         raise ValueError("cap must be at least 1")
     identity = AffineAuto.identity(autos[0].lattice)
-    found: dict[AffineAuto, tuple[int, ...]] = {identity: ()}
-    queue = [identity]
-    for current in queue:
-        path = found[current]
+    found = {identity: 0}  # position in discovery order
+    queue, paths, products = [identity], [()], []
+    for i, current in enumerate(queue):
+        row = []
         for gi, gen in enumerate(autos):
             nxt = compose(current, gen)
-            if nxt not in found:
-                if len(found) >= cap:
+            j = found.get(nxt)
+            if j is None:
+                if len(queue) >= cap:
                     raise ClosureCapExceeded(f"closure exceeds cap {cap}")
-                found[nxt] = path + (gi,)
+                j = found[nxt] = len(queue)
                 queue.append(nxt)
-    return [GroupElement(auto=a, path=p) for a, p in found.items()]
+                paths.append(paths[i] + (gi,))
+            row.append(queue[j])
+        products.append(tuple(row))
+    return [GroupElement(a, p, products=q) for a, p, q in zip(queue, paths, products)]
 
 
 def conjugacy_classes(
@@ -350,7 +357,7 @@ def _prove_dihedral(
     if reflections[0].order == 2:
         reflections.append(_report(compose(r, s), "r s"))
     if [rep.order for rep in reflections] != [2, 2]:
-        return _enumerate([r, s], None, closure_cap)
+        return _enumerate([r, s], closure_cap)
     if 2 * k > closure_cap:
         raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
     # (is_translation, has_fixed_point) of s and rs, and of r^d for d | k, r^k = 1.
@@ -385,44 +392,45 @@ def analyze_group(
     classes counted by the parity of k.  Any other generating set is
     closed breadth first, labeled by discovery words over r, s (two
     generators) or g1..gk, and counts no class.  Each element's
-    verdicts come from one cycle decomposition of its own map.
+    verdicts come from one cycle decomposition of its own map; those of
+    r, s and rs also decide the presentation, and rs is composed once.
     """
     if closure_cap < 1:
         raise ValueError("cap must be at least 1")
     autos = list(gens)
-    k = order(autos[0]) if len(autos) == 2 else None
-    if k is not None and (order(autos[1]) != 2 or order(compose(*autos)) != 2):
-        k = None
-    return _enumerate(autos, k, closure_cap)
-
-
-def _enumerate(
-    autos: list[AffineAuto], k: int | None, closure_cap: int
-) -> GroupAnalysis:
-    """analyze_group once the D_k presentation is decided: k, or None if it fails."""
-    if k is None:
-        names = ("r", "s") if len(autos) == 2 else tuple(
-            f"g{i + 1}" for i in range(len(autos))
-        )
-        elements = sorted(
-            (
-                replace(e, label=_path_label(e.path, names))
-                for e in closure(autos, cap=closure_cap)
-            ),
-            key=lambda e: (len(e.path), e.path),
-        )
-    elif 2 * k > closure_cap:
+    if len(autos) != 2:
+        return _enumerate(autos, closure_cap)
+    r, s = autos
+    rs = compose(r, s)
+    r_rep, s_rep, rs_rep = _report(r, "r"), _report(s, "s"), _report(rs, "r s")
+    if (s_rep.order, rs_rep.order) != (2, 2):
+        return _enumerate(autos, closure_cap)
+    k = r_rep.order
+    if 2 * k > closure_cap:
         raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
-    else:
-        r, s = autos
-        elements, rotation = [], AffineAuto.identity(r.lattice)
-        for a in range(k):
-            if a:
-                rotation = compose(rotation, r)
-            for b, auto in enumerate((rotation, compose(rotation, s))):
-                path = (0,) * a + (1,) * b
-                elements.append(GroupElement(auto, path, (a, b), _dihedral_label(a, b)))
-    return _analysis(elements, tuple(_report(e.auto, e.label) for e in elements), k)
+    # r^a s^b at index 2a + b: r^a = r^{a−1}·r and r^a s = r·r^{a−1}s.
+    identity = AffineAuto.identity(r.lattice)
+    maps, reports = [identity, s, r, rs], [_report(identity, ""), s_rep, r_rep, rs_rep]
+    for a in range(2, k):
+        maps += [compose(maps[-2], r), compose(r, maps[-1])]
+        reports += [_report(maps[-2 + b], _dihedral_label(a, b)) for b in (0, 1)]
+    elements = [
+        GroupElement(g, (0,) * (i // 2) + (1,) * (i % 2), divmod(i, 2), rep.word)
+        for i, (g, rep) in enumerate(zip(maps[: 2 * k], reports))
+    ]
+    return _analysis(elements, tuple(reports[: 2 * k]), k)
+
+
+def _enumerate(autos: list[AffineAuto], closure_cap: int) -> GroupAnalysis:
+    """analyze_group of generators that do not present a D_k: their closure."""
+    names = ("r", "s") if len(autos) == 2 else tuple(
+        f"g{i + 1}" for i in range(len(autos))
+    )
+    elements = [
+        replace(e, label=_path_label(e.path, names))
+        for e in closure(autos, cap=closure_cap)
+    ]
+    return _analysis(elements, tuple(_report(e.auto, e.label) for e in elements), None)
 
 
 def _analysis(

@@ -8,11 +8,16 @@ reported on standard output instead, keeping the written certificate
 bit-reproducible.  Theorem, mutant and corollary certificates share one
 body, whose five named steps render as step1..step5; only the command
 field tells them apart.
+
+`render_json` returns exactly `json.dumps(doc, indent=2) + "\n"` (pinned
+by tests), but json indents in pure Python: the writer nests containers
+itself, fills element rows from one template, and json.dumps the rest.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Any, Mapping, Sequence
 
 from .analysis import ElementReport
@@ -85,8 +90,36 @@ def range_document(
     }
 
 
+_ROW_KEYS = ("word", "order", "is_translation", "has_fixed_point")
+_ROW_TYPES = (str, int, bool, bool)
+
+
 def render_json(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return _render(doc, "") + "\n"
+
+
+def _render(value: Any, indent: str) -> str:
+    """json.dumps(value, indent=2), for a value written at this indent."""
+    inner = indent + "  "
+    if isinstance(value, dict) and tuple(value) == _ROW_KEYS:
+        word, order, translation, fixed = value.values()
+        if (type(word), type(order), type(translation), type(fixed)) == _ROW_TYPES:
+            return (
+                f'{{\n{inner}"word": {_quoted(word)},\n{inner}"order": {order},\n'
+                f'{inner}"is_translation": {"true" if translation else "false"},\n'
+                f'{inner}"has_fixed_point": {"true" if fixed else "false"}\n{indent}}}'
+            )
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        items = [f"{_quoted(key)}: {_render(v, inner)}" for key, v in value.items()]
+    elif isinstance(value, (list, tuple)) and value:
+        items = [_render(item, inner) for item in value]
+    else:
+        # Scalars, empty containers and dicts whose keys json converts; strings
+        # escape their newlines, so the only raw ones are the layout's own.
+        spaced = 2 if isinstance(value, dict) else None
+        return json.dumps(value, indent=spaced).replace("\n", "\n" + indent)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def write_json(path: str, doc: Mapping[str, Any]) -> None:

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis as analysis_module
-from dihedral_torus import dihedral
 from dihedral_torus.analysis import (
     ClosureCapExceeded,
     GroupElement,
@@ -191,6 +190,18 @@ class TestClosure:
         moved = [g.with_lattice(quotient_lattice(1)) for g in ambient_pair]
         assert len(closure(moved)) == 8
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_products_are_the_closures_own_elements(self, n):
+        gens = realified_action(n, ambient_lattice(n))
+        group = closure(gens)
+        own = {id(e.auto) for e in group}
+        for e in group:
+            assert e.products == tuple(compose(e.auto, g) for g in gens)
+            assert all(id(p) in own for p in e.products)
+        # Breadth-first discovery lists the words in shortlex order.
+        paths = [e.path for e in group]
+        assert paths == sorted(paths, key=lambda p: (len(p), p))
+
 
 class TestConjugacyClasses:
     def test_trivial_group(self, quotient_pair):
@@ -317,6 +328,30 @@ class TestAnalyzeGroup:
     def test_analysis_is_deterministic(self, quotient_pair):
         assert analyze_group(quotient_pair) == analyze_group(quotient_pair)
 
+    def test_generators_are_decided_and_composed_once(self, monkeypatch):
+        # The presentation check and the listing share r, s and rs: at
+        # n = 2 the 16 elements take 13 compositions (rs, then r^a and
+        # r^a s for a = 2..7) and 16 decompositions, one per element.
+        composed, decomposed = [], []
+        compose_, decompose = analysis_module.compose, analysis_module._signed_cycles
+
+        def composing(g, h):
+            composed.append((g, h))
+            return compose_(g, h)
+
+        def spy(auto):
+            decomposed.append(auto)
+            return decompose(auto)
+
+        monkeypatch.setattr(analysis_module, "compose", composing)
+        monkeypatch.setattr(analysis_module, "_signed_cycles", spy)
+        r, s = realified_action(2)
+        result = analyze_group([r, s])
+        assert result.group_size == 16
+        assert len(composed) == 13
+        assert len(decomposed) == 16
+        assert sorted(map(id, decomposed)) == sorted(id(e.auto) for e in result.elements)
+
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_is_refused_before_any_decision(
         self, cap, quotient_pair, ambient_pair, monkeypatch
@@ -346,11 +381,13 @@ def _dihedral_pairs():
 def _mutant_pair(name, n):
     """(r, s) of a mutant that keeps the D_{4n} presentation, on the quotient."""
     r, s = realified_action(n)
-    if name == "no-rotation-shift":
-        r = dihedral._realify_both(n, dihedral._without_translation(build_r(n)))[0]
-    else:
-        s = dihedral._realify_both(n, dihedral._without_translation(build_s(n)))[0]
-    return r, s
+    cmap = build_r(n) if name == "no-rotation-shift" else build_s(n)
+    bare = realify(
+        ComplexMonomialMap(cmap.perm, cmap.signs, TorsionPoint.zero(len(cmap.translation))),
+        TorusShape(n),
+        quotient_lattice(n),
+    )
+    return (bare, s) if name == "no-rotation-shift" else (r, bare)
 
 
 class TestFastPathsAgainstGenericCode:

@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dihedral_torus.certificate import (
     SCHEMA_VERSION,
@@ -14,6 +16,7 @@ from dihedral_torus.certificate import (
     write_json,
 )
 from dihedral_torus.dihedral import (
+    MUTANTS,
     verify_corollary,
     verify_mutant,
     verify_theorem,
@@ -171,3 +174,87 @@ def test_certificate_bytes_match_pinned_digest(kind, value):
     text = render_json(_pinned_document(kind, value))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == PINNED_DIGESTS[kind, value]
+
+
+# --- the writer against the standard encoder ---------------------------------
+
+_WORDS = st.text() | st.sampled_from(
+    ["", "r^3 s", "é", "ß r", "\u2028", "\ud800", '"', "\\", "\n\t", "\x7f", "😀 s"]
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | _WORDS
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_ROWS = st.fixed_dictionaries({
+    "word": _WORDS,
+    "order": st.integers(1, 10**30),
+    "is_translation": st.booleans(),
+    "has_fixed_point": st.booleans(),
+})
+# Row-shaped dicts whose values are not the usual types, or whose keys
+# come in another order or with one more.
+_ODD_ROWS = st.fixed_dictionaries({
+    "word": _WORDS | st.none() | st.integers(),
+    "order": st.integers(1, 64) | st.booleans() | st.floats() | st.none() | _WORDS,
+    "is_translation": st.booleans() | st.integers(0, 1) | st.none(),
+    "has_fixed_point": st.booleans() | st.integers(0, 1) | st.none(),
+}) | _ROWS.map(lambda row: dict(reversed(row.items()))) | _ROWS.map(
+    lambda row: {**row, "extra": None}
+)
+_KEYS = _WORDS | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
+
+
+_CERTS = st.sampled_from([1, 2]).map(verify_theorem) | st.builds(
+    verify_mutant, st.just("no-quotient"), st.just(1)
+)
+_RANGE_DOCUMENTS = st.builds(
+    range_document, st.lists(_CERTS, max_size=3), st.dictionaries(_WORDS, _SCALARS, max_size=3)
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS | _ROWS | _ODD_ROWS | _RANGE_DOCUMENTS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_WORDS, children, max_size=4)
+        | st.dictionaries(_KEYS, children, max_size=3)
+        | st.lists(st.booleans() | st.integers(), max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@given(_DOCUMENTS)
+@settings(deadline=None, max_examples=400)
+def test_render_json_is_the_standard_encoder(doc):
+    assert render_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+_ROW = {"word": "r s", "order": 2, "is_translation": False, "has_fixed_point": False}
+
+
+@given(st.lists(_ROWS | _ODD_ROWS, max_size=4))
+@settings(deadline=None, max_examples=300)
+@example([{**_ROW, key: value} for key, value in [
+    ("word", None), ("word", 5), ("order", True), ("order", 2.0), ("order", "2"),
+    ("is_translation", 0), ("is_translation", None), ("has_fixed_point", 1),
+]])
+def test_render_json_writes_rows_of_any_types_as_the_standard_encoder(rows):
+    doc = {"elements": rows}
+    assert render_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_render_json_is_the_standard_encoder_on_every_verifier_output():
+    docs = []
+    for n in range(1, 13):
+        docs.append(theorem_document(verify_theorem(n), _verify_params(n)))
+        docs += [
+            theorem_document(verify_mutant(name, n), _verify_params(n))
+            for name in sorted(MUTANTS)
+        ]
+    docs += [corollary_document(verify_corollary(k), {"k": k}) for k in range(1, 40)]
+    for top in range(1, 5):
+        certs = [verify_theorem(n) for n in range(1, top + 1)]
+        docs.append(range_document(certs, _verify_params(None, top)))
+    docs.append(theorem_document(verify_theorem(3, closure_cap=4), _verify_params(3)))
+    for doc in docs:
+        assert render_json(doc) == json.dumps(doc, indent=2) + "\n"

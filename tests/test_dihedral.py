@@ -135,9 +135,10 @@ class TestSharedConstructions:
         verify_theorem(n)
         # verify_theorem reads the cached generators and realifies nothing.
         assert len(realifications) == 4
-        # The quotient lattice, Z^m and the curve lattice Z^2, once each.
-        assert len(reductions) == 3
-        assert len(set(reductions)) == 3
+        # The quotient lattice and Z^m, once each; the offset fold reads
+        # integer numerators and builds no curve lattice Z^2.
+        assert len(reductions) == 2
+        assert len(set(reductions)) == 2
         assert quotient_lattice(n) is quotient_lattice(n)
         assert ambient_lattice(n) is EnlargedLattice.standard(4 * n + 2)
 
@@ -243,9 +244,9 @@ class TestVerifyTheorem:
         self, monkeypatch
     ):
         # Machine-independent work counts of the enumerating analysis for a
-        # group of 128 elements: each normal form r^a s^b is one
-        # composition from r^{a-1} or r^a, and each element's verdicts
-        # come from one cycle decomposition of its map.
+        # group of 128 elements: rs is composed once, each further normal
+        # form r^a s^b once from r^{a-1} or r^{a-1} s, and each element's
+        # verdicts come from one cycle decomposition of its map.
         n, size = 16, 128
         gens = realified_action(n)
         counts = {"compose": 0, "_signed_cycles": 0}
@@ -263,8 +264,8 @@ class TestVerifyTheorem:
         counting(dihedral, "compose")
         counting(analysis, "_signed_cycles")
         assert analysis.analyze_group(gens).rotation_order == 4 * n
-        assert size <= counts["compose"] <= size + 8
-        assert size <= counts["_signed_cycles"] <= size + 16
+        assert counts["compose"] == size - 3
+        assert counts["_signed_cycles"] == size
 
 
 class TestMutants:
@@ -717,3 +718,179 @@ def test_corollary_plan_invariants(k):
     assert four_n % k == 0
     assert plan.rotation_power * k == four_n
     assert plan.expected_dimension == 2 * plan.params.n + 1
+
+
+# --- integer certificate checks ---------------------------------------------
+
+
+def _signed_permutations(max_m=6):
+    return st.integers(2, max_m).flatmap(
+        lambda m: st.tuples(
+            st.permutations(range(m)), st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)
+        )
+    )
+
+
+_PARTS = st.sampled_from((F(0), H, F(1, 3), F(1, 4), F(3, 4), F(2, 3), F(1, 6), F(5, 2)))
+
+
+@st.composite
+def _maps_and_points(draw):
+    """A signed permutation M on a lattice that M preserves, and a point.
+
+    The lattice is Z^m enlarged by the M-orbit of a drawn vector, so M
+    maps it onto itself; the point is drawn, or replaced by the sum of
+    its M-orbit, which M fixes.
+    """
+    perm, signs = draw(_signed_permutations())
+    m = len(perm)
+
+    def move(v):
+        return tuple(s * v[src] for src, s in zip(perm, signs))
+
+    extras = []
+    if draw(st.booleans()):
+        g = tuple(draw(st.lists(_PARTS, min_size=m, max_size=m)))
+        while g not in extras:
+            extras.append(g)
+            g = move(g)
+    lattice = EnlargedLattice.from_extra_generators(m, extras)
+    shift = draw(st.lists(_PARTS, min_size=m, max_size=m))
+    g = torus.AffineAuto(perm, signs, shift, lattice)
+    p = tuple(draw(st.lists(_PARTS, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        orbit, q = [p], move(p)
+        while q != p:
+            orbit.append(q)
+            q = move(q)
+        p = tuple(sum(c) for c in zip(*orbit))
+    return g, p
+
+
+@given(_maps_and_points())
+@settings(deadline=None, max_examples=300)
+def test_integer_fixes_agrees_with_apply_and_reduce(case):
+    g, p = case
+    num, den = g.lattice.scaled(p)
+    expected = g.linear_part().apply(p) == g.lattice.reduce(p)
+    assert dihedral._fixes(g, num, den) == expected
+
+
+@st.composite
+def _offsets(draw):
+    """2n offsets that fold to (1/2, 0) modulo Z², then perhaps one changed."""
+    n = draw(st.integers(1, 4))
+    first = draw(st.lists(st.tuples(_PARTS, _PARTS), min_size=n, max_size=n))
+    lifts = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=n, max_size=n))
+    # b_{2n+1−i} = b_i − (1/2, 0) + a lattice vector, so both orders fold.
+    second = [(x - H + p, y + q) for (x, y), (p, q) in zip(first, lifts)]
+    pairs = first + second[::-1]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 2 * n - 1))
+        pairs[i] = draw(st.tuples(_PARTS, _PARTS))
+    return [torus.TorsionPoint.of(b) for b in pairs]
+
+
+@given(_offsets())
+@settings(deadline=None, max_examples=300)
+def test_integer_offset_fold_agrees_with_reduce(offsets):
+    curve = EnlargedLattice.standard(2)
+    expected = all(
+        curve.reduce(b - c).coords == (H, F(0))
+        for b, c in zip(offsets, reversed(offsets))
+    )
+    assert dihedral._offsets_fold(offsets) == expected
+
+
+def test_offset_fold_refuses_broken_offsets():
+    offsets = list(build_b(2))
+    assert dihedral._offsets_fold(offsets)
+    for broken in (
+        [torus.TorsionPoint.of((F(0), F(0)))] * 4,
+        offsets[:1] + [torus.TorsionPoint.of((F(1, 4), H))] + offsets[2:],
+        [offsets[1], offsets[0], offsets[2], offsets[3]],
+    ):
+        assert not dihedral._offsets_fold(broken)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_warm_verifiers_reduce_apply_and_realify_nothing(n, monkeypatch):
+    verifiers = [lambda: verify_theorem(n), lambda: verify_corollary(2 * n + 1)]
+    verifiers += [lambda name=name: verify_mutant(name, n) for name in MUTANTS]
+    for verify in verifiers:
+        verify()
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        EnlargedLattice, "reduce", counting("reduce", EnlargedLattice.reduce)
+    )
+    monkeypatch.setattr(
+        torus.AffineAuto, "apply", counting("apply", torus.AffineAuto.apply)
+    )
+    for module in (torus, dihedral):
+        monkeypatch.setattr(module, "realify", counting("realify", realify))
+    for verify in verifiers:
+        verify()
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mutants_are_the_linear_parts_of_the_realified_maps(n):
+    shape = TorusShape(n)
+    for build in (build_r, build_s):
+        cmap = build(n)
+        bare = torus.ComplexMonomialMap(
+            cmap.perm, cmap.signs, torus.TorsionPoint.zero(len(cmap.translation))
+        )
+        for lattice in (quotient_lattice(n), ambient_lattice(n)):
+            g = realify(cmap, shape, lattice)
+            assert g.linear_part() == realify(bare, shape, lattice)
+
+
+def test_facts_of_a_closure_compose_nothing(monkeypatch):
+    # The no-quotient mutant fails the presentation and is closed; its
+    # rows of r^j, s and rs are read along the closure's own products.
+    n, inside, composed = 3, [], []
+    facts, original = dihedral._facts, torus.compose
+
+    def watched(*args):
+        inside.append(True)
+        try:
+            return facts(*args)
+        finally:
+            inside.pop()
+
+    def composing(g, h):
+        if inside:
+            composed.append((g, h))
+        return original(g, h)
+
+    monkeypatch.setattr(dihedral, "_facts", watched)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("dihedral_torus")
+                and vars(module).get("compose") is original):
+            monkeypatch.setattr(module, "compose", composing)
+    cert = verify_mutant("no-quotient", n)
+    assert cert.group_order_actual == 16 * n
+    assert composed == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_facts_of_a_closure_are_the_rows_of_those_maps(n):
+    r, s = realified_action(n, ambient_lattice(n))
+    closed = analysis._prove_dihedral(r, s, 64 * n)
+    assert closed.rotation_order is None
+    forms = [(1, 0), (0, 1), (1, 1)] + [(j, b) for j in range(4 * n) for b in (0, 1)]
+    row = dict(zip((e.auto for e in closed.elements), closed.reports))
+    expected = [
+        row[torus.compose(_power(r, a), s) if b else _power(r, a)] for a, b in forms
+    ]
+    assert dihedral._facts(closed, *forms) == expected
