@@ -42,6 +42,26 @@ reflections form 2 − k mod 2 classes, led by s and rs; r^a shares the
 verdicts of r^{gcd(a, k)}, a generator of the same subgroup.  A power of
 g fixes every point g fixes, and is a translation or the identity when
 g is one, so r^d is free of both when some proper r^m with d | m is.
+
+The central extension of D_k by a translation is known the same way.
+If ord r = k, ord rs = 2, ord s = 4, z = s² is a translation that the
+linear part of r fixes modulo the lattice (so z is central), and k is
+odd or r^{k/2} ≠ z, then ⟨r, s⟩ has order 4k with distinct normal forms
+r^a s^b z^c (a < k, b, c < 2).  It is a quotient of
+⟨r, s | r^k, (rs)², s⁴, [r, s²]⟩, whose quotient by ⟨s²⟩ is D_k, so it
+has at most 4k elements.  z ∉ ⟨r⟩: r^j = z forces r^{2j} = 1 and
+j = k/2.  So ⟨r, z⟩ = ⟨r⟩ × ⟨z⟩ has order 2k, and s normalizes it, as
+s r s⁻¹ = r⁻¹z and s² = z.  s ∉ ⟨r, z⟩, since such an s would commute
+with r and make r² = z.  (Conjugating r^k = 1 by s gives z^k = 1, so k
+is even.)  Right multiplication sends (a, 0, c) to (a + 1, 0, c) by r
+and to (a, 1, c) by s, and (a, 1, c) to (a − 1, 1, c + 1) by r and to
+(a, 0, c + 1) by s.  r^a z^c shares the verdicts of r^{gcd(a, k)} z^c,
+a generator of the same cyclic subgroup, with order
+lcm(k/gcd(a, k), ord z^c); (r^a s z^c)² = z^{a+1}, so r^a s z^c has
+order 2 for odd a and 4 for even a.  Conjugation by r sends r^a s z^c
+to r^{a+2} s z^{c+1} and by s to r^{−a} s z^{c+a}, so r^a s z^c shares
+the verdicts of r^{a mod 2} s z^{(c − ⌊a/2⌋) mod 2}: of s, rs, sz or
+rsz.
 """
 
 from __future__ import annotations
@@ -114,8 +134,11 @@ class ElementReport:
 class GroupAnalysis:
     """The elements of a generated group together with per-element verdicts.
 
-    `elements` is empty when the verdicts are derived from the dihedral
-    presentation, free or not; reports then hold r^a s^b at index 2a + b.
+    `elements` is empty when the verdicts are derived from a presentation
+    (module docstring), free or not.  Reports then hold r^a s^b at index
+    2a + b for D_k, and, for its central extension (rotation_order None),
+    r^a s^b z^c in the closure's order, which `_extension_rows` lists.
+    `linear_order` is the order of the first generator's linear part.
     """
 
     elements: tuple[GroupElement, ...]
@@ -125,6 +148,7 @@ class GroupAnalysis:
     has_no_translations: bool
     rotation_order: int | None
     symmetry_class_count: int | None
+    linear_order: int
 
 
 def dihedral_caps(k: int, closure_cap: int | None = None) -> int:
@@ -166,8 +190,13 @@ def order(g: AffineAuto) -> int:
     return _order(g, _signed_cycles(g))
 
 
+def _linear_order(cycles) -> int:
+    """Order of the linear part: the lcm of the cycle lengths, open ones doubled."""
+    return lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed in cycles))
+
+
 def _order(auto: AffineAuto, cycles) -> int:
-    k = lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed in cycles))
+    k = _linear_order(cycles)
     total = [0] * len(auto.perm)
     for coords, potentials, closed in cycles:
         if closed:
@@ -231,9 +260,16 @@ def _has_fixed_point(auto: AffineAuto, cycles) -> bool:
     )
 
 
-def _report(auto: AffineAuto, word: str) -> ElementReport:
+def _fixes(g: AffineAuto, num: Sequence[int], den: int) -> bool:
+    """Whether the linear part of g fixes num/den modulo g's lattice: M·w − w ≡ 0."""
+    moved = [s * num[src] - x for src, s, x in zip(g.perm, g.signs, num)]
+    return not any(g.lattice.reduce_scaled(moved, den)[0])
+
+
+def _report(auto: AffineAuto, word: str, cycles=None) -> ElementReport:
     """Order, translation flag and fixed-point verdict from one decomposition."""
-    cycles = _signed_cycles(auto)
+    if cycles is None:
+        cycles = _signed_cycles(auto)
     return ElementReport(
         word=word,
         order=_order(auto, cycles),
@@ -340,44 +376,115 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in parts)
 
 
+@cache
+def _extension_rows(k: int) -> tuple[tuple[tuple[int, int, int], str], ...]:
+    """r^a s^b z^c of the central extension, as (a, b, c), in closure order.
+
+    A breadth-first search over the normal forms with the multiplication
+    rules of the module docstring, so the order and the discovery words
+    are `closure`'s; each form comes with the label of its word.
+    """
+    paths = {(0, 0, 0): ()}
+    queue = [(0, 0, 0)]
+    for a, b, c in queue:
+        path = paths[a, b, c]
+        by_r = ((a - 1) % k, 1, 1 - c) if b else ((a + 1) % k, 0, c)
+        by_s = (a, 0, 1 - c) if b else (a, 1, c)
+        for gi, form in enumerate((by_r, by_s)):
+            if form not in paths:
+                paths[form] = path + (gi,)
+                queue.append(form)
+    return tuple((form, _path_label(paths[form], ("r", "s"))) for form in queue)
+
+
+def _rotation_flags(r: AffineAuto, r_cycles, k: int, z: AffineAuto | None):
+    """(is_translation, has_fixed_point) of r^d z^c for d | k, keyed (d, c).
+
+    c runs over 0 and, with z, 1.  The largest d comes first, and r^d z^c
+    is decided only when no decided proper power (r^d z^c)^{m/d} =
+    r^m z^{cm/d} is free of both; r^d z has the cycles of r^d.
+    """
+    flags = {(k, 0): (False, True)}
+    if z is not None:
+        flags[k, 1] = (True, False)  # a translation other than the identity
+    for d in [d for d in range(k - 1, 0, -1) if k % d == 0]:
+        g = None
+        for c in range(1 if z is None else 2):
+            if any(
+                m % d == 0 and e == m // d * c % 2 and not any(f)
+                for (m, e), f in flags.items()
+            ):
+                flags[d, c] = (False, False)
+                continue
+            if g is None:
+                g = _power(r, d)
+                cycles = r_cycles if d == 1 else _signed_cycles(g)
+            h = compose(g, z) if c else g
+            flags[d, c] = (is_translation(h), _has_fixed_point(h, cycles))
+    return flags
+
+
 def _prove_dihedral(
     r: AffineAuto, s: AffineAuto, closure_cap: int
 ) -> GroupAnalysis:
     """The analysis of ⟨r, s⟩, derived from its presentation where it holds.
 
-    A pair with ord s = ord rs = 2 is D_k, k = ord r, and lists nothing:
-    its rows follow from s, rs and the r^d, d | k (module docstring), the
-    largest d first, each decided unless a decided r^m with d | m is free,
-    so a free action decides only the r^{k/p}, p | k prime.  Other pairs
-    are closed as in `analyze_group`.  ClosureCapExceeded past the cap.
+    r, s and rs are decomposed once each.  A pair with ord s = ord rs = 2
+    is D_k, k = ord r, and lists nothing: its rows follow from s, rs and
+    the r^d, d | k (module docstring), the largest d first, each decided
+    unless a decided r^m with d | m is free, so a free action decides only
+    the r^{k/p}, p | k prime.  A pair with ord s = 4 and ord rs = 2 whose
+    z = s² is a central translation outside ⟨r⟩ is the central extension
+    of D_k of order 4k: its rows, in `closure`'s order and with its
+    words, follow from s, rs, sz, rsz (with the cycles of s and rs) and
+    the r^d z^c.  Other pairs are closed as in `analyze_group`.
+    ClosureCapExceeded past the cap.
     """
-    r_cycles = _signed_cycles(r)
-    k = _order(r, r_cycles)
-    reflections = [_report(s, "s")]
-    if reflections[0].order == 2:
-        reflections.append(_report(compose(r, s), "r s"))
-    if [rep.order for rep in reflections] != [2, 2]:
+    r_cycles, s_cycles = _signed_cycles(r), _signed_cycles(s)
+    k, s_order = _order(r, r_cycles), _order(s, s_cycles)
+    if s_order not in (2, 4):
         return _enumerate([r, s], closure_cap)
-    if 2 * k > closure_cap:
+    rs = compose(r, s)
+    rs_cycles = _signed_cycles(rs)
+    if _order(rs, rs_cycles) != 2:
+        return _enumerate([r, s], closure_cap)
+    linear = _linear_order(r_cycles)
+    reflections = [(s, s_cycles), (rs, rs_cycles)]
+    z = None
+    if s_order == 4:
+        z = compose(s, s)
+        # r^{k/2} = z needs the linear part of r^{k/2} to be the identity.
+        outside = k % 2 or (k // 2) % linear or _power(r, k // 2) != z
+        central = z.is_linear_identity and _fixes(r, z.shift, z.denominator)
+        if not (central and outside):
+            return _enumerate([r, s], closure_cap)
+        reflections += [(compose(g, z), cycles) for g, cycles in reflections]
+    # Each reflection class leads k elements: 2k for D_k, 4k with z.
+    if k * len(reflections) > closure_cap:
         raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
-    # (is_translation, has_fixed_point) of s and rs, and of r^d for d | k, r^k = 1.
-    mirrors = [(rep.is_translation, rep.has_fixed_point) for rep in reflections]
-    flags = {k: (False, True)}
-    for d in [d for d in range(k - 1, 0, -1) if k % d == 0]:
-        if any(m % d == 0 and not any(f) for m, f in flags.items()):
-            flags[d] = (False, False)
-        else:
-            g = _power(r, d)
-            cycles = r_cycles if d == 1 else _signed_cycles(g)
-            flags[d] = (is_translation(g), _has_fixed_point(g, cycles))
-    # r^a s^b at index 2a + b, as analyze_group lists a dihedral group.
+    mirrors = [(is_translation(g), _has_fixed_point(g, c)) for g, c in reflections]
+    flags = _rotation_flags(r, r_cycles, k, z)
     reports = []
-    for a in range(k):
-        reports += [
-            ElementReport(_dihedral_label(a, 0), k // gcd(a, k), *flags[gcd(a, k)]),
-            ElementReport(_dihedral_label(a, 1), 2, *mirrors[a % (2 - k % 2)]),
-        ]
-    return _analysis((), tuple(reports), k)
+    if z is None:
+        # r^a s^b at index 2a + b, as analyze_group lists a dihedral group.
+        for a in range(k):
+            d = gcd(a, k)
+            reports += [
+                ElementReport(_dihedral_label(a, 0), k // d, *flags[d, 0]),
+                ElementReport(_dihedral_label(a, 1), 2, *mirrors[a % (2 - k % 2)]),
+            ]
+        return _analysis((), tuple(reports), k, linear)
+    # mirrors holds s, rs, sz, rsz: r^{b'} s z^{c'} at index b' + 2c'.
+    for (a, b, c), label in _extension_rows(k):
+        if b:
+            rep = ElementReport(
+                label, 4 - 2 * (a % 2), *mirrors[a % 2 + 2 * ((c - a // 2) % 2)]
+            )
+        else:
+            d = gcd(a, k)
+            rep = ElementReport(label, lcm(k // d, 1 + c), *flags[d, c])
+        reports.append(rep)
+    return _analysis((), tuple(reports), None, linear)
 
 
 def analyze_group(
@@ -402,7 +509,9 @@ def analyze_group(
         return _enumerate(autos, closure_cap)
     r, s = autos
     rs = compose(r, s)
-    r_rep, s_rep, rs_rep = _report(r, "r"), _report(s, "s"), _report(rs, "r s")
+    r_cycles = _signed_cycles(r)
+    r_rep = _report(r, "r", r_cycles)
+    s_rep, rs_rep = _report(s, "s"), _report(rs, "r s")
     if (s_rep.order, rs_rep.order) != (2, 2):
         return _enumerate(autos, closure_cap)
     k = r_rep.order
@@ -418,7 +527,7 @@ def analyze_group(
         GroupElement(g, (0,) * (i // 2) + (1,) * (i % 2), divmod(i, 2), rep.word)
         for i, (g, rep) in enumerate(zip(maps[: 2 * k], reports))
     ]
-    return _analysis(elements, tuple(reports[: 2 * k]), k)
+    return _analysis(elements, tuple(reports[: 2 * k]), k, _linear_order(r_cycles))
 
 
 def _enumerate(autos: list[AffineAuto], closure_cap: int) -> GroupAnalysis:
@@ -430,11 +539,19 @@ def _enumerate(autos: list[AffineAuto], closure_cap: int) -> GroupAnalysis:
         replace(e, label=_path_label(e.path, names))
         for e in closure(autos, cap=closure_cap)
     ]
-    return _analysis(elements, tuple(_report(e.auto, e.label) for e in elements), None)
+    return _analysis(
+        elements,
+        tuple(_report(e.auto, e.label) for e in elements),
+        None,
+        _linear_order(_signed_cycles(autos[0])),
+    )
 
 
 def _analysis(
-    elements: Sequence[GroupElement], reports: tuple[ElementReport, ...], k: int | None
+    elements: Sequence[GroupElement],
+    reports: tuple[ElementReport, ...],
+    k: int | None,
+    linear_order: int,
 ) -> GroupAnalysis:
     """The analysis of these reports, the identity's first, for D_k or no k."""
     return GroupAnalysis(
@@ -446,6 +563,7 @@ def _analysis(
         rotation_order=k,
         # The reflections r^a s fall into classes by a mod gcd(2, k).
         symmetry_class_count=None if k is None else 2 - k % 2,
+        linear_order=linear_order,
     )
 
 

@@ -11,7 +11,8 @@ field tells them apart.
 
 `render_json` returns exactly `json.dumps(doc, indent=2) + "\n"` (pinned
 by tests), but json indents in pure Python: the writer nests containers
-itself, fills element rows from one template, and json.dumps the rest.
+itself, fills element rows from one template, writes strings, exact ints,
+bools and None as json would, and json.dumps the rest.
 """
 
 from __future__ import annotations
@@ -100,6 +101,13 @@ def render_json(doc: Mapping[str, Any]) -> str:
 
 def _render(value: Any, indent: str) -> str:
     """json.dumps(value, indent=2), for a value written at this indent."""
+    kind = type(value)
+    if kind is str:
+        return _quoted(value)
+    if kind is int:
+        return str(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
     inner = indent + "  "
     if isinstance(value, dict) and tuple(value) == _ROW_KEYS:
         word, order, translation, fixed = value.values()
@@ -114,8 +122,8 @@ def _render(value: Any, indent: str) -> str:
     elif isinstance(value, (list, tuple)) and value:
         items = [_render(item, inner) for item in value]
     else:
-        # Scalars, empty containers and dicts whose keys json converts; strings
-        # escape their newlines, so the only raw ones are the layout's own.
+        # Other scalars, empty containers and dicts whose keys json converts;
+        # strings escape their newlines, so the only raw ones are the layout's own.
         spaced = 2 if isinstance(value, dict) else None
         return json.dumps(value, indent=spaced).replace("\n", "\n" + indent)
     brackets = "{}" if isinstance(value, dict) else "[]"

@@ -37,9 +37,10 @@ from .analysis import (
     ClosureCapExceeded,
     ElementReport,
     GroupAnalysis,
+    _extension_rows,
+    _fixes,
     _prove_dihedral,
     dihedral_caps,
-    order,
 )
 from .torus import (
     AffineAuto,
@@ -263,13 +264,19 @@ def _conclude(
 def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementReport]:
     """The verdicts the analysis of ⟨r, s⟩ holds for r^a s^b, given as (a, b).
 
-    A dihedral analysis holds them at index 2(a mod k) + b; a closure is
-    walked along the products with r and s that it found, composing nothing.
+    A dihedral analysis holds them at index 2(a mod k) + b, and a derived
+    central extension of order 4k at the place of (a mod k, b, 0) in
+    `_extension_rows(k)`; a closure is walked along the products with r
+    and s that it found, composing nothing.
     """
     k = analysis.rotation_order
     if k is not None:
         return [analysis.reports[2 * (a % k) + b] for a, b in forms]
     elements = analysis.elements
+    if not elements:
+        k = analysis.group_size // 4
+        index = {form: i for i, (form, _) in enumerate(_extension_rows(k))}
+        return [analysis.reports[index[a % k, b, 0]] for a, b in forms]
     index = {e.auto: i for i, e in enumerate(elements)}
     powers = [0]  # r^a at elements[powers[a]], from the identity on
     facts = []
@@ -279,12 +286,6 @@ def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementRepo
         i = index[elements[powers[a]].products[1]] if b else powers[a]
         facts.append(analysis.reports[i])
     return facts
-
-
-def _fixes(g: AffineAuto, num: Sequence[int], den: int) -> bool:
-    """Whether the linear part of g fixes num/den modulo g's lattice: M·w − w ≡ 0."""
-    moved = [s * num[src] - x for src, s, x in zip(g.perm, g.signs, num)]
-    return not any(g.lattice.reduce_scaled(moved, den)[0])
 
 
 def _offsets_fold(offsets: Sequence[TorsionPoint]) -> bool:
@@ -340,7 +341,7 @@ def _certify(
         _STEP_NAMES[0],
         [
             ("r has order 4n on the quotient", r_order == four_n),
-            ("the linear part of r has order 4n", order(r.linear_part()) == four_n),
+            ("the linear part of r has order 4n", analysis.linear_order == four_n),
             ("the linear part of r fixes w on the ambient torus",
              _fixes(r_ambient, w_num, w_den)),
             ("every power r^j shifts the E′ coordinate by exactly j/4n", shifts_ok),

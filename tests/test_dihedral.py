@@ -416,14 +416,14 @@ def closures(monkeypatch):
     return calls
 
 
-def _enumerated(monkeypatch, verify, *args):
+def _enumerated(monkeypatch, verify, *args, **kwargs):
     """The certificate the enumerating analysis alone gives."""
     with monkeypatch.context() as patch:
         patch.setattr(
             dihedral, "_prove_dihedral",
             lambda r, s, cap: analysis.analyze_group([r, s], cap),
         )
-        return verify(*args)
+        return verify(*args, **kwargs)
 
 
 class TestPresentationProof:
@@ -465,8 +465,87 @@ class TestPresentationProof:
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutants_enumerate_once(self, name, closures):
         assert not verify_mutant(name, 2).theorem_verified
-        # Only the no-quotient pair fails the presentation (ord s = 4).
-        assert len(closures) == (name == "no-quotient")
+        # Two mutants keep the D_{4n} presentation; the no-quotient pair
+        # (ord s = 4) is derived from its central-extension presentation.
+        assert closures == []
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_no_quotient_equals_the_enumeration(self, n, monkeypatch, closures):
+        enumerated = _enumerated(monkeypatch, verify_mutant, "no-quotient", n)
+        assert len(closures) == 1
+        cert = verify_mutant("no-quotient", n)
+        assert len(closures) == 1
+        assert not cert.theorem_verified
+        # Reports, steps and every other field.
+        assert cert == enumerated
+        params = {"n": n}
+        assert certificate.render_json(
+            certificate.theorem_document(cert, params)
+        ) == certificate.render_json(
+            certificate.theorem_document(enumerated, params)
+        )
+        r, s = realified_action(n, ambient_lattice(n))
+        derived = analysis._prove_dihedral(r, s, 16 * n)
+        assert derived.elements == ()
+        assert derived == replace(analysis.analyze_group([r, s]), elements=())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_quotient_cap_aborts_as_the_closure(self, n, monkeypatch, closures):
+        cap = 16 * n - 1
+        enumerated = _enumerated(
+            monkeypatch, verify_mutant, "no-quotient", n, closure_cap=cap
+        )
+        cert = verify_mutant("no-quotient", n, closure_cap=cap)
+        assert cert.failure_reason == f"closure exceeds cap {cap}"
+        assert cert == enumerated
+        assert verify_mutant("no-quotient", n, closure_cap=16 * n).reports
+        assert len(closures) == 1
+
+    @pytest.mark.parametrize("e_shift", [0, F(1, 4), F(1, 2), F(3, 4)])
+    def test_extension_rows_that_are_not_free(self, e_shift, closures):
+        # Upstairs at n = 1, with one offset of s kept and r's E′ shift
+        # redrawn, s, rs, sz and rsz do not all share their verdicts, so
+        # each row must read the class of its own reflection.
+        lattice = ambient_lattice(1)
+        r, s = realified_action(1, lattice)
+        r = torus.AffineAuto(r.perm, r.signs, (0, 0, 0, 0, e_shift, 0), lattice)
+        s = torus.AffineAuto(s.perm, s.signs, (0, 0, 0, H, 0, 0), lattice)
+        derived = analysis._prove_dihedral(r, s, 16)
+        assert closures == []
+        assert derived.elements == ()
+        assert not derived.is_free
+        listed = analysis.analyze_group([r, s], 16)
+        assert derived == replace(listed, elements=())
+        forms = analysis._extension_rows(derived.group_size // 4)
+        assert len({
+            (rep.order, rep.has_fixed_point)
+            for ((_, b, _), _), rep in zip(forms, derived.reports) if b
+        }) > 1
+
+    @pytest.mark.parametrize(
+        "r_perm, r_shift, inside, central",
+        [((0, 1), (0, F(1, 4)), True, True), ((1, 0), (0, F(3, 4)), False, False)],
+        ids=["z-in-r", "z-not-central"],
+    )
+    def test_extension_hypotheses_fail_to_the_closure(
+        self, r_perm, r_shift, inside, central, closures
+    ):
+        # s is the translation by (0, 1/4) on Z², so ord s = 4 and z = s²
+        # is the translation by (0, 1/2), and ord rs = 2 in both pairs.
+        # r = s makes z = r² ∈ ⟨r⟩ (a cyclic group of order 4), and a
+        # swapping r moves z to (1/2, 0), so z is not central.
+        lattice = EnlargedLattice.standard(2)
+        s = torus.AffineAuto((0, 1), (1, 1), (0, F(1, 4)), lattice)
+        r = torus.AffineAuto(r_perm, (1, 1), r_shift, lattice)
+        z = torus.compose(s, s)
+        assert (order(s), order(torus.compose(r, s))) == (4, 2)
+        assert z.is_linear_identity
+        assert (_power(r, order(r) // 2) == z) == inside
+        assert analysis._fixes(r, z.shift, z.denominator) == central
+        closed = analysis._prove_dihedral(r, s, 64)
+        assert len(closures) == 1
+        assert closed.elements
+        assert closed == analysis.analyze_group([r, s], 64)
 
     @pytest.mark.parametrize(
         "verify",
@@ -598,6 +677,40 @@ class TestPresentationProof:
         assert counts["_enumerate"] == 0
         assert 0 < counts["_signed_cycles"] <= 16
         assert 0 < counts["compose"] <= 48
+
+    def test_no_quotient_builds_no_closure(self, monkeypatch, closures):
+        # At n = 64 closing the 1,024 elements made 2,048 compositions and
+        # 1,026 cycle decompositions.  The derivation decomposes r, s, rs
+        # and r^{128}, and composes rs, z = s², sz, rsz, the 7 squarings
+        # of r^{128} and r^{128}·z, and _certify composes s² once more.
+        n = 64
+        realified_action(n)
+        realified_action(n, ambient_lattice(n))
+        counts = {"compose": 0, "_signed_cycles": 0, "_enumerate": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        original = torus.compose
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("dihedral_torus")
+                    and vars(module).get("compose") is original):
+                monkeypatch.setattr(
+                    module, "compose", counting("compose", original)
+                )
+        for private in ("_signed_cycles", "_enumerate"):
+            monkeypatch.setattr(
+                analysis, private, counting(private, getattr(analysis, private))
+            )
+        cert = verify_mutant("no-quotient", n)
+        assert cert.group_order_actual == 16 * n
+        assert not cert.has_no_translations
+        assert closures == []
+        assert counts == {"compose": 13, "_signed_cycles": 4, "_enumerate": 0}
 
     @pytest.mark.parametrize(
         "extras, e_shift, holds",
@@ -856,7 +969,7 @@ def test_mutants_are_the_linear_parts_of_the_realified_maps(n):
 
 
 def test_facts_of_a_closure_compose_nothing(monkeypatch):
-    # The no-quotient mutant fails the presentation and is closed; its
+    # With the analysis closed by _enumerate, the no-quotient mutant's
     # rows of r^j, s and rs are read along the closure's own products.
     n, inside, composed = 3, [], []
     facts, original = dihedral._facts, torus.compose
@@ -874,6 +987,9 @@ def test_facts_of_a_closure_compose_nothing(monkeypatch):
         return original(g, h)
 
     monkeypatch.setattr(dihedral, "_facts", watched)
+    monkeypatch.setattr(
+        dihedral, "_prove_dihedral", lambda r, s, cap: analysis._enumerate([r, s], cap)
+    )
     for module in list(sys.modules.values()):
         if (module.__name__.startswith("dihedral_torus")
                 and vars(module).get("compose") is original):
@@ -886,7 +1002,7 @@ def test_facts_of_a_closure_compose_nothing(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_facts_of_a_closure_are_the_rows_of_those_maps(n):
     r, s = realified_action(n, ambient_lattice(n))
-    closed = analysis._prove_dihedral(r, s, 64 * n)
+    closed = analysis._enumerate([r, s], 64 * n)
     assert closed.rotation_order is None
     forms = [(1, 0), (0, 1), (1, 1)] + [(j, b) for j in range(4 * n) for b in (0, 1)]
     row = dict(zip((e.auto for e in closed.elements), closed.reports))
@@ -894,3 +1010,7 @@ def test_facts_of_a_closure_are_the_rows_of_those_maps(n):
         row[torus.compose(_power(r, a), s) if b else _power(r, a)] for a, b in forms
     ]
     assert dihedral._facts(closed, *forms) == expected
+    # The derived central extension holds the same rows at its own places.
+    derived = analysis._prove_dihedral(r, s, 64 * n)
+    assert derived.elements == ()
+    assert dihedral._facts(derived, *forms) == expected
