@@ -75,7 +75,6 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .linalg import subgroup_membership
 from .torus import (
     AffineAuto,
     EnlargedLattice,
@@ -149,18 +148,6 @@ class GroupAnalysis:
     rotation_order: int | None
     symmetry_class_count: int | None
     linear_order: int
-
-
-def dihedral_caps(k: int, closure_cap: int | None = None) -> int:
-    """The closure cap for a dihedral group D_k of order 2k.
-
-    A cap left as None defaults to four times the group order: every
-    verifier derives its cap here, so it grows with the group it guards,
-    and a cap below 1 is refused here with the closure's ValueError.
-    """
-    if closure_cap is not None and closure_cap < 1:
-        raise ValueError("cap must be at least 1")
-    return 8 * k if closure_cap is None else closure_cap
 
 
 def _signed_cycles(auto: AffineAuto) -> list[tuple[list[int], list[int], bool]]:
@@ -253,11 +240,11 @@ def _has_fixed_point(auto: AffineAuto, cycles) -> bool:
             return False
     if not any(t_proj[j] % den for j in coupled):
         return True
-    units = [tuple(int(i == j) for i in coupled) for j in coupled]
-    return subgroup_membership(
-        [Fraction(t_proj[j], den) for j in coupled],
-        units + [[Fraction(e[j], d) for j in coupled] for e in extras],
+    projected = EnlargedLattice.from_extra_generators(
+        len(coupled), [[Fraction(e[j], d) for j in coupled] for e in extras]
     )
+    residue, _ = projected.reduce_scaled([t_proj[j] for j in coupled], den)
+    return not any(residue)
 
 
 def _fixes(g: AffineAuto, num: Sequence[int], den: int) -> bool:
@@ -424,9 +411,7 @@ def _rotation_flags(r: AffineAuto, r_cycles, k: int, z: AffineAuto | None):
     return flags
 
 
-def _prove_dihedral(
-    r: AffineAuto, s: AffineAuto, closure_cap: int
-) -> GroupAnalysis:
+def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     """The analysis of ⟨r, s⟩, derived from its presentation where it holds.
 
     r, s and rs are decomposed once each.  A pair with ord s = ord rs = 2
@@ -437,11 +422,12 @@ def _prove_dihedral(
     z = s² is a central translation outside ⟨r⟩ is the central extension
     of D_k of order 4k: its rows, in `closure`'s order and with its
     words, follow from s, rs, sz, rsz (with the cycles of s and rs) and
-    the r^d z^c.  Other pairs are closed as in `analyze_group`.
-    ClosureCapExceeded past the cap.
+    the r^d z^c.  Other pairs are closed as in `analyze_group`, under the
+    cap 8k, and raise ClosureCapExceeded past it.
     """
     r_cycles, s_cycles = _signed_cycles(r), _signed_cycles(s)
     k, s_order = _order(r, r_cycles), _order(s, s_cycles)
+    closure_cap = 8 * k  # the fallback's cap: twice the extension's order 4k
     if s_order not in (2, 4):
         return _enumerate([r, s], closure_cap)
     rs = compose(r, s)
@@ -459,9 +445,6 @@ def _prove_dihedral(
         if not (central and outside):
             return _enumerate([r, s], closure_cap)
         reflections += [(compose(g, z), cycles) for g, cycles in reflections]
-    # Each reflection class leads k elements: 2k for D_k, 4k with z.
-    if k * len(reflections) > closure_cap:
-        raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
     mirrors = [(is_translation(g), _has_fixed_point(g, c)) for g, c in reflections]
     flags = _rotation_flags(r, r_cycles, k, z)
     reports = []

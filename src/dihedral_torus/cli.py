@@ -65,13 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify every n from 1 to N and aggregate the results",
     )
     verify.add_argument(
-        "--closure-cap",
-        type=int,
-        dest="closure_cap",
-        metavar="C",
-        help="abort if the group closure exceeds C elements (default 32n)",
-    )
-    verify.add_argument(
         "--oracle",
         type=int,
         metavar="D",
@@ -142,8 +135,6 @@ def _print_certificate(cert: Certificate) -> None:
     free = "yes" if cert.is_free else "NO"
     transl = "none" if cert.has_no_translations else "PRESENT"
     print(f"  free action: {free}    translations: {transl}")
-    if cert.failure_reason:
-        print(f"  aborted: {cert.failure_reason}")
     verdict = "verified" if cert.theorem_verified else "FAILED"
     print(f"  certificate: {verdict}")
 
@@ -174,18 +165,17 @@ def cmd_verify(args) -> int:
         return _usage_error("--range must be a positive integer")
     if args.oracle is not None and args.oracle < 1:
         return _usage_error("--oracle denominator must be a positive integer")
-    if args.closure_cap is not None and args.closure_cap < 1:
-        return _usage_error("--closure-cap must be a positive integer")
 
+    # Schema 1 keeps the closure_cap key, always null: no verifier takes a cap.
     params = {
         "n": args.n,
         "range": args.range_max,
-        "closure_cap": args.closure_cap,
+        "closure_cap": None,
         "oracle": args.oracle,
     }
     start = time.perf_counter()
     ns = [args.n] if args.n is not None else list(range(1, args.range_max + 1))
-    certs = [verify_theorem(n, closure_cap=args.closure_cap) for n in ns]
+    certs = [verify_theorem(n) for n in ns]
     ok = all(c.theorem_verified for c in certs)
 
     for cert in certs:
@@ -193,9 +183,6 @@ def cmd_verify(args) -> int:
 
     if args.oracle is not None:
         for cert in certs:
-            if cert.failure_reason is not None:
-                print(f"  oracle (D={args.oracle}): not run: {cert.failure_reason}")
-                continue
             mismatches = _oracle_sweep(cert, args.oracle)
             if mismatches:
                 ok = False

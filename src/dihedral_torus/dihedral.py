@@ -34,13 +34,11 @@ from functools import cache
 from math import lcm
 
 from .analysis import (
-    ClosureCapExceeded,
     ElementReport,
     GroupAnalysis,
     _extension_rows,
     _fixes,
     _prove_dihedral,
-    dihedral_caps,
 )
 from .torus import (
     AffineAuto,
@@ -182,7 +180,6 @@ class Certificate:
     has_no_translations: bool
     theorem_verified: bool
     reports: tuple[ElementReport, ...]
-    failure_reason: str | None = None
     k: int | None = None
 
     @property
@@ -209,28 +206,6 @@ _COROLLARY_STEP_NAMES = (
     "no translations",
     "free action",
 )
-
-
-def _aborted(
-    n: int, expected: int, names: tuple[str, ...], reason: str, k: int | None = None
-) -> Certificate:
-    """A failed certificate whose steps were cut short by the closure cap."""
-    return Certificate(
-        n=n,
-        dimension=2 * n + 1,
-        group_order_expected=expected,
-        group_order_actual=0,
-        steps=tuple(
-            StepResult(name, False, ((f"not evaluated: {reason}", False),))
-            for name in names
-        ),
-        is_free=False,
-        has_no_translations=False,
-        theorem_verified=False,
-        reports=(),
-        failure_reason=reason,
-        k=k,
-    )
 
 
 def _conclude(
@@ -304,19 +279,14 @@ def _certify(
     s: AffineAuto,
     r_ambient: AffineAuto,
     s_ambient: AffineAuto,
-    closure_cap: int | None,
 ) -> Certificate:
     """Certify the action of (r, s), also given on the ambient lattice Z^m."""
     shape = TorusShape(n)
     four_n = 4 * n
-    closure_cap = dihedral_caps(four_n, closure_cap)
     ambient = ambient_lattice(n)
     w_num, w_den = ambient.scaled(build_w(n))
 
-    try:
-        analysis = _prove_dihedral(r, s, closure_cap)
-    except ClosureCapExceeded as exc:
-        return _aborted(n, 8 * n, _STEP_NAMES, str(exc))
+    analysis = _prove_dihedral(r, s)
     r_facts, s_facts, rs_facts, *power_facts = _facts(
         analysis, (1, 0), (0, 1), (1, 1),
         *((j, 0) for j in range(1, four_n)),
@@ -408,16 +378,11 @@ def _certify(
     return _conclude(n, 8 * n, (step1, step2, step3, step4, step5), analysis)
 
 
-def verify_theorem(n: int, closure_cap: int | None = None) -> Certificate:
+def verify_theorem(n: int) -> Certificate:
     """Build the order-8n action for this n and machine-check all five steps."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return _certify(
-        n,
-        *realified_action(n),
-        *realified_action(n, ambient_lattice(n)),
-        closure_cap,
-    )
+    return _certify(n, *realified_action(n), *realified_action(n, ambient_lattice(n)))
 
 
 MUTANTS = {
@@ -427,9 +392,7 @@ MUTANTS = {
 }
 
 
-def verify_mutant(
-    name: str, n: int, closure_cap: int | None = None
-) -> Certificate:
+def verify_mutant(name: str, n: int) -> Certificate:
     """Run the verifier against a deliberately broken construction.
 
     These negative controls prove the certificate can fail: each mutant
@@ -449,7 +412,7 @@ def verify_mutant(
         s, s_ambient = s.linear_part(), s_ambient.linear_part()
     elif name == "no-quotient":
         r, s = r_ambient, s_ambient
-    return _certify(n, r, s, r_ambient, s_ambient, closure_cap)
+    return _certify(n, r, s, r_ambient, s_ambient)
 
 
 @dataclass(frozen=True)
@@ -481,18 +444,13 @@ def build_corollary(k: int) -> CorollaryPlan:
     )
 
 
-def verify_corollary(k: int, closure_cap: int | None = None) -> Certificate:
+def verify_corollary(k: int) -> Certificate:
     """Verify the embedded D_k action directly (not just by inheritance)."""
     plan = build_corollary(k)
     n = plan.params.n
-    closure_cap = dihedral_caps(k, closure_cap)
     # r^{4n/k} of the family's cached r; the reflection is its s itself.
     r, refl = realified_action(n)
-    rot = _power(r, plan.rotation_power)
-    try:
-        analysis = _prove_dihedral(rot, refl, closure_cap)
-    except ClosureCapExceeded as exc:
-        return _aborted(n, plan.expected_order, _COROLLARY_STEP_NAMES, str(exc), k)
+    analysis = _prove_dihedral(_power(r, plan.rotation_power), refl)
     rot_facts, refl_facts, product_facts = _facts(analysis, (1, 0), (0, 1), (1, 1))
     step_checks = (
         [("r^{4n/k} has order k on the quotient", rot_facts.order == k)],

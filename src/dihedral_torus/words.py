@@ -55,7 +55,13 @@ def parse_word(text: str) -> GroupWord:
         if parsed is None:
             raise WordParseError(f"invalid term {term!r}", match.start())
         gen, exp = parsed.groups()
-        tokens.append((gen, 1 if exp is None else int(exp)))
+        try:
+            power = 1 if exp is None else int(exp)
+        except ValueError:  # more digits than int() converts
+            raise WordParseError(
+                f"exponent of {gen} has too many digits", match.start()
+            ) from None
+        tokens.append((gen, power))
     return GroupWord(tuple(tokens))
 
 

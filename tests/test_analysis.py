@@ -674,9 +674,9 @@ def perturbed_family_pairs(draw):
 @settings(deadline=None, max_examples=100)
 def test_derived_rows_equal_the_listing(case):
     # Free or not, a pair that keeps the presentation derives every row;
-    # a pair that fails it is closed, or refused past the cap, exactly as
-    # analyze_group closes or refuses it.
-    n, pair = case
+    # a pair that fails it is closed, or refused past the cap 8·ord r,
+    # exactly as analyze_group closes or refuses it under that cap.
+    _, pair = case
 
     def outcome(analyze, *args):
         try:
@@ -684,12 +684,29 @@ def test_derived_rows_equal_the_listing(case):
         except ClosureCapExceeded as exc:
             return str(exc)
 
-    derived = outcome(analysis_module._prove_dihedral, *pair, 64 * n)
-    listed = outcome(analyze_group, pair, 64 * n)
+    derived = outcome(analysis_module._prove_dihedral, *pair)
+    listed = outcome(analyze_group, pair, 8 * order(pair[0]))
     if isinstance(derived, str) or derived.elements:
         assert derived == listed
     else:
         assert derived == replace(listed, elements=())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fallback_closes_under_eight_times_the_rotation_order(n):
+    # With the identity as r the fallback's cap is 8; the family's r of
+    # order 4n as s fits neither presentation, so ⟨1, s⟩ is closed: at
+    # n = 2 its 8 elements fit the cap, at n = 3 its 12 exceed it.
+    rotation, _ = realified_action(n)
+    identity = _power(rotation, 4 * n)
+    assert (order(identity), order(rotation)) == (1, 4 * n)
+    if 4 * n <= 8:
+        derived = analysis_module._prove_dihedral(identity, rotation)
+        assert derived.group_size == len(derived.elements) == 4 * n
+        assert derived == analyze_group([identity, rotation], 8)
+    else:
+        with pytest.raises(ClosureCapExceeded, match="closure exceeds cap 8$"):
+            analysis_module._prove_dihedral(identity, rotation)
 
 
 @given(quotient_monomial_autos(), st.sampled_from((1, 2, 3, 4)))

@@ -72,11 +72,14 @@ class TestTheoremDocument:
         assert identity["has_fixed_point"] is True
 
     def test_failed_run_serializes_false(self):
-        aborted = verify_theorem(1, closure_cap=4)
-        doc = theorem_document(aborted, PARAMS)
+        failed = verify_mutant("zero-offsets", 1)
+        doc = theorem_document(failed, PARAMS)
         assert doc["theorem_verified"] is False
-        assert not any(doc["steps"].values())
-        assert doc["elements"] == []
+        assert doc["steps"] == {
+            f"step{i}": step.passed for i, step in enumerate(failed.steps, 1)
+        }
+        assert False in doc["steps"].values()
+        assert any(entry["has_fixed_point"] for entry in doc["elements"][1:])
 
 
 class TestRangeDocument:
@@ -97,7 +100,7 @@ class TestRangeDocument:
             assert run["group_order"] == 8 * run["n"]
 
     def test_one_failure_fails_the_aggregate(self):
-        certs = [verify_theorem(1), verify_theorem(1, closure_cap=4)]
+        certs = [verify_theorem(1), verify_mutant("zero-offsets", 1)]
         doc = range_document(certs, {})
         assert doc["theorem_verified"] is False
         assert doc["runs"][0]["theorem_verified"] is True
@@ -255,6 +258,7 @@ def test_render_json_is_the_standard_encoder_on_every_verifier_output():
     for top in range(1, 5):
         certs = [verify_theorem(n) for n in range(1, top + 1)]
         docs.append(range_document(certs, _verify_params(None, top)))
-    docs.append(theorem_document(verify_theorem(3, closure_cap=4), _verify_params(3)))
+    failing = [verify_theorem(1), verify_mutant("zero-offsets", 1)]
+    docs.append(range_document(failing, _verify_params(None, 1)))
     for doc in docs:
         assert render_json(doc) == json.dumps(doc, indent=2) + "\n"

@@ -1,21 +1,25 @@
 """Tests for the command-line interface: exit codes, output, JSON files."""
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus import analysis
+from dihedral_torus import analysis, cli
 from dihedral_torus.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION_FAILED,
+    build_parser,
     main,
 )
 
@@ -47,15 +51,9 @@ class TestVerifyCommand:
         assert main(["verify", "--range", "0"]) == EXIT_USAGE
         assert main(["verify", "--n", "1", "--oracle", "0"]) == EXIT_USAGE
         capsys.readouterr()
-        assert main(["verify", "--n", "1", "--closure-cap", "0"]) == EXIT_USAGE
-        assert "--closure-cap" in capsys.readouterr().err
-
-    def test_closure_cap_failure_skips_the_oracle(self, capsys):
-        assert main(
-            ["verify", "--n", "1", "--closure-cap", "4", "--oracle", "2"]
-        ) == EXIT_VERIFICATION_FAILED
-        out = capsys.readouterr().out
-        assert "oracle (D=2): not run: closure exceeds cap 4" in out
+        # The verifiers take no closure cap, so neither does the command.
+        assert main(["verify", "--n", "1", "--closure-cap", "4"]) == EXIT_USAGE
+        assert "unrecognized arguments: --closure-cap" in capsys.readouterr().err
 
     def test_oracle_reads_the_certificate(self, capsys, monkeypatch):
         # Every closure goes through analysis.closure.
@@ -89,13 +87,17 @@ class TestVerifyCommand:
         assert "confirmed for all 24 elements of n=3" in out
         assert calls == []
 
-    def test_closure_cap_failure_sets_exit_code(self, capsys):
+    def test_oracle_disagreement_sets_exit_code(self, capsys, monkeypatch):
+        # An oracle that finds a fixed point everywhere contradicts every
+        # nonidentity row of a free action, and fails the run.
+        monkeypatch.setattr(cli, "_has_torsion_fixed_point", lambda g, d: True)
         assert main(
-            ["verify", "--n", "1", "--closure-cap", "4"]
+            ["verify", "--n", "1", "--oracle", "2"]
         ) == EXIT_VERIFICATION_FAILED
         out = capsys.readouterr().out
-        assert "aborted: closure exceeds cap 4" in out
-        assert "certificate: FAILED" in out
+        assert "certificate: verified" in out
+        assert "oracle (D=2): DISAGREES on 's', 'r', 'r s', " in out
+        assert "''" not in out
 
     def test_oracle_confirmation(self, capsys):
         assert main(["verify", "--n", "1", "--oracle", "2"]) == EXIT_OK
@@ -187,6 +189,13 @@ class TestElementCommand:
         assert "invalid term" in err
         assert "at position 2" in err
 
+    def test_overlong_exponent_is_a_parse_error(self, capsys):
+        word = "s r^" + "7" * 5000
+        assert main(["element", "--n", "1", "--word", word]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: exponent of r has too many digits (at position 2)\n"
+        )
+
     def test_rejects_bad_values(self, capsys):
         assert main(["element", "--n", "0", "--word", "r"]) == EXIT_USAGE
         assert main(
@@ -233,6 +242,27 @@ def test_oracle_refusal_exits_3_without_traceback(args):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--n", "1"],
+        ["corollary", "--k", "3"],
+        ["element", "--n", "1", "--word", "r"],
+    ],
+    ids=["verify", "corollary", "element"],
+)
+def test_closure_cap_is_unrecognized_without_traceback(args):
+    # No verifier takes a closure cap, so no subcommand does.
+    result = subprocess.run(
+        [sys.executable, "-m", "dihedral_torus", *args, "--closure-cap", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == EXIT_USAGE
+    assert "unrecognized arguments: --closure-cap 4" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_oracle_runs_past_n_13(capsys):
     # The int64 bound charges only sheared basis rows, so large n fit.
     assert main(["verify", "--n", "14", "--oracle", "1"]) == EXIT_OK
@@ -252,6 +282,34 @@ class TestArgumentParsing:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "verify" in capsys.readouterr().out
+
+
+def _parser_options():
+    """Every --option of every subcommand, --help aside."""
+    (subcommands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        flag
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+
+
+def _readme_flags():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return set(re.findall(r"--[a-z][a-z-]*", readme.read_text(encoding="utf-8")))
+
+
+def test_readme_flags_are_parser_options():
+    assert _readme_flags() - _parser_options() == set()
+
+
+def test_parser_options_are_in_the_readme():
+    assert _parser_options() - _readme_flags() == set()
 
 
 @pytest.mark.parametrize("args", [["verify", "--n", "1"], ["corollary", "--k", "2"]])
@@ -283,13 +341,12 @@ _FLAG_VALUES = {
     "--n": st.integers(-1, 4).map(str),
     "--range": st.integers(-1, 4).map(str),
     "--oracle": st.integers(-1, 4).map(str),
-    "--closure-cap": st.integers(-1, 20).map(str),
     "--k": st.integers(-1, 15).map(str),
     "--word": st.text(alphabet="rs^-012 x", max_size=12),
     "--json": st.sampled_from(_JSON_NAMES),
 }
 _COMMAND_FLAGS = {
-    "verify": ["--n", "--range", "--oracle", "--closure-cap", "--json"],
+    "verify": ["--n", "--range", "--oracle", "--json"],
     "corollary": ["--k", "--json"],
     "element": ["--n", "--word", "--oracle"],
     "bogus": [],

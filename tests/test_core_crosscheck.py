@@ -119,6 +119,22 @@ def test_order_and_fixed_points_match_dense_decisions(case):
         assert exists_fixed_point(g) == dense_fixed_point(g)
 
 
+# L = Z^6 + Z·e_2/2 + Z·e_3/2 is kept by the swap of coordinates 2 and 3,
+# whose closed cycle has kernel vector e_2 + e_3.  Both extras project
+# onto it as 1/2, so t, reduced into [0, 1/2) there, is decided by the
+# fixed-point decision's coupled case: t_2 + t_3 ∈ Z + Z·(1/2), both ways.
+HALVES = EnlargedLattice.from_extra_generators(
+    M, [(0, 0, Fraction(1, 2), 0, 0, 0), (0, 0, 0, Fraction(1, 2), 0, 0)]
+)
+
+
+@pytest.mark.parametrize("t3, fixed", [(Fraction(1, 4), True), (0, False)])
+def test_coupled_fixed_point_matches_the_dense_decision(t3, fixed):
+    t = (0, 0, Fraction(1, 4), t3, 0, 0)
+    g = AffineAuto((0, 1, 3, 2, 4, 5), (1,) * M, t, HALVES)
+    assert exists_fixed_point(g) == dense_fixed_point(g) == fixed
+
+
 # L = Z^6 + Z·(1/6, 1/6, 0, 0, 0, 0) has denominator d = 6.  g^k is the
 # translation by T = (1/12, y, 0, ...), whose denominator modulo L is 12,
 # so base = 12/gcd(12, 6) = 2; 2T = (1/6, 2y) lies in L after e steps.

@@ -1,5 +1,6 @@
 """Tests for the action builders, the five-step verifier, and the embeddings."""
 
+import inspect
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -193,7 +194,6 @@ class TestVerifyTheorem:
         cert = verify_theorem(n)
         assert isinstance(cert, Certificate)
         assert cert.theorem_verified
-        assert cert.failure_reason is None
         assert cert.dimension == 2 * n + 1
         assert cert.group_order_expected == 8 * n
         assert cert.group_order_actual == 8 * n
@@ -229,16 +229,6 @@ class TestVerifyTheorem:
     def test_validates_n(self):
         with pytest.raises(ValueError):
             verify_theorem(0)
-
-    def test_closure_cap_aborts_with_reason(self):
-        cert = verify_theorem(1, closure_cap=4)
-        assert not cert.theorem_verified
-        assert "cap" in cert.failure_reason
-        assert cert.group_order_actual == 0
-        assert cert.reports == ()
-        for step in cert.steps:
-            assert not step.passed
-            assert step.checks[0][0].startswith("not evaluated")
 
     def test_each_element_is_composed_once_and_decomposed_once(
         self, monkeypatch
@@ -361,7 +351,6 @@ class TestCorollary:
     def test_embedded_actions_verify(self, k):
         cert = verify_corollary(k)
         assert cert.verified
-        assert cert.failure_reason is None
         assert cert.group_order_actual == 2 * k
         assert all(step.passed for step in cert.steps)
         assert cert.has_no_translations
@@ -378,29 +367,12 @@ class TestCorollary:
         assert cert.group_order_actual == 2
         assert sorted(rep.word for rep in cert.reports) == ["", "s"]
 
-    def test_cap_abort(self):
-        cert = verify_corollary(3, closure_cap=2)
-        assert not cert.verified
-        assert cert.failure_reason is not None
-        assert cert.group_order_actual == 0
-
-    def test_cap_abort_leaves_five_named_steps_unevaluated(self):
-        cert = verify_corollary(3, closure_cap=2)
-        assert cert.k == 3
-        assert cert.reports == ()
-        names = [step.name for step in cert.steps]
-        assert len(set(names)) == 5
-        assert all(names)
-        for step in cert.steps:
-            assert not step.passed
-            assert step.checks == ((f"not evaluated: {cert.failure_reason}", False),)
-
     def test_step_names_are_distinct(self):
         cert = verify_corollary(5)
         names = [step.name for step in cert.steps]
         assert len(set(names)) == 5
         assert all(names)
-        assert names == [step.name for step in verify_corollary(3, closure_cap=2).steps]
+        assert names == [step.name for step in verify_corollary(3).steps]
 
 
 @pytest.fixture
@@ -421,7 +393,7 @@ def _enumerated(monkeypatch, verify, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(
             dihedral, "_prove_dihedral",
-            lambda r, s, cap: analysis.analyze_group([r, s], cap),
+            lambda r, s: analysis.analyze_group([r, s]),
         )
         return verify(*args, **kwargs)
 
@@ -443,7 +415,7 @@ class TestPresentationProof:
             certificate.theorem_document(enumerated, params)
         )
         r, s = realified_action(n)
-        proved = analysis._prove_dihedral(r, s, 8 * n)
+        proved = analysis._prove_dihedral(r, s)
         assert proved == replace(analysis.analyze_group([r, s]), elements=())
 
     @pytest.mark.parametrize("k", range(1, 32))
@@ -485,21 +457,9 @@ class TestPresentationProof:
             certificate.theorem_document(enumerated, params)
         )
         r, s = realified_action(n, ambient_lattice(n))
-        derived = analysis._prove_dihedral(r, s, 16 * n)
+        derived = analysis._prove_dihedral(r, s)
         assert derived.elements == ()
         assert derived == replace(analysis.analyze_group([r, s]), elements=())
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_no_quotient_cap_aborts_as_the_closure(self, n, monkeypatch, closures):
-        cap = 16 * n - 1
-        enumerated = _enumerated(
-            monkeypatch, verify_mutant, "no-quotient", n, closure_cap=cap
-        )
-        cert = verify_mutant("no-quotient", n, closure_cap=cap)
-        assert cert.failure_reason == f"closure exceeds cap {cap}"
-        assert cert == enumerated
-        assert verify_mutant("no-quotient", n, closure_cap=16 * n).reports
-        assert len(closures) == 1
 
     @pytest.mark.parametrize("e_shift", [0, F(1, 4), F(1, 2), F(3, 4)])
     def test_extension_rows_that_are_not_free(self, e_shift, closures):
@@ -510,7 +470,7 @@ class TestPresentationProof:
         r, s = realified_action(1, lattice)
         r = torus.AffineAuto(r.perm, r.signs, (0, 0, 0, 0, e_shift, 0), lattice)
         s = torus.AffineAuto(s.perm, s.signs, (0, 0, 0, H, 0, 0), lattice)
-        derived = analysis._prove_dihedral(r, s, 16)
+        derived = analysis._prove_dihedral(r, s)
         assert closures == []
         assert derived.elements == ()
         assert not derived.is_free
@@ -542,7 +502,7 @@ class TestPresentationProof:
         assert z.is_linear_identity
         assert (_power(r, order(r) // 2) == z) == inside
         assert analysis._fixes(r, z.shift, z.denominator) == central
-        closed = analysis._prove_dihedral(r, s, 64)
+        closed = analysis._prove_dihedral(r, s)
         assert len(closures) == 1
         assert closed.elements
         assert closed == analysis.analyze_group([r, s], 64)
@@ -564,9 +524,9 @@ class TestPresentationProof:
         prove, decompose = analysis._prove_dihedral, analysis._signed_cycles
         original = torus.compose
 
-        def capture(r, s, cap):
+        def capture(r, s):
             pairs.append((r, s))
-            return prove(r, s, cap)
+            return prove(r, s)
 
         def spy(auto):
             decomposed.append(auto)
@@ -596,7 +556,7 @@ class TestPresentationProof:
         # D_1 and D_2 are decided by the prime-order checks, like every D_k.
         plan = build_corollary(k)
         r, s = realified_action(plan.params.n)
-        proved = analysis._prove_dihedral(_power(r, plan.rotation_power), s, 2 * k)
+        proved = analysis._prove_dihedral(_power(r, plan.rotation_power), s)
         assert proved.elements == ()
         assert (proved.group_size, proved.rotation_order) == (2 * k, k)
         assert proved.is_free and proved.has_no_translations
@@ -632,14 +592,6 @@ class TestPresentationProof:
         assert verify_theorem(n).theorem_verified
         assert 0 < counts["compose"] <= 32
         assert 0 < counts["_signed_cycles"] <= 16
-
-    def test_closure_cap_aborts_without_a_closure(self, closures):
-        cert = verify_theorem(64, closure_cap=511)
-        assert cert.failure_reason == "closure exceeds cap 511"
-        assert not cert.theorem_verified
-        assert cert.reports == ()
-        assert closures == []
-        assert verify_theorem(64, closure_cap=512).theorem_verified
 
     @pytest.mark.parametrize("name", ["zero-offsets", "no-rotation-shift"])
     def test_mutants_that_keep_the_presentation_list_nothing(
@@ -731,9 +683,7 @@ class TestPresentationProof:
         lattice = EnlargedLattice.from_extra_generators(6, extras)
         r, s = realified_action(1, lattice)
         r = torus.AffineAuto(r.perm, r.signs, (0, 0, e_shift, 0, F(1, 4), 0), lattice)
-        cert = dihedral._certify(
-            1, r, s, *realified_action(1, ambient_lattice(1)), None
-        )
+        cert = dihedral._certify(1, r, s, *realified_action(1, ambient_lattice(1)))
         checks = dict(cert.steps[0].checks)
         powers = [_power(r, j) for j in range(1, 4)]
         assert all(
@@ -754,7 +704,7 @@ class TestPresentationProof:
         assert analysis.exists_fixed_point(s) != analysis.exists_fixed_point(
             torus.compose(r, s)
         )
-        derived = analysis._prove_dihedral(r, s, 8)
+        derived = analysis._prove_dihedral(r, s)
         assert derived.elements == ()
         assert not derived.is_free
         assert derived == replace(analysis.analyze_group([r, s], 8), elements=())
@@ -768,7 +718,7 @@ class TestPresentationProof:
         r = torus.AffineAuto(r.perm, r.signs, shift, r.lattice)
         assert analysis.exists_fixed_point(_power(r, 4))
         assert not analysis.exists_fixed_point(_power(r, 6))
-        derived = analysis._prove_dihedral(r, s, 24)
+        derived = analysis._prove_dihedral(r, s)
         assert derived.elements == ()
         assert not derived.is_free
         assert derived == replace(analysis.analyze_group([r, s], 24), elements=())
@@ -778,12 +728,12 @@ class TestPresentationProof:
     "verify",
     [
         lambda: verify_theorem(1),
-        lambda: verify_theorem(1, closure_cap=4),
         lambda: verify_mutant("no-quotient", 1),
         lambda: verify_corollary(3),
-        lambda: verify_corollary(3, closure_cap=2),
+        lambda: verify_mutant("zero-offsets", 1),
+        lambda: verify_mutant("no-rotation-shift", 1),
     ],
-    ids=["theorem", "theorem-aborted", "mutant", "corollary", "corollary-aborted"],
+    ids=["theorem", "mutant", "corollary", "zero-offsets", "no-rotation-shift"],
 )
 def test_every_verifier_returns_one_certificate_type(verify):
     cert = verify()
@@ -794,18 +744,17 @@ def test_every_verifier_returns_one_certificate_type(verify):
 
 
 @pytest.mark.parametrize(
-    "verify",
+    "verify, parameters",
     [
-        lambda: verify_theorem(1, closure_cap=0),
-        lambda: verify_mutant("no-quotient", 1, closure_cap=0),
-        lambda: verify_mutant("zero-offsets", 1, closure_cap=-1),
-        lambda: verify_corollary(3, closure_cap=-5),
+        (verify_theorem, ["n"]),
+        (verify_mutant, ["name", "n"]),
+        (verify_corollary, ["k"]),
     ],
-    ids=["theorem", "no-quotient", "zero-offsets", "corollary"],
+    ids=["theorem", "mutant", "corollary"],
 )
-def test_every_verifier_refuses_a_cap_below_one(verify):
-    with pytest.raises(ValueError, match="cap must be at least 1"):
-        verify()
+def test_verifiers_take_no_cap(verify, parameters):
+    # The proof is derived, so no verifier has a closure to cap.
+    assert list(inspect.signature(verify).parameters) == parameters
 
 
 # --- property-based coverage ------------------------------------------------
@@ -988,7 +937,7 @@ def test_facts_of_a_closure_compose_nothing(monkeypatch):
 
     monkeypatch.setattr(dihedral, "_facts", watched)
     monkeypatch.setattr(
-        dihedral, "_prove_dihedral", lambda r, s, cap: analysis._enumerate([r, s], cap)
+        dihedral, "_prove_dihedral", lambda r, s: analysis._enumerate([r, s], 64 * n)
     )
     for module in list(sys.modules.values()):
         if (module.__name__.startswith("dihedral_torus")
@@ -1011,6 +960,6 @@ def test_facts_of_a_closure_are_the_rows_of_those_maps(n):
     ]
     assert dihedral._facts(closed, *forms) == expected
     # The derived central extension holds the same rows at its own places.
-    derived = analysis._prove_dihedral(r, s, 64 * n)
+    derived = analysis._prove_dihedral(r, s)
     assert derived.elements == ()
     assert dihedral._facts(derived, *forms) == expected

@@ -58,6 +58,14 @@ class TestParsing:
             with pytest.raises(WordParseError):
                 parse_word(bad)
 
+    def test_overlong_exponent_is_a_parse_error(self):
+        # int() refuses more digits than sys.get_int_max_str_digits().
+        with pytest.raises(WordParseError) as exc:
+            parse_word("r s^" + "1" * 5000)
+        assert exc.value.position == 2
+        assert "too many digits" in str(exc.value)
+        assert parse_word("r^" + "1" * 4000).tokens == (("r", int("1" * 4000)),)
+
 
 class TestEvaluation:
     def test_rightmost_factor_applies_first(self, generators):
