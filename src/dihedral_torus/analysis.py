@@ -71,7 +71,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -635,39 +635,41 @@ def _packed_keys(rows: np.ndarray, radices: Sequence[int]) -> list[np.ndarray]:
     return keys
 
 
-def _expand(partial: np.ndarray, digits: Sequence[int], d: int):
+def _expand(partial: np.ndarray, digits: Sequence[int], bounds: Sequence[int]):
     """Every column of `partial` with every assignment to the `digits` rows.
 
-    Yields the candidates in pieces of at most _CHUNK columns.
+    Digit k ranges over [0, bounds[k]).  Yields the candidates in pieces
+    of at most _CHUNK columns.
     """
-    per_column = d ** len(digits)
+    per_column = prod(bounds[k] for k in digits)
     total = partial.shape[1] * per_column
     for start in range(0, total, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         piece = partial.take(flat // per_column, axis=1)
         # The first digit varies slowest, so a grid comes out in sort order.
         for k in reversed(digits):
-            quotient = flat // d
-            piece[k] = flat - quotient * d
+            quotient = flat // bounds[k]
+            piece[k] = flat - quotient * bounds[k]
             flat = quotient
         yield piece
 
 
 def _surviving_pieces(
-    mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, d: int
+    mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, bounds: Sequence[int]
 ) -> Iterator[np.ndarray]:
     """The fixed grid points, as digit columns in pieces of at most _CHUNK.
 
-    Grid points are digit vectors in [0, d)^m, found by a search over
-    partial digit vectors that tests the image coordinates i = 0..m−1 in
-    the triangular order of the basis.  Image coordinate i reads only the
-    digits k with mi_t[k, i] ≠ 0, so those not yet assigned are expanded
-    just before it is tested: it is the image entry plus t_i, less what
-    the sheared basis rows have carried into it, and must be a multiple
-    of the pivot, since that residue is final once basis rows 0..i−1
-    are subtracted.  A partial vector that fails is dropped before any
-    later digit is assigned.  Digits that no coordinate reads are
-    expanded last; for the identity that is the whole grid, untested.
+    Grid points are digit vectors with digit k in [0, bounds[k]), found
+    by a search over partial digit vectors that tests the image
+    coordinates i = 0..m−1 in the triangular order of the basis.  Image
+    coordinate i reads only the digits k with mi_t[k, i] ≠ 0, so those
+    not yet assigned are expanded just before it is tested: it is the
+    image entry plus t_i, less what the sheared basis rows have carried
+    into it, and must be a multiple of the pivot, since that residue is
+    final once basis rows 0..i−1 are subtracted.  A partial vector that
+    fails is dropped before any later digit is assigned.  Digits that no
+    coordinate reads are expanded last; for the identity that is the
+    whole grid, untested.
     The search goes depth first, no array holds more than _CHUNK
     partial vectors, and no piece it yields is empty.  Rows 0..m−1 of
     a piece are the digits; the rows below are the search's carries.
@@ -689,12 +691,12 @@ def _surviving_pieces(
 
     def search(partial: np.ndarray, i: int):
         if i == m:
-            yield from _expand(partial, free, d) if free else (partial,)
+            yield from _expand(partial, free, bounds) if free else (partial,)
             return
         pivot = basis[i, i]
         support, coef = supports[i]
         fresh = new_digits[i]
-        for piece in _expand(partial, fresh, d) if fresh else (partial,):
+        for piece in _expand(partial, fresh, bounds) if fresh else (partial,):
             image = coef @ piece[support] + t_arr[i]
             if i in carry_row:
                 image -= piece[carry_row[i]]
@@ -770,24 +772,36 @@ def torsion_fixed_points_bruteforce(
     coordinate reads are assigned just before its lattice-membership
     test in int64, and partial digit vectors that fail are dropped before
     the next digits are assigned.  Digits no coordinate reads are
-    assigned last, untested.  The canonical forms of the survivors are
-    sorted with np.lexsort on mixed-radix keys that pack as many
-    coordinates as fit in 62 bits, and deduplicated by comparing adjacent
-    keys.
+    assigned last, untested.
+
+    When the lattice denominator divides `denominator`, every grid class
+    has its canonical form on the grid, inside the HNF box, so the search
+    enumerates only the box: digit i over [0, denominator·pivot_i /
+    lattice.denominator), denominator^m / [L : Z^m] candidates, each
+    already canonical and in its own class (the identity at n = 1 and
+    denominator 8 builds 131,072, not the 262,144 grid points).  For any
+    other denominator it enumerates the whole grid, reduces the survivors
+    to canonical form and deduplicates them by comparing adjacent keys.
+    Either way the survivors are sorted with np.lexsort on mixed-radix
+    keys that pack as many coordinates as fit in 62 bits.
 
     The result is an immutable sequence of the sorted integer rows: it
     builds a TorsionPoint only when one is indexed or iterated, compares
     equal to a list of the same points, and is unhashable.
 
-    Refuses enumerations whose expected distinct-point count
-    denominator^m / [L : Z^m] exceeds DEFAULT_ORACLE_BUDGET, and scalings
-    that could leave the int64 range, with OracleBudgetExceeded.
+    Refuses enumerations of more candidates than DEFAULT_ORACLE_BUDGET
+    (the product of the digit ranges: denominator^m / [L : Z^m] on the
+    box, denominator^m otherwise), and scalings that could leave the
+    int64 range, with OracleBudgetExceeded.
     """
-    w, mi_t, t_arr, basis = _oracle_input(g, denominator)
+    w, bounds, canonical, mi_t, t_arr, basis = _oracle_input(g, denominator)
     m = basis.shape[0]
+    step = w // denominator
     survivors = [
-        _triangular_residues((piece[:m] * (w // denominator)).T, basis)
-        for piece in _surviving_pieces(mi_t, t_arr, basis, denominator)
+        piece[:m].T * step
+        if canonical
+        else _triangular_residues((piece[:m] * step).T, basis)
+        for piece in _surviving_pieces(mi_t, t_arr, basis, bounds)
     ]
     if not survivors:
         return _TorsionPoints(np.empty((0, m), dtype=np.int64), w)
@@ -796,6 +810,8 @@ def torsion_fixed_points_bruteforce(
     keys = _packed_keys(rows, [int(basis[j, j]) for j in range(m)])
     # lexsort takes its last key as the primary one: the first key leads.
     by_key = np.lexsort(keys[::-1])
+    if canonical:
+        return _TorsionPoints(rows[by_key], w)
     keep = np.zeros(len(rows), dtype=bool)
     keep[0] = True
     for key in keys:
@@ -810,20 +826,32 @@ def _has_torsion_fixed_point(g: AffineAuto, denominator: int) -> bool:
     Refuses what the oracle refuses, and stops at the first surviving
     candidate, so it neither holds nor sorts the fixed points.
     """
-    _, mi_t, t_arr, basis = _oracle_input(g, denominator)
-    return next(_surviving_pieces(mi_t, t_arr, basis, denominator), None) is not None
+    _, bounds, _, mi_t, t_arr, basis = _oracle_input(g, denominator)
+    return next(_surviving_pieces(mi_t, t_arr, basis, bounds), None) is not None
 
 
 def _oracle_input(g: AffineAuto, denominator: int):
-    """W and the int64 arrays of the grid search, once the oracle's checks pass."""
+    """W, the digit bounds, whether every candidate is canonical, and the
+    int64 arrays of the grid search, once the oracle's checks pass.
+
+    When the lattice denominator divides d, L ⊆ (1/d)Z^m, so the canonical
+    form of a grid point is a grid point in the HNF box: digit i ranges
+    over [0, d·pivot_i/lattice.denominator) only.  Otherwise every digit
+    ranges over [0, d).
+    """
     if denominator < 1:
         raise ValueError("denominator must be positive")
     lattice = g.lattice
     d = denominator
-    expected = d**lattice.m // lattice.index
-    if expected > DEFAULT_ORACLE_BUDGET:
+    canonical = d % lattice.denominator == 0
+    bounds = [
+        d * pivot // lattice.denominator if canonical else d
+        for pivot in lattice.pivots
+    ]
+    candidates = prod(bounds)
+    if candidates > DEFAULT_ORACLE_BUDGET:
         raise OracleBudgetExceeded(
-            f"{expected} grid points exceed the oracle budget of "
+            f"{candidates} grid points exceed the oracle budget of "
             f"{DEFAULT_ORACLE_BUDGET}"
         )
 
@@ -836,6 +864,8 @@ def _oracle_input(g: AffineAuto, denominator: int):
         raise OracleBudgetExceeded("oracle scaling exceeds 64-bit integer range")
     return (
         w,
+        bounds,
+        canonical,
         np.array(mi_int, dtype=np.int64).T,
         np.array(t_int, dtype=np.int64),
         np.array(basis_int, dtype=np.int64),

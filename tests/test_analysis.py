@@ -38,6 +38,7 @@ from dihedral_torus.torus import (
     EnlargedLattice,
     TorsionPoint,
     TorusShape,
+    _moved,
     compose,
     inverse,
     realify,
@@ -516,6 +517,16 @@ class TestTorsionOracle:
         with pytest.raises(ValueError):
             torsion_fixed_points_bruteforce(r, 0)
 
+    def test_budget_charges_the_candidates_enumerated(self, quotient_pair):
+        # The lattice denominator 2 does not divide 15, so all 15^6 > 10^7
+        # grid points are candidates; 2 divides 16, so 16^6 / 2 are.
+        r, _ = quotient_pair
+        has_point = analysis_module._has_torsion_fixed_point
+        for search in (torsion_fixed_points_bruteforce, has_point):
+            with pytest.raises(OracleBudgetExceeded, match="budget"):
+                search(r, 15)
+        assert not has_point(r, 16)
+
     def test_scaling_refusal_beyond_int64(self):
         # W must clear the shift's denominator; 2^63 leaves int64, 2^61 fits.
         lattice = EnlargedLattice.standard(1)
@@ -558,9 +569,10 @@ class TestTorsionOracle:
 
 
 # SHA-256 of repr([p.coords for p in points]) for fixed oracle calls,
-# recorded from the per-chunk matmul and np.unique kernel; any change to the
-# oracle must reproduce these outputs exactly.  Zero-offset reflections at
-# D=7 span several chunks with an odd denominator.
+# recorded from an earlier kernel that imaged and reduced every grid
+# point; any change to the oracle must reproduce these outputs exactly.
+# Zero-offset reflections at D=7 span several chunks with an odd
+# denominator.
 EMPTY_DIGEST = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
 PINNED_ORACLE_DIGESTS = {
     ("closure", (), 8): "d7aad2cac56ba2a15aa2ca85a3f8b0e734f26c8d418a34d759b544b8a184f79c",
@@ -718,17 +730,20 @@ def test_emptiness_query_matches_the_oracle(g, d):
 
 
 def _enumerated_fixed_points(g, d):
-    """The oracle's contract, one grid point at a time in exact arithmetic."""
+    """The oracle's contract, one grid point at a time in exact arithmetic.
+
+    Each grid point ks/d and its image are compared on integer numerators,
+    after the lattice's exact reduction to lowest terms that `apply` and
+    `reduce` use.
+    """
     lattice = g.lattice
-    fixed = {
-        lattice.reduce(p)
-        for p in (
-            TorsionPoint.of(F(k, d) for k in ks)
-            for ks in itertools.product(range(d), repeat=lattice.m)
-        )
-        if g.apply(p) == lattice.reduce(p)
-    }
-    return sorted(fixed, key=lambda p: p.coords)
+    fixed = set()
+    for ks in itertools.product(range(d), repeat=lattice.m):
+        p = lattice.reduce_scaled(ks, d)
+        if lattice.reduce_scaled(*_moved(g, ks, d)) == p:
+            fixed.add(p)
+    points = (TorsionPoint.of(F(x, den) for x in num) for num, den in fixed)
+    return sorted(points, key=lambda p: p.coords)
 
 
 @given(quotient_monomial_autos(), st.sampled_from((2, 3)))
@@ -755,14 +770,16 @@ def _orbit(perm, signs, v):
 
 
 @st.composite
-def signed_permutation_autos(draw, m, *, fixed=0, sign=None, sheared=False):
+def signed_permutation_autos(
+    draw, m, *, fixed=0, sign=None, sheared=False, entries=fractions
+):
     """Signed permutations of R^m with small rational shifts.
 
     The first `fixed` coordinates stay put with sign +1, so the oracle's
     search assigns their digits last; `sign` pins every other sign.  With
-    `sheared`, the lattice adds the orbits of two vectors of quarters and
-    thirds, so the map preserves it, and is kept only if two basis rows
-    are sheared.
+    `sheared`, the lattice adds the orbits of two vectors drawn from
+    `entries` (quarters and thirds by default), so the map preserves it,
+    and is kept only if two basis rows are sheared.
     """
     perm = [*range(fixed), *draw(st.permutations(range(fixed, m)))]
     signs = [1] * fixed + [
@@ -772,7 +789,7 @@ def signed_permutation_autos(draw, m, *, fixed=0, sign=None, sheared=False):
     extras = []
     if sheared:
         for _ in range(2):
-            v = draw(st.lists(fractions, min_size=m, max_size=m))
+            v = draw(st.lists(entries, min_size=m, max_size=m))
             extras += _orbit(perm, signs, v)
     lattice = EnlargedLattice.from_extra_generators(m, extras)
     assume(len(lattice.sheared_rows) >= 2 or not sheared)
@@ -784,6 +801,7 @@ def _search_matches_enumeration(g, *denominators):
     for d in denominators:
         points = torsion_fixed_points_bruteforce(g, d)
         assert points == _enumerated_fixed_points(g, d)
+        assert analysis_module._has_torsion_fixed_point(g, d) == bool(points)
 
 
 @given(signed_permutation_autos(6))
@@ -795,8 +813,8 @@ def test_search_matches_enumeration_at_m6(g):
 @given(signed_permutation_autos(10), st.sampled_from((2, 3)))
 @settings(deadline=None, max_examples=6)
 def test_search_matches_enumeration_at_m10(g, d):
-    # 3^10 grid points in exact arithmetic take about a second, so each
-    # example checks one denominator.
+    # The reference reduces 3^10 grid points and their images one at a
+    # time, about half a second, so each example checks one denominator.
     _search_matches_enumeration(g, d)
 
 
@@ -804,6 +822,20 @@ def test_search_matches_enumeration_at_m10(g, d):
 @settings(deadline=None, max_examples=40)
 def test_search_carries_across_sheared_rows(g):
     _search_matches_enumeration(g, 2, 3)
+
+
+# Quarters and halves only: the lattice denominator divides 4, so at D = 4
+# the search walks the lattice's canonical box and its carries meet
+# candidates that are never reduced, while D = 3 reduces and deduplicates.
+quarters = st.sampled_from((F(0), F(1, 4), F(1, 2), F(3, 4)))
+
+
+@given(signed_permutation_autos(5, sheared=True, entries=quarters))
+@settings(deadline=None, max_examples=30)
+def test_search_carries_across_sheared_rows_in_the_box(g):
+    canonical = [analysis_module._oracle_input(g, d)[2] for d in (3, 4)]
+    assert canonical == [False, True]
+    _search_matches_enumeration(g, 3, 4)
 
 
 @given(st.integers(1, 5).flatmap(lambda k: signed_permutation_autos(6, fixed=k)))
@@ -819,11 +851,11 @@ def test_search_without_free_digits(g):
 
 
 def test_search_prunes_before_the_whole_grid(monkeypatch, quotient_pair):
-    """Free elements build few candidates; the identity builds the grid once."""
+    """Free elements build few candidates; the identity builds its classes once."""
     built, expand = [], analysis_module._expand
 
-    def spy(partial, digits, d):
-        for piece in expand(partial, digits, d):
+    def spy(partial, digits, bounds):
+        for piece in expand(partial, digits, bounds):
             built[-1] += piece.shape[1]
             yield piece
 
@@ -832,7 +864,8 @@ def test_search_prunes_before_the_whole_grid(monkeypatch, quotient_pair):
         built.append(0)
         points = torsion_fixed_points_bruteforce(element.auto, 8)
         if element.path == ():
-            assert built[-1] == 8**6 and len(points) == 8**6 // 2
+            # One candidate per class: the lattice's canonical box.
+            assert built[-1] == len(points) == 8**6 // 2
         else:
             assert built[-1] <= 4096 and not points
     assert len(built) == 8
