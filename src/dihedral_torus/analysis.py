@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
@@ -85,6 +85,7 @@ from .torus import (
 from .words import _power
 
 DEFAULT_CLOSURE_CAP = 1024
+_CAP_EXCEEDED = f"closure exceeds cap {DEFAULT_CLOSURE_CAP}"
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
 _CHUNK = 1 << 16
@@ -92,7 +93,7 @@ _INT64_SAFE = 1 << 62
 
 
 class ClosureCapExceeded(RuntimeError):
-    """A closure grew past its configured cap."""
+    """A closure grew past DEFAULT_CLOSURE_CAP elements."""
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -108,15 +109,13 @@ class GroupElement:
     in a closure, (0,)*a + (1,)*b for the normal form r^a s^b.  word and
     label are that normal form (a, b) and its rendering when the group
     is D_k by its presentation (module docstring); a closure sets no
-    word, and `analyze_group` labels it by the path.  Only a closure
-    keeps `products`: the element times each generator, as its own element.
+    word, and `analyze_group` labels it by the path.
     """
 
     auto: AffineAuto
     path: tuple[int, ...]
     word: tuple[int, int] | None = None
     label: str | None = None
-    products: tuple[AffineAuto, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,9 +133,10 @@ class GroupAnalysis:
     """The elements of a generated group together with per-element verdicts.
 
     `elements` is empty when the verdicts are derived from a presentation
-    (module docstring), free or not.  Reports then hold r^a s^b at index
-    2a + b for D_k, and, for its central extension (rotation_order None),
-    r^a s^b z^c in the closure's order, which `_extension_rows` lists.
+    (module docstring), free or not, and `analyze_group` fills it.
+    Reports hold r^a s^b at index 2a + b for D_k; for its central
+    extension (rotation_order None) they hold r^a s^b z^c in
+    `_extension_rows` order, which is also the order of its closure.
     `linear_order` is the order of the first generator's linear part.
     """
 
@@ -265,39 +265,33 @@ def _report(auto: AffineAuto, word: str, cycles=None) -> ElementReport:
     )
 
 
-def closure(
-    gens: Sequence[AffineAuto], *, cap: int = DEFAULT_CLOSURE_CAP
-) -> list[GroupElement]:
+def closure(gens: Sequence[AffineAuto]) -> list[GroupElement]:
     """Breadth-first closure of the generated group, identity included.
 
     Deterministic: elements appear in BFS discovery order with the given
-    generator order (shortlex in the discovery words), each with its word
-    and its products with the generators.  Every generator has finite
-    order in a group that closes under the cap, so closing under
-    composition alone already yields inverses.
+    generator order (shortlex in the discovery words), each with its
+    word.  A group of more than DEFAULT_CLOSURE_CAP elements raises
+    ClosureCapExceeded.  Every generator has finite order in a group
+    that closes under the cap, so closing under composition alone
+    already yields inverses.  No verifier builds a closure; it is the
+    reference that the derived analyses are tested against.
     """
     autos = list(gens)
     if not autos:
         raise ValueError("need at least one generator")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     identity = AffineAuto.identity(autos[0].lattice)
-    found = {identity: 0}  # position in discovery order
-    queue, paths, products = [identity], [()], []
+    found = {identity}
+    queue, paths = [identity], [()]
     for i, current in enumerate(queue):
-        row = []
         for gi, gen in enumerate(autos):
             nxt = compose(current, gen)
-            j = found.get(nxt)
-            if j is None:
-                if len(queue) >= cap:
-                    raise ClosureCapExceeded(f"closure exceeds cap {cap}")
-                j = found[nxt] = len(queue)
+            if nxt not in found:
+                if len(queue) >= DEFAULT_CLOSURE_CAP:
+                    raise ClosureCapExceeded(_CAP_EXCEEDED)
+                found.add(nxt)
                 queue.append(nxt)
                 paths.append(paths[i] + (gi,))
-            row.append(queue[j])
-        products.append(tuple(row))
-    return [GroupElement(a, p, products=q) for a, p, q in zip(queue, paths, products)]
+    return [GroupElement(a, p) for a, p in zip(queue, paths)]
 
 
 def conjugacy_classes(
@@ -412,7 +406,7 @@ def _rotation_flags(r: AffineAuto, r_cycles, k: int, z: AffineAuto | None):
 
 
 def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
-    """The analysis of ⟨r, s⟩, derived from its presentation where it holds.
+    """The analysis of ⟨r, s⟩, derived from its presentation.
 
     r, s and rs are decomposed once each.  A pair with ord s = ord rs = 2
     is D_k, k = ord r, and lists nothing: its rows follow from s, rs and
@@ -422,28 +416,28 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     z = s² is a central translation outside ⟨r⟩ is the central extension
     of D_k of order 4k: its rows, in `closure`'s order and with its
     words, follow from s, rs, sz, rsz (with the cycles of s and rs) and
-    the r^d z^c.  Other pairs are closed as in `analyze_group`, under the
-    cap 8k, and raise ClosureCapExceeded past it.
+    the r^d z^c.  Any other pair raises ValueError naming the hypothesis
+    it fails; nothing is closed.
     """
     r_cycles, s_cycles = _signed_cycles(r), _signed_cycles(s)
     k, s_order = _order(r, r_cycles), _order(s, s_cycles)
-    closure_cap = 8 * k  # the fallback's cap: twice the extension's order 4k
     if s_order not in (2, 4):
-        return _enumerate([r, s], closure_cap)
+        raise ValueError(f"no presentation: ord s = {s_order}, not 2 or 4")
     rs = compose(r, s)
     rs_cycles = _signed_cycles(rs)
-    if _order(rs, rs_cycles) != 2:
-        return _enumerate([r, s], closure_cap)
+    rs_order = _order(rs, rs_cycles)
+    if rs_order != 2:
+        raise ValueError(f"no presentation: ord rs = {rs_order}, not 2")
     linear = _linear_order(r_cycles)
     reflections = [(s, s_cycles), (rs, rs_cycles)]
     z = None
     if s_order == 4:
         z = compose(s, s)
+        if not (z.is_linear_identity and _fixes(r, z.shift, z.denominator)):
+            raise ValueError("no presentation: z = s² is not a central translation")
         # r^{k/2} = z needs the linear part of r^{k/2} to be the identity.
-        outside = k % 2 or (k // 2) % linear or _power(r, k // 2) != z
-        central = z.is_linear_identity and _fixes(r, z.shift, z.denominator)
-        if not (central and outside):
-            return _enumerate([r, s], closure_cap)
+        if not (k % 2 or (k // 2) % linear or _power(r, k // 2) != z):
+            raise ValueError("no presentation: z = s² lies in ⟨r⟩")
         reflections += [(compose(g, z), cycles) for g, cycles in reflections]
     mirrors = [(is_translation(g), _has_fixed_point(g, c)) for g, c in reflections]
     flags = _rotation_flags(r, r_cycles, k, z)
@@ -470,36 +464,50 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     return _analysis((), tuple(reports), None, linear)
 
 
-def analyze_group(
-    gens: Sequence[AffineAuto], closure_cap: int = DEFAULT_CLOSURE_CAP
-) -> GroupAnalysis:
+def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementReport]:
+    """The verdicts the analysis of ⟨r, s⟩ holds for r^a s^b, given as (a, b).
+
+    D_k holds them at index 2(a mod k) + b, and its central extension of
+    order 4k at the place of (a mod k, b, 0) in `_extension_rows(k)`,
+    derived or closed alike.
+    """
+    k = analysis.rotation_order
+    if k is not None:
+        return [analysis.reports[2 * (a % k) + b] for a, b in forms]
+    k = analysis.group_size // 4
+    index = {form: i for i, (form, _) in enumerate(_extension_rows(k))}
+    return [analysis.reports[index[a % k, b, 0]] for a, b in forms]
+
+
+def analyze_group(gens: Sequence[AffineAuto]) -> GroupAnalysis:
     """Every element of the generated group with its verdicts.
 
-    A cap below 1 raises ValueError before anything is decided.  Two
-    generators with ord r = k and ord s = ord rs = 2 generate D_k of
+    Two generators with ord r = k and ord s = ord rs = 2 generate D_k of
     order 2k (module docstring): its elements are listed as the normal
     forms r^a s^b at index 2a + b, labeled by them, and its symmetry
     classes counted by the parity of k.  Any other generating set is
     closed breadth first, labeled by discovery words over r, s (two
-    generators) or g1..gk, and counts no class.  Each element's
+    generators) or g1..gk, and counts no class.  A group of more than
+    DEFAULT_CLOSURE_CAP elements raises ClosureCapExceeded; a D_k that
+    large is refused before any element is listed.  Each element's
     verdicts come from one cycle decomposition of its own map; those of
     r, s and rs also decide the presentation, and rs is composed once.
+    No verifier calls it; it is the listing the derivations are tested
+    against.
     """
-    if closure_cap < 1:
-        raise ValueError("cap must be at least 1")
     autos = list(gens)
     if len(autos) != 2:
-        return _enumerate(autos, closure_cap)
+        return _enumerate(autos)
     r, s = autos
     rs = compose(r, s)
     r_cycles = _signed_cycles(r)
     r_rep = _report(r, "r", r_cycles)
     s_rep, rs_rep = _report(s, "s"), _report(rs, "r s")
     if (s_rep.order, rs_rep.order) != (2, 2):
-        return _enumerate(autos, closure_cap)
+        return _enumerate(autos)
     k = r_rep.order
-    if 2 * k > closure_cap:
-        raise ClosureCapExceeded(f"closure exceeds cap {closure_cap}")
+    if 2 * k > DEFAULT_CLOSURE_CAP:
+        raise ClosureCapExceeded(_CAP_EXCEEDED)
     # r^a s^b at index 2a + b: r^a = r^{a−1}·r and r^a s = r·r^{a−1}s.
     identity = AffineAuto.identity(r.lattice)
     maps, reports = [identity, s, r, rs], [_report(identity, ""), s_rep, r_rep, rs_rep]
@@ -513,14 +521,14 @@ def analyze_group(
     return _analysis(elements, tuple(reports[: 2 * k]), k, _linear_order(r_cycles))
 
 
-def _enumerate(autos: list[AffineAuto], closure_cap: int) -> GroupAnalysis:
+def _enumerate(autos: list[AffineAuto]) -> GroupAnalysis:
     """analyze_group of generators that do not present a D_k: their closure."""
     names = ("r", "s") if len(autos) == 2 else tuple(
         f"g{i + 1}" for i in range(len(autos))
     )
     elements = [
         replace(e, label=_path_label(e.path, names))
-        for e in closure(autos, cap=closure_cap)
+        for e in closure(autos)
     ]
     return _analysis(
         elements,
@@ -851,7 +859,7 @@ def _oracle_input(g: AffineAuto, denominator: int):
     candidates = prod(bounds)
     if candidates > DEFAULT_ORACLE_BUDGET:
         raise OracleBudgetExceeded(
-            f"{candidates} grid points exceed the oracle budget of "
+            f"{candidates} candidates exceed the oracle budget of "
             f"{DEFAULT_ORACLE_BUDGET}"
         )
 

@@ -33,13 +33,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .analysis import (
-    ElementReport,
-    GroupAnalysis,
-    _extension_rows,
-    _fixes,
-    _prove_dihedral,
-)
+from .analysis import ElementReport, GroupAnalysis, _facts, _fixes, _prove_dihedral
 from .torus import (
     AffineAuto,
     ComplexMonomialMap,
@@ -234,33 +228,6 @@ def _conclude(
         reports=analysis.reports,
         k=k,
     )
-
-
-def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementReport]:
-    """The verdicts the analysis of ⟨r, s⟩ holds for r^a s^b, given as (a, b).
-
-    A dihedral analysis holds them at index 2(a mod k) + b, and a derived
-    central extension of order 4k at the place of (a mod k, b, 0) in
-    `_extension_rows(k)`; a closure is walked along the products with r
-    and s that it found, composing nothing.
-    """
-    k = analysis.rotation_order
-    if k is not None:
-        return [analysis.reports[2 * (a % k) + b] for a, b in forms]
-    elements = analysis.elements
-    if not elements:
-        k = analysis.group_size // 4
-        index = {form: i for i, (form, _) in enumerate(_extension_rows(k))}
-        return [analysis.reports[index[a % k, b, 0]] for a, b in forms]
-    index = {e.auto: i for i, e in enumerate(elements)}
-    powers = [0]  # r^a at elements[powers[a]], from the identity on
-    facts = []
-    for a, b in forms:
-        while len(powers) <= a:
-            powers.append(index[elements[powers[-1]].products[0]])
-        i = index[elements[powers[a]].products[1]] if b else powers[a]
-        facts.append(analysis.reports[i])
-    return facts
 
 
 def _offsets_fold(offsets: Sequence[TorsionPoint]) -> bool:

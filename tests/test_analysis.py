@@ -1,7 +1,6 @@
 """Tests for group closure, fixed-point decisions, and the torsion oracle."""
 
 import hashlib
-import inspect
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -146,12 +145,6 @@ class TestOneInputForm:
         with pytest.raises(TypeError):
             torsion_fixed_points_bruteforce(swap, 2, lattice=lat)
 
-    def test_caps_are_keyword_only(self, quotient_pair):
-        with pytest.raises(TypeError):
-            closure(quotient_pair, 64)
-        assert len(closure(quotient_pair, cap=64)) == 8
-        assert list(inspect.signature(order).parameters) == ["g"]
-
 
 class TestClosure:
     def test_single_identity_generator(self, quotient_pair):
@@ -165,7 +158,11 @@ class TestClosure:
         assert len(closure(quotient_pair)) == 8
 
     def test_ambient_group_has_sixteen_elements(self, ambient_pair):
-        assert len(closure(ambient_pair)) == 16
+        group = closure(ambient_pair)
+        assert len(group) == 16
+        # Breadth-first discovery lists the words in shortlex order.
+        paths = [e.path for e in group]
+        assert paths == sorted(paths, key=lambda p: (len(p), p))
 
     def test_generator_order_does_not_change_the_set(self, quotient_pair):
         r, s = quotient_pair
@@ -179,29 +176,35 @@ class TestClosure:
         assert inverse(r) in autos
         assert inverse(s) in autos
 
-    def test_cap_and_validation(self, quotient_pair):
-        with pytest.raises(ClosureCapExceeded):
-            closure(quotient_pair, cap=7)
+    def test_cap_and_validation(self, monkeypatch):
+        # On Z^1, r = x + 1/k closes to k elements and ⟨r, s⟩ with
+        # s = −x is D_k of order 2k: both sides of the cap 1024.
+        lattice = EnlargedLattice.standard(1)
+        s = AffineAuto((0,), (-1,), (F(0),), lattice)
+
+        def rotation(k):
+            return AffineAuto.translation_by([F(1, k)], lattice)
+
+        assert len(closure([rotation(1024)])) == 1024
+        with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap 1024$"):
+            closure([rotation(1025)])
+        assert len(analyze_group([rotation(512), s]).elements) == 1024
+        composed, compose_ = [], analysis_module.compose
+
+        def composing(g, h):
+            composed.append((g, h))
+            return compose_(g, h)
+
+        monkeypatch.setattr(analysis_module, "compose", composing)
+        with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap 1024$"):
+            analyze_group([rotation(513), s])
+        assert len(composed) == 1  # rs, before any element is listed
         with pytest.raises(ValueError):
             closure([])
-        with pytest.raises(ValueError):
-            closure(quotient_pair, cap=0)
 
     def test_lattice_argument_moves_generators(self, ambient_pair):
         moved = [g.with_lattice(quotient_lattice(1)) for g in ambient_pair]
         assert len(closure(moved)) == 8
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_products_are_the_closures_own_elements(self, n):
-        gens = realified_action(n, ambient_lattice(n))
-        group = closure(gens)
-        own = {id(e.auto) for e in group}
-        for e in group:
-            assert e.products == tuple(compose(e.auto, g) for g in gens)
-            assert all(id(p) in own for p in e.products)
-        # Breadth-first discovery lists the words in shortlex order.
-        paths = [e.path for e in group]
-        assert paths == sorted(paths, key=lambda p: (len(p), p))
 
 
 class TestConjugacyClasses:
@@ -319,7 +322,7 @@ class TestAnalyzeGroup:
 
     def test_single_generator_is_named_g1(self, quotient_pair):
         r, _ = quotient_pair
-        analysis = analyze_group([r], closure_cap=8)
+        analysis = analyze_group([r])
         assert analysis.group_size == 4
         assert analysis.rotation_order is None
         assert [e.label for e in analysis.elements] == [
@@ -352,20 +355,6 @@ class TestAnalyzeGroup:
         assert len(composed) == 13
         assert len(decomposed) == 16
         assert sorted(map(id, decomposed)) == sorted(id(e.auto) for e in result.elements)
-
-    @pytest.mark.parametrize("cap", [0, -5])
-    def test_cap_below_one_is_refused_before_any_decision(
-        self, cap, quotient_pair, ambient_pair, monkeypatch
-    ):
-        # The dihedral quotient pair and the ambient pair it closes are
-        # refused alike, and neither is decomposed.
-        def undecided(auto):
-            raise AssertionError("decided a map")
-
-        monkeypatch.setattr(analysis_module, "_signed_cycles", undecided)
-        for pair in (quotient_pair, ambient_pair):
-            with pytest.raises(ValueError, match="cap must be at least 1"):
-                analyze_group(pair, cap)
 
 
 def _dihedral_pairs():
@@ -522,8 +511,9 @@ class TestTorsionOracle:
         # grid points are candidates; 2 divides 16, so 16^6 / 2 are.
         r, _ = quotient_pair
         has_point = analysis_module._has_torsion_fixed_point
+        message = "^11390625 candidates exceed the oracle budget of 10000000$"
         for search in (torsion_fixed_points_bruteforce, has_point):
-            with pytest.raises(OracleBudgetExceeded, match="budget"):
+            with pytest.raises(OracleBudgetExceeded, match=message):
                 search(r, 15)
         assert not has_point(r, 16)
 
@@ -664,8 +654,9 @@ def perturbed_family_pairs(draw):
     """n and (r, s) of the family at n ≤ 4 with redrawn shifts, on either lattice.
 
     r shifts E′ by c/4n and optionally one E coordinate by 1/2; s takes
-    offsets from {0, 1/2}.  Some pairs keep the presentation, most of
-    those without acting freely; the others fail it.
+    offsets from {0, 1/2}, and in about a quarter of the draws one of
+    1/4, which can lift ord s past 4.  Some pairs keep the presentation,
+    most of those without acting freely; the others fail it.
     """
     n = draw(st.integers(1, 4))
     lattice = draw(st.sampled_from((quotient_lattice(n), ambient_lattice(n))))
@@ -676,49 +667,62 @@ def perturbed_family_pairs(draw):
     if e is not None:
         r_shift[e] = F(1, 2)
     offsets = [draw(st.sampled_from((F(0), F(1, 2)))) for _ in range(4 * n)]
+    if draw(st.integers(0, 3)) == 0:
+        offsets[draw(st.integers(0, 4 * n - 1))] = F(1, 4)
     return n, (
         AffineAuto(r.perm, r.signs, r_shift, lattice),
         AffineAuto(s.perm, s.signs, offsets + [F(0)] * 2, lattice),
     )
 
 
+def _presents(r, s):
+    """Whether ⟨r, s⟩ meets the hypotheses of D_k or of its central extension.
+
+    Decided from orders and products alone: z = s² must commute with r,
+    and no power of r may equal it.
+    """
+    s_order = order(s)
+    if order(compose(r, s)) != 2 or s_order not in (2, 4):
+        return False
+    z = compose(s, s)
+    return s_order == 2 or (
+        z.is_linear_identity
+        and compose(r, z) == compose(z, r)
+        and all(_power(r, j) != z for j in range(order(r)))
+    )
+
+
 @given(perturbed_family_pairs())
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=160)
 def test_derived_rows_equal_the_listing(case):
-    # Free or not, a pair that keeps the presentation derives every row;
-    # a pair that fails it is closed, or refused past the cap 8·ord r,
-    # exactly as analyze_group closes or refuses it under that cap.
+    # Free or not, a pair that keeps either presentation derives every
+    # row; a pair that fails both is refused, and the test finds the
+    # hypothesis it fails on its own.
     _, pair = case
-
-    def outcome(analyze, *args):
-        try:
-            return analyze(*args)
-        except ClosureCapExceeded as exc:
-            return str(exc)
-
-    derived = outcome(analysis_module._prove_dihedral, *pair)
-    listed = outcome(analyze_group, pair, 8 * order(pair[0]))
-    if isinstance(derived, str) or derived.elements:
-        assert derived == listed
-    else:
-        assert derived == replace(listed, elements=())
+    try:
+        derived = analysis_module._prove_dihedral(*pair)
+    except ValueError as exc:
+        assert str(exc).startswith("no presentation")
+        assert not _presents(*pair)
+        return
+    assert _presents(*pair)
+    assert derived == replace(analyze_group(pair), elements=())
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_fallback_closes_under_eight_times_the_rotation_order(n):
-    # With the identity as r the fallback's cap is 8; the family's r of
-    # order 4n as s fits neither presentation, so ⟨1, s⟩ is closed: at
-    # n = 2 its 8 elements fit the cap, at n = 3 its 12 exceed it.
+def test_pair_outside_both_presentations_is_refused(n, monkeypatch):
+    # The identity as r and the family's r of order 4n as s fit neither
+    # presentation, so ⟨1, s⟩ is refused at ord s and nothing is closed.
+    def refused(*args):
+        raise AssertionError("built a closure")
+
+    for name in ("closure", "_enumerate"):
+        monkeypatch.setattr(analysis_module, name, refused)
     rotation, _ = realified_action(n)
     identity = _power(rotation, 4 * n)
     assert (order(identity), order(rotation)) == (1, 4 * n)
-    if 4 * n <= 8:
-        derived = analysis_module._prove_dihedral(identity, rotation)
-        assert derived.group_size == len(derived.elements) == 4 * n
-        assert derived == analyze_group([identity, rotation], 8)
-    else:
-        with pytest.raises(ClosureCapExceeded, match="closure exceeds cap 8$"):
-            analysis_module._prove_dihedral(identity, rotation)
+    with pytest.raises(ValueError, match=f"ord s = {4 * n}, not 2 or 4$"):
+        analysis_module._prove_dihedral(identity, rotation)
 
 
 @given(quotient_monomial_autos(), st.sampled_from((1, 2, 3, 4)))

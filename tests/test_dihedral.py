@@ -474,7 +474,7 @@ class TestPresentationProof:
         assert closures == []
         assert derived.elements == ()
         assert not derived.is_free
-        listed = analysis.analyze_group([r, s], 16)
+        listed = analysis.analyze_group([r, s])
         assert derived == replace(listed, elements=())
         forms = analysis._extension_rows(derived.group_size // 4)
         assert len({
@@ -487,13 +487,14 @@ class TestPresentationProof:
         [((0, 1), (0, F(1, 4)), True, True), ((1, 0), (0, F(3, 4)), False, False)],
         ids=["z-in-r", "z-not-central"],
     )
-    def test_extension_hypotheses_fail_to_the_closure(
-        self, r_perm, r_shift, inside, central, closures
+    def test_extension_hypotheses_fail_to_a_refusal(
+        self, r_perm, r_shift, inside, central, closures, monkeypatch
     ):
         # s is the translation by (0, 1/4) on Z², so ord s = 4 and z = s²
         # is the translation by (0, 1/2), and ord rs = 2 in both pairs.
         # r = s makes z = r² ∈ ⟨r⟩ (a cyclic group of order 4), and a
-        # swapping r moves z to (1/2, 0), so z is not central.
+        # swapping r moves z to (1/2, 0), so z is not central.  Each pair
+        # is refused at the hypothesis it fails, and nothing is closed.
         lattice = EnlargedLattice.standard(2)
         s = torus.AffineAuto((0, 1), (1, 1), (0, F(1, 4)), lattice)
         r = torus.AffineAuto(r_perm, (1, 1), r_shift, lattice)
@@ -502,10 +503,63 @@ class TestPresentationProof:
         assert z.is_linear_identity
         assert (_power(r, order(r) // 2) == z) == inside
         assert analysis._fixes(r, z.shift, z.denominator) == central
-        closed = analysis._prove_dihedral(r, s)
-        assert len(closures) == 1
-        assert closed.elements
-        assert closed == analysis.analyze_group([r, s], 64)
+        listings = []
+        monkeypatch.setattr(analysis, "_enumerate", listings.append)
+        failed = "lies in ⟨r⟩" if inside else "is not a central translation"
+        with pytest.raises(ValueError, match=f"z = s² {failed}$"):
+            analysis._prove_dihedral(r, s)
+        assert closures == listings == []
+
+    def test_z_that_is_not_a_translation_is_refused(self, closures, monkeypatch):
+        # On Z², s = (x, y) ↦ (−y, x) has order 4 and z = s² = −1 is no
+        # translation; a swapping r makes rs a reflection, so ord rs = 2
+        # and only the hypothesis on z fails.
+        lattice = EnlargedLattice.standard(2)
+        s = torus.AffineAuto((1, 0), (-1, 1), (0, 0), lattice)
+        r = torus.AffineAuto((1, 0), (1, 1), (0, 0), lattice)
+        assert (order(s), order(torus.compose(r, s))) == (4, 2)
+        assert not torus.compose(s, s).is_linear_identity
+        listings = []
+        monkeypatch.setattr(analysis, "_enumerate", listings.append)
+        with pytest.raises(ValueError, match="z = s² is not a central translation$"):
+            analysis._prove_dihedral(r, s)
+        assert closures == listings == []
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rs_that_is_not_an_involution_is_refused(self, n, closures, monkeypatch):
+        # s = r^{2n} is an involution, but rs = r^{2n+1} generates ⟨r⟩
+        # since 2n + 1 is prime to 4n, so ord rs = 4n and nothing is listed.
+        r, _ = realified_action(n)
+        s = _power(r, 2 * n)
+        assert (order(r), order(s)) == (4 * n, 2)
+        listings = []
+        monkeypatch.setattr(analysis, "_enumerate", listings.append)
+        with pytest.raises(ValueError, match=f"ord rs = {4 * n}, not 2$"):
+            analysis._prove_dihedral(r, s)
+        assert closures == listings == []
+
+    @pytest.mark.parametrize(
+        "verify",
+        [
+            lambda: verify_theorem(3),
+            lambda: verify_mutant("no-quotient", 3),
+            lambda: verify_mutant("no-rotation-shift", 3),
+            lambda: verify_mutant("zero-offsets", 3),
+            lambda: verify_corollary(6),
+        ],
+        ids=["theorem", "no-quotient", "no-rotation-shift", "zero-offsets", "corollary"],
+    )
+    def test_every_verifier_input_lists_nothing(self, verify, monkeypatch):
+        # Each verifier's pair keeps a presentation, so neither the
+        # closure nor the enumerating analysis runs, and every row is
+        # still reported.
+        def listing(*args):
+            raise AssertionError("listed a group")
+
+        for name in ("closure", "_enumerate"):
+            monkeypatch.setattr(analysis, name, listing)
+        cert = verify()
+        assert len(cert.reports) == cert.group_order_actual > 0
 
     @pytest.mark.parametrize(
         "verify",
@@ -707,7 +761,7 @@ class TestPresentationProof:
         derived = analysis._prove_dihedral(r, s)
         assert derived.elements == ()
         assert not derived.is_free
-        assert derived == replace(analysis.analyze_group([r, s], 8), elements=())
+        assert derived == replace(analysis.analyze_group([r, s]), elements=())
 
     def test_each_prime_order_rotation_is_checked(self):
         # With E′ shift 1/4 at n = 3, r has order 12 and r^4 = r^{12/3}
@@ -721,7 +775,7 @@ class TestPresentationProof:
         derived = analysis._prove_dihedral(r, s)
         assert derived.elements == ()
         assert not derived.is_free
-        assert derived == replace(analysis.analyze_group([r, s], 24), elements=())
+        assert derived == replace(analysis.analyze_group([r, s]), elements=())
 
 
 @pytest.mark.parametrize(
@@ -917,49 +971,18 @@ def test_mutants_are_the_linear_parts_of_the_realified_maps(n):
             assert g.linear_part() == realify(bare, shape, lattice)
 
 
-def test_facts_of_a_closure_compose_nothing(monkeypatch):
-    # With the analysis closed by _enumerate, the no-quotient mutant's
-    # rows of r^j, s and rs are read along the closure's own products.
-    n, inside, composed = 3, [], []
-    facts, original = dihedral._facts, torus.compose
-
-    def watched(*args):
-        inside.append(True)
-        try:
-            return facts(*args)
-        finally:
-            inside.pop()
-
-    def composing(g, h):
-        if inside:
-            composed.append((g, h))
-        return original(g, h)
-
-    monkeypatch.setattr(dihedral, "_facts", watched)
-    monkeypatch.setattr(
-        dihedral, "_prove_dihedral", lambda r, s: analysis._enumerate([r, s], 64 * n)
-    )
-    for module in list(sys.modules.values()):
-        if (module.__name__.startswith("dihedral_torus")
-                and vars(module).get("compose") is original):
-            monkeypatch.setattr(module, "compose", composing)
-    cert = verify_mutant("no-quotient", n)
-    assert cert.group_order_actual == 16 * n
-    assert composed == []
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_facts_of_a_closure_are_the_rows_of_those_maps(n):
     r, s = realified_action(n, ambient_lattice(n))
-    closed = analysis._enumerate([r, s], 64 * n)
+    closed = analysis._enumerate([r, s])
     assert closed.rotation_order is None
     forms = [(1, 0), (0, 1), (1, 1)] + [(j, b) for j in range(4 * n) for b in (0, 1)]
     row = dict(zip((e.auto for e in closed.elements), closed.reports))
     expected = [
         row[torus.compose(_power(r, a), s) if b else _power(r, a)] for a, b in forms
     ]
-    assert dihedral._facts(closed, *forms) == expected
+    assert analysis._facts(closed, *forms) == expected
     # The derived central extension holds the same rows at its own places.
     derived = analysis._prove_dihedral(r, s)
     assert derived.elements == ()
-    assert dihedral._facts(derived, *forms) == expected
+    assert analysis._facts(derived, *forms) == expected

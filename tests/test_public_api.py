@@ -1,8 +1,12 @@
 """The package's public surface: `__all__` is pinned, and every name resolves.
 
-A name added to or removed from the exports fails here, so a change to
-the surface is made on purpose and shows in the diff of this file.
+A name added to or removed from the exports fails here, and so does a
+parameter added to, removed from or renamed in an exported function, so
+a change to the surface is made on purpose and shows in the diff of
+this file.
 """
+
+import inspect
 
 import dihedral_torus
 
@@ -52,6 +56,36 @@ PUBLIC = {
     "verify_theorem",
 }
 
+# The parameter names of every exported function, in order.
+PARAMETERS = {
+    "ambient_lattice": ("n",),
+    "analyze_group": ("gens",),
+    "build_b": ("n",),
+    "build_corollary": ("k",),
+    "build_r": ("n",),
+    "build_s": ("n",),
+    "build_w": ("n",),
+    "closure": ("gens",),
+    "compose": ("g", "h"),
+    "conjugacy_classes": ("group", "conjugators"),
+    "equal_mod_lattice": ("g", "h", "lattice"),
+    "evaluate_word": ("word", "rotation", "reflection"),
+    "exists_fixed_point": ("g",),
+    "hnf": ("a",),
+    "inverse": ("g",),
+    "is_translation": ("g",),
+    "order": ("g",),
+    "parse_word": ("text",),
+    "quotient_lattice": ("n",),
+    "realified_action": ("n", "lattice"),
+    "realify": ("cmap", "shape", "lattice"),
+    "subgroup_membership": ("v", "gens"),
+    "torsion_fixed_points_bruteforce": ("g", "denominator"),
+    "verify_corollary": ("k",),
+    "verify_mutant": ("name", "n"),
+    "verify_theorem": ("n",),
+}
+
 
 def test_all_has_no_duplicates():
     assert len(dihedral_torus.__all__) == len(set(dihedral_torus.__all__))
@@ -65,3 +99,12 @@ def test_every_exported_name_resolves():
 def test_exports_are_the_pinned_set():
     assert len(PUBLIC) == 43
     assert set(dihedral_torus.__all__) == PUBLIC
+
+
+def test_function_parameters_are_pinned():
+    parameters = {}
+    for name in dihedral_torus.__all__:
+        obj = getattr(dihedral_torus, name)
+        if callable(obj) and not inspect.isclass(obj):
+            parameters[name] = tuple(inspect.signature(obj).parameters)
+    assert parameters == PARAMETERS
