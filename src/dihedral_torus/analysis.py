@@ -623,24 +623,54 @@ def _triangular_residues(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return v
 
 
+def _key_columns(radices: Sequence[int]) -> list[list[int]]:
+    """The runs of consecutive columns that share one mixed-radix key.
+
+    A run grows while the product of its radices stays at most _INT64_SAFE.
+    """
+    runs: list[list[int]] = []
+    span = 0
+    for j, radix in enumerate(radices):
+        if not runs or span * radix > _INT64_SAFE:
+            runs.append([j])
+            span = radix
+        else:
+            runs[-1].append(j)
+            span *= radix
+    return runs
+
+
 def _packed_keys(rows: np.ndarray, radices: Sequence[int]) -> list[np.ndarray]:
     """Mixed-radix sort keys for rows whose column j lies in [0, radices[j]).
 
-    Each key packs a run of consecutive columns, the earlier column more
-    significant, as long as the key stays below _INT64_SAFE; comparing the
-    keys in order then compares the rows lexicographically.
+    Each key packs one run of `_key_columns`, the earlier column more
+    significant; comparing the keys in order then compares the rows
+    lexicographically.
     """
-    keys: list[np.ndarray] = []
-    span = 0
-    for j, radix in enumerate(radices):
-        if not keys or span * radix > _INT64_SAFE:
-            keys.append(rows[:, j].copy())
-            span = radix
-        else:
-            keys[-1] *= radix
-            keys[-1] += rows[:, j]
-            span *= radix
+    keys = []
+    for first, *rest in _key_columns(radices):
+        key = rows[:, first].copy()
+        for j in rest:
+            key *= radices[j]
+            key += rows[:, j]
+        keys.append(key)
     return keys
+
+
+def _unpacked_rows(keys: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """The rows that `_packed_keys(rows, radices)` packs into `keys`.
+
+    Every entry lies in [0, max(radices)), so the rows take the narrowest
+    unsigned type that holds max(radices) − 1.
+    """
+    rows = np.empty(
+        (len(keys[0]), len(radices)), dtype=np.min_scalar_type(max(radices) - 1)
+    )
+    for key, (first, *rest) in zip(keys, _key_columns(radices)):
+        for j in reversed(rest):
+            key, rows[:, j] = np.divmod(key, radices[j])
+        rows[:, first] = key
+    return rows
 
 
 def _expand(partial: np.ndarray, digits: Sequence[int], bounds: Sequence[int]):
@@ -722,7 +752,7 @@ def _surviving_pieces(
 
 
 class _TorsionPoints(Sequence):
-    """Sorted canonical torsion points, held as integer rows scaled by W.
+    """Sorted canonical torsion points, held as unsigned rows scaled by W.
 
     A `TorsionPoint` is built only when an item is read, so `len` and
     truth tests build none.  Equal to any sequence of the same points in
@@ -790,8 +820,11 @@ def torsion_fixed_points_bruteforce(
     denominator 8 builds 131,072, not the 262,144 grid points).  For any
     other denominator it enumerates the whole grid, reduces the survivors
     to canonical form and deduplicates them by comparing adjacent keys.
-    Either way the survivors are sorted with np.lexsort on mixed-radix
-    keys that pack as many coordinates as fit in 62 bits.
+    Either way each survivor is held only as its mixed-radix keys, which
+    pack as many consecutive coordinates as fit in 62 bits: one key is
+    sorted in place, several with np.lexsort, and off the box adjacent
+    equal keys are dropped.  The sorted keys are unpacked once into rows
+    of the narrowest unsigned type that holds every coordinate.
 
     The result is an immutable sequence of the sorted integer rows: it
     builds a TorsionPoint only when one is indexed or iterated, compares
@@ -805,27 +838,36 @@ def torsion_fixed_points_bruteforce(
     w, bounds, canonical, mi_t, t_arr, basis = _oracle_input(g, denominator)
     m = basis.shape[0]
     step = w // denominator
-    survivors = [
-        piece[:m].T * step
-        if canonical
-        else _triangular_residues((piece[:m] * step).T, basis)
+    radices = [int(basis[j, j]) for j in range(m)]
+    pieces = [
+        _packed_keys(
+            piece[:m].T * step
+            if canonical
+            else _triangular_residues((piece[:m] * step).T, basis),
+            radices,
+        )
         for piece in _surviving_pieces(mi_t, t_arr, basis, bounds)
     ]
-    if not survivors:
-        return _TorsionPoints(np.empty((0, m), dtype=np.int64), w)
-    rows = np.concatenate(survivors)
-    del survivors
-    keys = _packed_keys(rows, [int(basis[j, j]) for j in range(m)])
-    # lexsort takes its last key as the primary one: the first key leads.
-    by_key = np.lexsort(keys[::-1])
-    if canonical:
-        return _TorsionPoints(rows[by_key], w)
-    keep = np.zeros(len(rows), dtype=bool)
-    keep[0] = True
-    for key in keys:
-        key = key[by_key]
-        keep[1:] |= key[1:] != key[:-1]
-    return _TorsionPoints(rows[by_key[keep]], w)
+    if not pieces:
+        return _TorsionPoints(np.empty((0, m), dtype=np.uint8), w)
+    keys = [np.concatenate(column) for column in zip(*pieces)]
+    del pieces
+    if len(keys) == 1:
+        # The box arrives in order, so timsort only has to confirm it.
+        keys[0].sort(kind="stable")
+    else:
+        # lexsort takes its last key as the primary one: the first key leads.
+        by_key = np.lexsort(keys[::-1])
+        keys = [key[by_key] for key in keys]
+        del by_key
+    if not canonical:
+        # Equal classes sort next to each other: keep the first of each run.
+        keep = np.zeros(len(keys[0]), dtype=bool)
+        keep[0] = True
+        for key in keys:
+            keep[1:] |= key[1:] != key[:-1]
+        keys = [key[keep] for key in keys]
+    return _TorsionPoints(_unpacked_rows(keys, radices), w)
 
 
 def _has_torsion_fixed_point(g: AffineAuto, denominator: int) -> bool:

@@ -266,9 +266,11 @@ def cmd_element(args) -> int:
     rendered = str(word) if len(word) else "(identity)"
     print(f"word: {rendered}   n={n}, ambient dimension {2 * n + 1}")
     print(f"linear part ({ambient.m}x{ambient.m}):")
-    entries = [[str(e) for e in row] for row in g_ambient.linear.rows]
-    width = max(len(e) for row in entries for e in row)
-    for row in entries:
+    # Row i of the signed permutation holds signs[i] in column perm[i].
+    width = 2 if -1 in g_ambient.signs else 1
+    for src, sign in zip(g_ambient.perm, g_ambient.signs):
+        row = ["0"] * ambient.m
+        row[src] = str(sign)
         print("  " + " ".join(e.rjust(width) for e in row))
     ok = _print_view("ambient product (mod Z^m)", g_ambient, rendered, args.oracle)
     ok &= _print_view("quotient by w", g_quot, rendered, args.oracle)

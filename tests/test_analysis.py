@@ -2,11 +2,13 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis as analysis_module
@@ -975,3 +977,90 @@ def test_oracle_sorts_on_several_packed_keys():
     points = torsion_fixed_points_bruteforce(s0, 2)
     assert len(points) == 256
     assert points == _enumerated_fixed_points(s0, 2)
+
+
+def test_oracle_box_sorts_on_several_packed_keys():
+    """On the box path too, radices past 62 bits need two sort keys.
+
+    On L = (1/512)Z^6 every signed permutation is an automorphism, and at
+    D = 2048 the box holds 4^6 candidates, one per class.  The shift 1/1024
+    on the negated coordinate gives W = 2^21 and six radices 2^12, whose
+    product 2^72 passes _INT64_SAFE.  The map fixes coordinate 3, so the
+    search assigns that digit last and the candidates arrive out of order.
+    """
+    lattice = EnlargedLattice.from_extra_generators(
+        6, [[F(int(i == j), 512) for j in range(6)] for i in range(6)]
+    )
+    shift = [F(0), F(0), F(1, 1024), F(0), F(0), F(0)]
+    g = AffineAuto((1, 0, 2, 3, 5, 4), (1, 1, -1, 1, 1, 1), shift, lattice)
+    d = 2048
+    _, _, _, basis_int = analysis_module._oracle_arrays(g, lattice, d)
+    radices = [row[i] for i, row in enumerate(basis_int)]
+    assert len(analysis_module._key_columns(radices)) == 2
+    # One grid point per class: digits below D/512 = 4 are canonical.
+    expected = set()
+    for ks in itertools.product(range(4), repeat=6):
+        p = lattice.reduce_scaled(ks, d)
+        if lattice.reduce_scaled(*_moved(g, ks, d)) == p:
+            expected.add(p)
+    points = torsion_fixed_points_bruteforce(g, d)
+    assert len(points) == 4 * 2 * 4 * 4
+    assert points == sorted(
+        (TorsionPoint.of(F(x, den) for x in num) for num, den in expected),
+        key=lambda p: p.coords,
+    )
+
+
+def _narrowest_unsigned(top):
+    return next(
+        t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+        if np.iinfo(t).max >= top
+    )
+
+
+@st.composite
+def rows_within_radices(draw):
+    """Radices from 2 to 2^31 and rows whose column j lies in [0, radix_j)."""
+    radices = draw(
+        st.lists(
+            st.one_of(st.integers(2, 300), st.integers(2**20, 2**31)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rows = draw(
+        st.lists(st.tuples(*(st.integers(0, r - 1) for r in radices)), max_size=12)
+    )
+    return radices, rows
+
+
+@given(rows_within_radices())
+@example(([2**31] * 2, [(2**31 - 1, 0), (0, 2**31 - 1)]))
+@example(([2**31] * 3, [(2**31 - 1, 5, 2**31 - 1)]))
+@example(([2**31] * 5, [(1, 2, 3, 4, 2**31 - 1), (2**31 - 1,) * 5]))
+@settings(deadline=None, max_examples=200)
+def test_unpacking_inverts_packing(case):
+    radices, listed = case
+    rows = np.array(listed, dtype=np.int64).reshape(len(listed), len(radices))
+    keys = analysis_module._packed_keys(rows, radices)
+    assert len(keys) == len(analysis_module._key_columns(radices))
+    out = analysis_module._unpacked_rows(keys, radices)
+    assert out.dtype == _narrowest_unsigned(max(radices) - 1)
+    assert np.array_equal(out, rows)
+
+
+def test_oracle_holds_less_than_one_int64_copy_of_its_rows():
+    """The n = 2 identity at D = 4 returns 524,288 points with m = 10.
+
+    One int64 copy of its rows takes 80 bytes a point; the oracle's traced
+    peak, result included, stays below that.
+    """
+    identity = AffineAuto.identity(quotient_lattice(2))
+    tracemalloc.start()
+    try:
+        points = torsion_fixed_points_bruteforce(identity, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 524_288
+    assert peak < 80 * len(points)

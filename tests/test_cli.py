@@ -22,6 +22,8 @@ from dihedral_torus.cli import (
     build_parser,
     main,
 )
+from dihedral_torus.dihedral import ambient_lattice, realified_action
+from dihedral_torus.words import evaluate_word, parse_word
 
 
 class TestVerifyCommand:
@@ -169,6 +171,23 @@ class TestElementCommand:
         assert "is translation element: yes" in out
         assert "order: 2" in out
         assert "order: 1" in out
+
+    @pytest.mark.parametrize(
+        "n, word",
+        [(1, ""), (1, "r"), (1, "s"), (1, "r^3 s"), (2, "s r^-1"), (2, "r^4 s s")],
+    )
+    def test_linear_part_matches_the_dense_matrix(self, capsys, n, word):
+        assert main(["element", "--n", str(n), "--word", word]) == EXIT_OK
+        out = capsys.readouterr().out
+        rot, refl = realified_action(n, ambient_lattice(n))
+        g = evaluate_word(parse_word(word), rot, refl)
+        entries = [[str(e) for e in row] for row in g.linear.rows]
+        width = max(len(e) for row in entries for e in row)
+        expected = "".join(
+            "  " + " ".join(e.rjust(width) for e in row) + "\n" for row in entries
+        )
+        header = f"linear part ({len(entries)}x{len(entries)}):\n"
+        assert header + expected + "ambient product" in out
 
     def test_identity_word(self, capsys):
         assert main(["element", "--n", "1", "--word", ""]) == EXIT_OK
