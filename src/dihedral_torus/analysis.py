@@ -657,19 +657,24 @@ def _packed_keys(rows: np.ndarray, radices: Sequence[int]) -> list[np.ndarray]:
     return keys
 
 
-def _unpacked_rows(keys: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
-    """The rows that `_packed_keys(rows, radices)` packs into `keys`.
+def _unpacked_rows(
+    keys: Sequence[np.ndarray], radices: Sequence[int], step: int = 1
+) -> np.ndarray:
+    """The rows that `_packed_keys(rows, radices)` packs into `keys`, times step.
 
-    Every entry lies in [0, max(radices)), so the rows take the narrowest
-    unsigned type that holds max(radices) − 1.
+    Consumes the keys: each is divided in place, one column at a time.
+    Every entry lies in [0, max(radices)·step), so the rows take the
+    narrowest unsigned type that holds max(radices)·step − 1.
     """
-    rows = np.empty(
-        (len(keys[0]), len(radices)), dtype=np.min_scalar_type(max(radices) - 1)
-    )
+    top = max(radices) * step - 1
+    rows = np.empty((len(keys[0]), len(radices)), dtype=np.min_scalar_type(top))
     for key, (first, *rest) in zip(keys, _key_columns(radices)):
         for j in reversed(rest):
-            key, rows[:, j] = np.divmod(key, radices[j])
+            np.divmod(key, radices[j], out=(key, rows[:, j]), casting="unsafe")
         rows[:, first] = key
+    # With every radix 1 every entry is 0, and step may not fit the type.
+    if step > 1 and max(radices) > 1:
+        rows *= step
     return rows
 
 
@@ -682,12 +687,20 @@ def _expand(partial: np.ndarray, digits: Sequence[int], bounds: Sequence[int]):
     per_column = prod(bounds[k] for k in digits)
     total = partial.shape[1] * per_column
     for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        piece = partial.take(flat // per_column, axis=1)
+        stop = min(start + _CHUNK, total)
+        # Columns first..last of partial fill the piece, each repeated once
+        # per assignment that falls inside it.
+        first, last = start // per_column, (stop - 1) // per_column
+        runs = np.full(last - first + 1, per_column)
+        runs[0] -= start - first * per_column
+        runs[-1] -= (last + 1) * per_column - stop
+        piece = np.repeat(partial[:, first : last + 1], runs, axis=1)
+        flat = np.arange(start, stop, dtype=np.int64)
         # The first digit varies slowest, so a grid comes out in sort order.
         for k in reversed(digits):
             quotient = flat // bounds[k]
-            piece[k] = flat - quotient * bounds[k]
+            np.multiply(quotient, bounds[k], out=piece[k])
+            np.subtract(flat, piece[k], out=piece[k])
             flat = quotient
         yield piece
 
@@ -752,34 +765,57 @@ def _surviving_pieces(
 
 
 class _TorsionPoints(Sequence):
-    """Sorted canonical torsion points, held as unsigned rows scaled by W.
+    """Sorted canonical torsion points, held packed until they are read.
 
-    A `TorsionPoint` is built only when an item is read, so `len` and
-    truth tests build none.  Equal to any sequence of the same points in
-    the same order; immutable and, like a list, unhashable.
+    Holds the points' sorted mixed-radix keys, their radices and the
+    scale `step` that takes an unpacked row to W times its point.  `len`,
+    truth tests and `repr` read the key length alone.  The first index,
+    slice, iteration or comparison unpacks the keys once, through
+    `_unpacked_rows`, into unsigned rows scaled by W and drops them; a
+    `TorsionPoint` is built only when an item is read.  Equal to any
+    sequence of the same points in the same order; immutable and, like a
+    list, unhashable.
     """
 
-    __slots__ = ("_rows", "_w")
+    __slots__ = ("_keys", "_radices", "_step", "_rows", "_w")
     __hash__ = None
 
-    def __init__(self, rows: np.ndarray, w: int):
-        rows.flags.writeable = False
-        self._rows, self._w = rows, w
+    def __init__(
+        self, keys: list[np.ndarray] | None, radices: Sequence[int], step: int, w: int
+    ):
+        self._keys, self._radices, self._step, self._w = keys, radices, step, w
+        self._rows = None
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, w: int) -> "_TorsionPoints":
+        """The points of rows already unpacked and scaled by w."""
+        points = cls(None, (), 1, w)
+        points._rows = rows
+        return points
+
+    def _read(self) -> np.ndarray:
+        if self._rows is None:
+            rows = _unpacked_rows(self._keys, self._radices, self._step)
+            rows.flags.writeable = False
+            self._rows, self._keys = rows, None
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._keys[0] if self._rows is None else self._rows)
 
     def __getitem__(self, index):
+        rows = self._read()
         if isinstance(index, slice):
-            return _TorsionPoints(self._rows[index], self._w)
-        row = self._rows[operator.index(index)]
+            return _TorsionPoints._of_rows(rows[index], self._w)
+        row = rows[operator.index(index)]
         return TorsionPoint(tuple(Fraction(v, self._w) for v in row.tolist()))
 
     def __iter__(self):
+        rows = self._read()
         # Canonical coordinates repeat a few values, so each Fraction is
         # built once per iteration.
-        table = {v: Fraction(v, self._w) for v in np.unique(self._rows).tolist()}
-        for row in self._rows.tolist():
+        table = {v: Fraction(v, self._w) for v in np.unique(rows).tolist()}
+        for row in rows.tolist():
             yield TorsionPoint(tuple(map(table.__getitem__, row)))
 
     def __eq__(self, other):
@@ -821,13 +857,17 @@ def torsion_fixed_points_bruteforce(
     other denominator it enumerates the whole grid, reduces the survivors
     to canonical form and deduplicates them by comparing adjacent keys.
     Either way each survivor is held only as its mixed-radix keys, which
-    pack as many consecutive coordinates as fit in 62 bits: one key is
+    pack as many consecutive coordinates as fit in 62 bits: on the box
+    the digits, whose ranges multiply to at most the budget and so fit
+    one key; otherwise the canonical coordinates scaled by W.  One key is
     sorted in place, several with np.lexsort, and off the box adjacent
-    equal keys are dropped.  The sorted keys are unpacked once into rows
-    of the narrowest unsigned type that holds every coordinate.
+    equal keys are dropped.
 
-    The result is an immutable sequence of the sorted integer rows: it
-    builds a TorsionPoint only when one is indexed or iterated, compares
+    The result is an immutable sequence that holds the sorted keys:
+    `len` and truth tests read their length.  The first index, slice,
+    iteration or comparison unpacks them once into rows of the narrowest
+    unsigned type that holds every coordinate scaled by W; a TorsionPoint
+    is built only when one is indexed or iterated.  The result compares
     equal to a list of the same points, and is unhashable.
 
     Refuses enumerations of more candidates than DEFAULT_ORACLE_BUDGET
@@ -838,10 +878,14 @@ def torsion_fixed_points_bruteforce(
     w, bounds, canonical, mi_t, t_arr, basis = _oracle_input(g, denominator)
     m = basis.shape[0]
     step = w // denominator
-    radices = [int(basis[j, j]) for j in range(m)]
+    if canonical:
+        # A box candidate's digits are its canonical row over step.
+        radices, scale = bounds, step
+    else:
+        radices, scale = [int(basis[j, j]) for j in range(m)], 1
     pieces = [
         _packed_keys(
-            piece[:m].T * step
+            piece[:m].T
             if canonical
             else _triangular_residues((piece[:m] * step).T, basis),
             radices,
@@ -849,7 +893,8 @@ def torsion_fixed_points_bruteforce(
         for piece in _surviving_pieces(mi_t, t_arr, basis, bounds)
     ]
     if not pieces:
-        return _TorsionPoints(np.empty((0, m), dtype=np.uint8), w)
+        empty = [np.empty(0, dtype=np.int64) for _ in _key_columns(radices)]
+        return _TorsionPoints(empty, radices, scale, w)
     keys = [np.concatenate(column) for column in zip(*pieces)]
     del pieces
     if len(keys) == 1:
@@ -866,8 +911,9 @@ def torsion_fixed_points_bruteforce(
         keep[0] = True
         for key in keys:
             keep[1:] |= key[1:] != key[:-1]
-        keys = [key[keep] for key in keys]
-    return _TorsionPoints(_unpacked_rows(keys, radices), w)
+        if not keep.all():
+            keys = [key[keep] for key in keys]
+    return _TorsionPoints(keys, radices, scale, w)
 
 
 def _has_torsion_fixed_point(g: AffineAuto, denominator: int) -> bool:

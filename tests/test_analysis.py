@@ -949,6 +949,91 @@ class TestOracleResult:
             points.extra = 1
 
 
+def _box_case():
+    """The zero-offset reflection at D = 8: 256 points of the canonical box."""
+    return zero_offset_reflection(quotient_lattice(1)), 8
+
+
+def _reduce_case():
+    """The identity on a quarter-only lattice at D = 3: all 3^5 grid points,
+    each reduced across a sheared row."""
+    extra = [F(1, 4), F(1, 2), F(3, 4), F(0), F(1, 4)]
+    lattice = EnlargedLattice.from_extra_generators(5, [extra])
+    return AffineAuto.identity(lattice), 3
+
+
+def _eager_rows(g, d):
+    """The oracle's rows unpacked at once from the surviving grid points:
+    scaled by W, reduced off the box, sorted, deduplicated, packed on the
+    scaled radices and unpacked."""
+    w, bounds, canonical, mi_t, t_arr, basis = analysis_module._oracle_input(g, d)
+    m = basis.shape[0]
+    pieces = analysis_module._surviving_pieces(mi_t, t_arr, basis, bounds)
+    rows = np.concatenate([piece[:m] for piece in pieces], axis=1).T * (w // d)
+    if not canonical:
+        rows = analysis_module._triangular_residues(rows, basis)
+    radices = [int(basis[j, j]) for j in range(m)]
+    keys = analysis_module._packed_keys(np.unique(rows, axis=0), radices)
+    return analysis_module._unpacked_rows(keys, radices), w
+
+
+class TestOracleUnpacksOnFirstRead:
+    @pytest.fixture
+    def unpacked(self, monkeypatch):
+        """Counts the calls of `_unpacked_rows`."""
+        calls, unpack = [], analysis_module._unpacked_rows
+
+        def spy(*args):
+            calls.append(args)
+            return unpack(*args)
+
+        monkeypatch.setattr(analysis_module, "_unpacked_rows", spy)
+        return calls
+
+    def test_len_truth_and_repr_unpack_nothing(self, unpacked):
+        g, d = _box_case()
+        points = torsion_fixed_points_bruteforce(g, d)
+        assert len(points) == 256 and points
+        assert repr(points) == "<256 torsion points with denominator 16>"
+        empty = torsion_fixed_points_bruteforce(realified_action(1)[1], d)
+        assert not empty and len(empty) == 0
+        assert unpacked == []
+
+    @pytest.mark.parametrize(
+        "first_read",
+        [
+            lambda points: points[3],
+            lambda points: points[10:20],
+            lambda points: next(iter(points)),
+            lambda points: points == list(points),
+        ],
+        ids=["index", "slice", "iteration", "equality"],
+    )
+    @pytest.mark.parametrize("case", [_box_case, _reduce_case], ids=["box", "reduce"])
+    def test_first_read_unpacks_once(self, unpacked, first_read, case):
+        points = torsion_fixed_points_bruteforce(*case())
+        first_read(points)
+        assert len(unpacked) == 1
+        assert points[-1] in points[::-7] and points == list(points)
+        assert len(points) and repr(points)
+        assert len(unpacked) == 1
+
+    @pytest.mark.parametrize("case", [_box_case, _reduce_case], ids=["box", "reduce"])
+    def test_reads_equal_the_eager_rows(self, case):
+        g, d = case()
+        rows, w = _eager_rows(g, d)
+        points = torsion_fixed_points_bruteforce(g, d)
+        assert len(points) == len(rows) == (256 if d == 8 else 3**5)
+        listed = [TorsionPoint.of(F(v, w) for v in row) for row in rows.tolist()]
+        assert list(points) == listed
+        for i in (0, 1, -2, -1):
+            assert points[i] == listed[i]
+        assert points[5:40:3] == listed[5:40:3]
+        assert points._rows.dtype == rows.dtype
+        assert np.array_equal(points._rows, rows)
+        assert np.array_equal(points[::-4]._rows, rows[::-4])
+
+
 def test_oracle_sorts_on_several_packed_keys():
     """Canonical rows whose radix product passes 62 bits need two sort keys.
 
@@ -979,14 +1064,16 @@ def test_oracle_sorts_on_several_packed_keys():
     assert points == _enumerated_fixed_points(s0, 2)
 
 
-def test_oracle_box_sorts_on_several_packed_keys():
-    """On the box path too, radices past 62 bits need two sort keys.
+def test_oracle_box_packs_digits_into_one_key():
+    """The box packs digits, not scaled rows, so one sort key always fits.
 
     On L = (1/512)Z^6 every signed permutation is an automorphism, and at
     D = 2048 the box holds 4^6 candidates, one per class.  The shift 1/1024
-    on the negated coordinate gives W = 2^21 and six radices 2^12, whose
-    product 2^72 passes _INT64_SAFE.  The map fixes coordinate 3, so the
-    search assigns that digit last and the candidates arrive out of order.
+    on the negated coordinate gives W = 2^21 and six scaled radices 2^12,
+    whose product 2^72 passes _INT64_SAFE; the digit bounds 4 multiply to
+    the candidate count, which the budget keeps below it.  The map fixes
+    coordinate 3, so the search assigns that digit last and the
+    candidates arrive out of order.
     """
     lattice = EnlargedLattice.from_extra_generators(
         6, [[F(int(i == j), 512) for j in range(6)] for i in range(6)]
@@ -997,6 +1084,9 @@ def test_oracle_box_sorts_on_several_packed_keys():
     _, _, _, basis_int = analysis_module._oracle_arrays(g, lattice, d)
     radices = [row[i] for i, row in enumerate(basis_int)]
     assert len(analysis_module._key_columns(radices)) == 2
+    _, bounds, canonical, *_ = analysis_module._oracle_input(g, d)
+    assert canonical and bounds == [4] * 6
+    assert len(analysis_module._key_columns(bounds)) == 1
     # One grid point per class: digits below D/512 = 4 are canonical.
     expected = set()
     for ks in itertools.product(range(4), repeat=6):
@@ -1059,6 +1149,24 @@ def test_oracle_holds_less_than_one_int64_copy_of_its_rows():
     tracemalloc.start()
     try:
         points = torsion_fixed_points_bruteforce(identity, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 524_288
+    assert peak < 80 * len(points)
+
+
+def test_oracle_and_its_first_read_hold_less_than_one_int64_copy():
+    """The result unpacks on its first read, so the bound covers that too.
+
+    The traced peak over the n = 2 identity call at D = 4 and its first
+    read stays below one int64 row, 80 bytes, per returned point.
+    """
+    identity = AffineAuto.identity(quotient_lattice(2))
+    tracemalloc.start()
+    try:
+        points = torsion_fixed_points_bruteforce(identity, 4)
+        points[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
