@@ -79,10 +79,11 @@ from .torus import (
     AffineAuto,
     EnlargedLattice,
     TorsionPoint,
+    _power,
+    _signed_cycles,
     compose,
     inverse,
 )
-from .words import _power
 
 DEFAULT_CLOSURE_CAP = 1024
 _CAP_EXCEEDED = f"closure exceeds cap {DEFAULT_CLOSURE_CAP}"
@@ -150,25 +151,6 @@ class GroupAnalysis:
     linear_order: int
 
 
-def _signed_cycles(auto: AffineAuto) -> list[tuple[list[int], list[int], bool]]:
-    """(coordinates, potentials c, closed) for every cycle of the linear part."""
-    perm, signs = auto.perm, auto.signs
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        coords, potentials, c, i = [], [], 1, start
-        while not seen[i]:
-            seen[i] = True
-            coords.append(i)
-            potentials.append(c)
-            c *= signs[i]
-            i = perm[i]
-        cycles.append((coords, potentials, c == 1))
-    return cycles
-
-
 def order(g: AffineAuto) -> int:
     """Smallest k ≥ 1 with g^k the identity modulo g's lattice.
 
@@ -179,17 +161,17 @@ def order(g: AffineAuto) -> int:
 
 def _linear_order(cycles) -> int:
     """Order of the linear part: the lcm of the cycle lengths, open ones doubled."""
-    return lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed in cycles))
+    return lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed, _ in cycles))
 
 
 def _order(auto: AffineAuto, cycles) -> int:
     k = _linear_order(cycles)
     total = [0] * len(auto.perm)
-    for coords, potentials, closed in cycles:
+    # Every caller passes auto's own cycles, whose prefix[-1] is c·t.
+    for coords, potentials, closed, prefix in cycles:
         if closed:
-            proj = sum(c * auto.shift[i] for i, c in zip(coords, potentials))
             for i, c in zip(coords, potentials):
-                total[i] = k // len(coords) * proj * c
+                total[i] = k // len(coords) * prefix[-1] * c
     # g^k is the translation by T = num/den; the least q with q·T ∈ L is
     # base·e for the least divisor e of gcd(den, d) that passes, and
     # e = gcd(den, d), q = den, always passes.
@@ -217,7 +199,9 @@ def exists_fixed_point(g: AffineAuto) -> bool:
 
 
 def _has_fixed_point(auto: AffineAuto, cycles) -> bool:
-    kernel = [(coords, pots) for coords, pots, closed in cycles if closed]
+    # Sums t itself: the presentation proof decides g∘z with g's cycles,
+    # whose prefix sums hold g's shift.
+    kernel = [(coords, pots) for coords, pots, closed, _ in cycles if closed]
     if not kernel:
         # M - I invertible: (M - I)x = -t always solvable, λ = 0.
         return True

@@ -40,10 +40,10 @@ from .torus import (
     EnlargedLattice,
     TorsionPoint,
     TorusShape,
+    _power,
     compose,
     realify,
 )
-from .words import _power
 
 _HALF = Fraction(1, 2)
 

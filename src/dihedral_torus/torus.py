@@ -15,7 +15,9 @@ only, `AffineAuto(perm, signs, translation, lattice)`, or by `realify`
 from a `ComplexMonomialMap`, which is a map's description and not an
 algebra: composition, powers and inversion act on `AffineAuto` values.
 Those, equality and hashing are O(m) integer operations; the dense
-matrix is built only when a caller asks for it.
+matrix is built only when a caller asks for it.  A power g^e is read in
+closed form off the signed cycles of g's linear part, which each map
+decomposes once, so its cost does not grow with e.
 
 Coordinate layout: complex coordinate i (0-based) owns the two real
 slots 2i, 2i+1, in order (1-part, τ-part).
@@ -272,7 +274,7 @@ class AffineAuto:
     ±1 and that M maps the lattice onto itself.
     """
 
-    __slots__ = ("perm", "signs", "shift", "denominator", "lattice", "_linear")
+    __slots__ = ("perm", "signs", "shift", "denominator", "lattice", "_linear", "_cycles")
 
     def __init__(
         self,
@@ -300,7 +302,7 @@ class AffineAuto:
         self.shift, self.denominator = lattice.reduce_scaled(
             *lattice.scaled(translation)
         )
-        self.lattice, self._linear = lattice, None
+        self.lattice, self._linear, self._cycles = lattice, None, None
 
     @classmethod
     def _make(cls, perm, signs, shift, denominator, lattice) -> "AffineAuto":
@@ -308,7 +310,7 @@ class AffineAuto:
         # inverses of valid automorphisms stay valid, shifts reduced).
         g = object.__new__(cls)
         g.perm, g.signs, g.shift, g.denominator = perm, signs, shift, denominator
-        g.lattice, g._linear = lattice, None
+        g.lattice, g._linear, g._cycles = lattice, None, None
         return g
 
     @classmethod
@@ -441,6 +443,60 @@ def inverse(g: AffineAuto) -> AffineAuto:
     perm, signs, shift = [0] * m, [0] * m, [0] * m
     for i, (src, s, t) in enumerate(zip(g.perm, g.signs, g.shift)):
         perm[src], signs[src], shift[src] = i, s, -s * t
+    shift = g.lattice.reduce_scaled(shift, g.denominator)
+    return AffineAuto._make(tuple(perm), tuple(signs), *shift, g.lattice)
+
+
+def _signed_cycles(g: AffineAuto) -> tuple:
+    """(coordinates, potentials c, closed, prefix) per cycle of M, kept on g."""
+    if g._cycles is None:
+        g._cycles = _decompose(g)
+    return g._cycles
+
+
+def _decompose(g: AffineAuto) -> tuple:
+    # Walk i → σ(i) → ... with potentials c_{σ(i)} = ε_i·c_i from c = 1;
+    # the cycle is closed when its sign product is +1.  prefix[j] sums
+    # c·t over its first j coordinates, so prefix[-1] is t's projection.
+    perm, signs, shift = g.perm, g.signs, g.shift
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        coords, potentials, prefix, c, i = [], [], [0], 1, start
+        while not seen[i]:
+            seen[i] = True
+            coords.append(i)
+            potentials.append(c)
+            prefix.append(prefix[-1] + c * shift[i])
+            c *= signs[i]
+            i = perm[i]
+        cycles.append((tuple(coords), tuple(potentials), c == 1, tuple(prefix)))
+    return tuple(cycles)
+
+
+def _power(g: AffineAuto, e: int) -> AffineAuto:
+    """g^e for every integer e, in closed form over g's signed cycles.
+
+    On a cycle of length L and sign product σ, y_a = c_a·z_{coords[a]}
+    moves as y_a ↦ y_{a+1} + c_a·t_{coords[a]}, with y_{a+L} = σ·y_a.  So
+    for a + e = qL + b, g^e sends y_a to σ^q·y_b plus laps·total +
+    σ^q·prefix[b] − prefix[a], where the q whole laps add Σ_{j<q} σ^j·total:
+    laps = q when σ = 1 and q mod 2 when σ = −1.  One lattice reduction
+    and no composition, whatever the size of e.
+    """
+    if e == 1:
+        return g
+    m = len(g.perm)
+    perm, signs, shift = [0] * m, [0] * m, [0] * m
+    for coords, pots, closed, prefix in _signed_cycles(g):
+        length, total = len(coords), prefix[-1]
+        for a, i in enumerate(coords):
+            q, b = divmod(a + e, length)
+            flip, laps = (1, q) if closed else (1 - 2 * (q % 2), q % 2)
+            perm[i], signs[i] = coords[b], flip * pots[b] * pots[a]
+            shift[i] = pots[a] * (laps * total + flip * prefix[b] - prefix[a])
     shift = g.lattice.reduce_scaled(shift, g.denominator)
     return AffineAuto._make(tuple(perm), tuple(signs), *shift, g.lattice)
 

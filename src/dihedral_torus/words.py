@@ -7,15 +7,17 @@ generator letter with an optional integer exponent:
 
 The empty word is the identity.  Juxtaposition is composition in writing
 order with the rightmost factor applied first, so "r s" evaluates to
-r ∘ s; negative exponents invert.
+r ∘ s; negative exponents invert.  A run of terms in one letter is one
+power g^{a+b+...}, read in closed form, whatever its size (`torus._power`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
-from .torus import AffineAuto, compose, inverse
+from .torus import AffineAuto, _power, compose
 
 _TERM = re.compile(r"([rs])(?:\^(-?\d+))?\Z")
 
@@ -65,22 +67,6 @@ def parse_word(text: str) -> GroupWord:
     return GroupWord(tuple(tokens))
 
 
-def _power(base: AffineAuto, e: int) -> AffineAuto:
-    # Square and multiply: O(log |e|) compositions and no order
-    # computation, so no cap limits the exponent or the generator.  The
-    # product starts at the lowest set bit, not at the identity.
-    if e < 0:
-        base, e = inverse(base), -e
-    acc = None
-    while e:
-        if e & 1:
-            acc = base if acc is None else compose(acc, base)
-        e >>= 1
-        if e:
-            base = compose(base, base)
-    return AffineAuto.identity(base.lattice) if acc is None else acc
-
-
 def evaluate_word(
     word: GroupWord, rotation: AffineAuto, reflection: AffineAuto
 ) -> AffineAuto:
@@ -88,7 +74,7 @@ def evaluate_word(
     if rotation.lattice != reflection.lattice:
         raise ValueError("generators live on different lattices")
     acc = None
-    for gen, exp in word:
-        power = _power(rotation if gen == "r" else reflection, exp)
+    for gen, run in groupby(word, key=lambda token: token[0]):
+        power = _power(rotation if gen == "r" else reflection, sum(e for _, e in run))
         acc = power if acc is None else compose(acc, power)
     return AffineAuto.identity(rotation.lattice) if acc is None else acc

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis as analysis_module
+from dihedral_torus import torus as torus_module
 from dihedral_torus.analysis import (
     ClosureCapExceeded,
     GroupElement,
@@ -854,6 +855,96 @@ def test_search_expands_free_digits_last(g):
 @settings(deadline=None, max_examples=20)
 def test_search_without_free_digits(g):
     _search_matches_enumeration(g, 2, 3)
+
+
+@given(
+    st.sampled_from((None, -1)).flatmap(
+        lambda sign: signed_permutation_autos(5, sign=sign, sheared=sign is None)
+    ),
+    st.data(),
+)
+@settings(deadline=None, max_examples=40)
+def test_power_is_composition_in_closed_form(g, data):
+    # With every sign −1, a cycle of odd length is open (σ = −1), and five
+    # coordinates always leave one.  Compositions of g and of its inverse
+    # are the reference for every e with |e| ≤ 2·ord g + 3.
+    k = order(g)
+    powers = {0: AffineAuto.identity(g.lattice)}
+    g_inv = inverse(g)
+    for e in range(1, 2 * k + 4):
+        powers[e] = compose(powers[e - 1], g)
+        powers[-e] = compose(powers[1 - e], g_inv)
+    for e, expected in powers.items():
+        assert _power(g, e) == expected
+        assert _power(g, 10**40 + e) == powers[(10**40 + e) % k]
+    exponents = st.integers(-2 * k - 3, 2 * k + 3)
+    for _ in range(8):
+        a, b = data.draw(exponents), data.draw(exponents)
+        assert compose(_power(g, a), _power(g, b)) == _power(g, a + b)
+
+
+def _counting(counts, name, original):
+    def wrapper(*args):
+        counts[name] += 1
+        return original(*args)
+
+    return wrapper
+
+
+class TestCycleSlot:
+    """Each map is decomposed into signed cycles at most once, lazily."""
+
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        seen, decompose = [], torus_module._decompose
+
+        def spy(g):
+            seen.append(g)
+            return decompose(g)
+
+        monkeypatch.setattr(torus_module, "_decompose", spy)
+        return seen
+
+    def test_order_and_fixed_point_share_one_decomposition(self, decompositions):
+        r, s = realified_action(2)
+        for g in (r, s, compose(r, s)):
+            fresh = AffineAuto(g.perm, g.signs, g.translation, g.lattice)
+            decompositions.clear()
+            order(fresh), exists_fixed_point(fresh), order(fresh)
+            assert len(decompositions) == 1 and decompositions[0] is fresh
+
+    def test_derived_maps_start_empty(self):
+        r, s = realified_action(2)
+        order(r), order(s)
+        derived = [compose(r, s), inverse(r), *(_power(r, e) for e in (-3, 0, 2, 9))]
+        assert all(g._cycles is None for g in derived)
+        assert _power(r, 1) is r
+
+    def test_filled_slot_changes_no_value(self):
+        for n, lattice in ((1, None), (2, ambient_lattice(2))):
+            r, s = realified_action(n, lattice)
+            for g in (r, s, compose(r, s), _power(r, 3)):
+                filled = AffineAuto(g.perm, g.signs, g.translation, g.lattice)
+                fresh = AffineAuto(g.perm, g.signs, g.translation, g.lattice)
+                verdicts = (order(filled), exists_fixed_point(filled))
+                assert filled._cycles is not None and fresh._cycles is None
+                assert filled == fresh and hash(filled) == hash(fresh)
+                assert verdicts == (order(fresh), exists_fixed_point(fresh))
+
+
+def test_huge_power_makes_no_composition_and_one_reduction(monkeypatch):
+    r, _ = realified_action(64)
+    assert order(r) == 256
+    counts = {"compose": 0, "reduce_scaled": 0}
+    monkeypatch.setattr(torus_module, "compose", _counting(counts, "compose", compose))
+    monkeypatch.setattr(
+        EnlargedLattice, "reduce_scaled",
+        _counting(counts, "reduce_scaled", EnlargedLattice.reduce_scaled),
+    )
+    g = _power(r, 10**4000)
+    assert counts == {"compose": 0, "reduce_scaled": 1}
+    monkeypatch.undo()
+    assert g == _power(r, 10**4000 % 256)
 
 
 def test_search_prunes_before_the_whole_grid(monkeypatch, quotient_pair):

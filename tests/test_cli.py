@@ -242,6 +242,19 @@ class TestElementCommand:
         assert out.count("has fixed point: no") == 2
         assert len(calls) == 2
 
+    def test_huge_exponents_print_their_residues(self, capsys):
+        # At n = 64, r has order 256 and s order 4 upstairs, 2 below; a
+        # power is read off the cycles, so 4,000 digits cost no squarings.
+        a, b = int("9" * 4000), int("7" * 4000)
+        outputs = []
+        for word in (f"r^{a} s^-{b}", f"r^{a % 256} s^-{b % 4}"):
+            assert main(["element", "--n", "64", "--word", word]) == EXIT_OK
+            head, body = capsys.readouterr().out.split("\n", 1)
+            assert head.startswith("word: r^")
+            outputs.append(body)
+        assert outputs[0] == outputs[1]
+        assert "order: " in outputs[0]
+
 
 @pytest.mark.parametrize(
     "args",

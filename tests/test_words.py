@@ -114,11 +114,30 @@ class TestEvaluation:
             return compose(a, b)
 
         monkeypatch.setattr(words, "compose", spy)
+        # Powers are read off the cycles of r, with no composition at all.
         assert words._power(r, 4) == expected["r^4"]
-        assert len(calls) == 2
-        calls.clear()
+        assert len(calls) == 0
         assert evaluate_word(parse_word("r s"), r, s) == expected["r s"]
         assert len(calls) == 1
+
+    def test_adjacent_terms_in_one_letter_make_one_power(
+        self, generators, monkeypatch
+    ):
+        r, s = generators
+        powers, power = [], words._power
+
+        def spy(base, e):
+            powers.append((base, e))
+            return power(base, e)
+
+        monkeypatch.setattr(words, "_power", spy)
+        word = parse_word("r^2 r^-5 r s s^3 r")
+        s4 = compose(compose(s, s), compose(s, s))
+        assert evaluate_word(word, r, s) == compose(
+            compose(inverse(compose(r, r)), s4), r
+        )
+        assert powers == [(r, -2), (s, 4), (r, 1)]
+        assert str(word) == "r^2 r^-5 r s s^3 r"
 
     def test_exponents_past_the_default_order_cap(self):
         # r has order 4n = 516 here, and orders are exact at any size.
