@@ -675,24 +675,25 @@ def _expand(partial: np.ndarray, digits: Sequence[int], bounds: Sequence[int]):
         # Columns first..last of partial fill the piece, each repeated once
         # per assignment that falls inside it.
         first, last = start // per_column, (stop - 1) // per_column
-        runs = np.full(last - first + 1, per_column)
-        runs[0] -= start - first * per_column
-        runs[-1] -= (last + 1) * per_column - stop
+        runs = per_column
+        if start % per_column or stop % per_column:
+            runs = np.full(last - first + 1, per_column)
+            runs[0] -= start - first * per_column
+            runs[-1] -= (last + 1) * per_column - stop
         piece = np.repeat(partial[:, first : last + 1], runs, axis=1)
         flat = np.arange(start, stop, dtype=np.int64)
         # The first digit varies slowest, so a grid comes out in sort order.
         for k in reversed(digits):
-            quotient = flat // bounds[k]
-            np.multiply(quotient, bounds[k], out=piece[k])
-            np.subtract(flat, piece[k], out=piece[k])
-            flat = quotient
+            np.divmod(flat, bounds[k], out=(flat, piece[k]))
         yield piece
+        del piece
 
 
-def _surviving_pieces(
+def _tested_pieces(
     mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, bounds: Sequence[int]
-) -> Iterator[np.ndarray]:
-    """The fixed grid points, as digit columns in pieces of at most _CHUNK.
+) -> tuple[list[int], Iterator[np.ndarray]]:
+    """The digits no test reads, and the partial digit vectors that pass
+    every test, as m digit rows in nonempty pieces of at most _CHUNK.
 
     Grid points are digit vectors with digit k in [0, bounds[k]), found
     by a search over partial digit vectors that tests the image
@@ -703,11 +704,9 @@ def _surviving_pieces(
     into it, and must be a multiple of the pivot, since that residue is
     final once basis rows 0..i−1 are subtracted.  A partial vector that
     fails is dropped before any later digit is assigned.  Digits that no
-    coordinate reads are expanded last; for the identity that is the
-    whole grid, untested.
-    The search goes depth first, no array holds more than _CHUNK
-    partial vectors, and no piece it yields is empty.  Rows 0..m−1 of
-    a piece are the digits; the rows below are the search's carries.
+    coordinate reads stay 0, as each assignment to them is a fixed grid
+    point (for the identity, every digit of one zero column).  The search
+    goes depth first and no array holds more than _CHUNK partial vectors.
     """
     m = basis.shape[0]
     tails = [[j for j in range(i + 1, m) if basis[i, j]] for i in range(m)]
@@ -726,7 +725,7 @@ def _surviving_pieces(
 
     def search(partial: np.ndarray, i: int):
         if i == m:
-            yield from _expand(partial, free, bounds) if free else (partial,)
+            yield partial[:m]
             return
         pivot = basis[i, i]
         support, coef = supports[i]
@@ -745,7 +744,35 @@ def _surviving_pieces(
                 piece[carry_row[j]] += image // pivot * basis[i, j]
             yield from search(piece, i + 1)
 
-    return search(np.zeros((m + len(carry_row), 1), dtype=np.int64), 0)
+    return free, search(np.zeros((m + len(carry_row), 1), dtype=np.int64), 0)
+
+
+def _surviving_pieces(mi_t, t_arr, basis, bounds) -> Iterator[np.ndarray]:
+    """The fixed grid points as m digit rows: `_tested_pieces`, free
+    digits expanded, in nonempty pieces of at most _CHUNK columns."""
+    free, tested = _tested_pieces(mi_t, t_arr, basis, bounds)
+    for partial in tested:
+        yield from _expand(partial, free, bounds) if free else (partial,)
+
+
+def _expanded_keys(partials, digits: Sequence[int], bounds: Sequence[int]):
+    """`_packed_keys(rows, bounds)` of `_expand(partial, digits, bounds)`
+    for each of `partials`, in nonempty pieces of at most _CHUNK keys, with
+    no row built: the one key Σ_k x_k·prod(bounds[k+1:]) of digits x is a
+    column's base key plus an offset by position inside the column, from
+    one table of the `digits`' offsets built for the first column."""
+    weights = np.array([prod(bounds[k + 1 :]) for k in range(len(bounds))], np.int64)
+    offsets = None
+    for partial in partials:
+        if offsets is None:
+            offsets = np.zeros(1, dtype=np.int64)
+            for k in digits:
+                offsets = (offsets[:, None] + np.arange(bounds[k]) * weights[k]).ravel()
+            group = max(1, _CHUNK // len(offsets))
+        for first in range(0, partial.shape[1], group):
+            base = weights @ partial[:, first : first + group]
+            for start in range(0, len(offsets), _CHUNK):
+                yield np.add.outer(base, offsets[start : start + _CHUNK]).ravel()
 
 
 class _TorsionPoints(Sequence):
@@ -830,22 +857,20 @@ def torsion_fixed_points_bruteforce(
     coordinate reads are assigned just before its lattice-membership
     test in int64, and partial digit vectors that fail are dropped before
     the next digits are assigned.  Digits no coordinate reads are
-    assigned last, untested.
+    assigned last, untested.  Each survivor is held only as mixed-radix
+    keys, which pack as many consecutive coordinates as fit in 62 bits.
 
     When the lattice denominator divides `denominator`, every grid class
     has its canonical form on the grid, inside the HNF box, so the search
     enumerates only the box: digit i over [0, denominator·pivot_i /
     lattice.denominator), denominator^m / [L : Z^m] candidates, each
     already canonical and in its own class (the identity at n = 1 and
-    denominator 8 builds 131,072, not the 262,144 grid points).  For any
-    other denominator it enumerates the whole grid, reduces the survivors
-    to canonical form and deduplicates them by comparing adjacent keys.
-    Either way each survivor is held only as its mixed-radix keys, which
-    pack as many consecutive coordinates as fit in 62 bits: on the box
-    the digits, whose ranges multiply to at most the budget and so fit
-    one key; otherwise the canonical coordinates scaled by W.  One key is
-    sorted in place, several with np.lexsort, and off the box adjacent
-    equal keys are dropped.
+    denominator 8 builds 131,072, not the 262,144 grid points).  Their
+    digits, whose ranges multiply to at most the budget, fit one key,
+    which the last level writes with no digit row.  For any other
+    denominator the last level builds the digit rows of the whole grid,
+    and the survivors are reduced to canonical form, packed scaled by W,
+    and deduplicated by comparing adjacent keys.
 
     The result is an immutable sequence that holds the sorted keys:
     `len` and truth tests read their length.  The first index, slice,
@@ -860,22 +885,20 @@ def torsion_fixed_points_bruteforce(
     int64 range, with OracleBudgetExceeded.
     """
     w, bounds, canonical, mi_t, t_arr, basis = _oracle_input(g, denominator)
-    m = basis.shape[0]
     step = w // denominator
     if canonical:
         # A box candidate's digits are its canonical row over step.
         radices, scale = bounds, step
+        free, tested = _tested_pieces(mi_t, t_arr, basis, bounds)
+        pieces = [[key] for key in _expanded_keys(tested, free, bounds)]
     else:
-        radices, scale = [int(basis[j, j]) for j in range(m)], 1
-    pieces = [
-        _packed_keys(
-            piece[:m].T
-            if canonical
-            else _triangular_residues((piece[:m] * step).T, basis),
-            radices,
-        )
-        for piece in _surviving_pieces(mi_t, t_arr, basis, bounds)
-    ]
+        radices, scale = [int(pivot) for pivot in basis.diagonal()], 1
+
+        def reduced(piece):
+            return _packed_keys(_triangular_residues((piece * step).T, basis), radices)
+
+        # map drops each row piece once it is packed, before the next is built.
+        pieces = list(map(reduced, _surviving_pieces(mi_t, t_arr, basis, bounds)))
     if not pieces:
         empty = [np.empty(0, dtype=np.int64) for _ in _key_columns(radices)]
         return _TorsionPoints(empty, radices, scale, w)
@@ -903,11 +926,11 @@ def torsion_fixed_points_bruteforce(
 def _has_torsion_fixed_point(g: AffineAuto, denominator: int) -> bool:
     """Whether `torsion_fixed_points_bruteforce(g, denominator)` is nonempty.
 
-    Refuses what the oracle refuses, and stops at the first surviving
-    candidate, so it neither holds nor sorts the fixed points.
+    Refuses what the oracle refuses, and stops at the first partial digit
+    vector that passes every test, whose free digits it never expands.
     """
     _, bounds, _, mi_t, t_arr, basis = _oracle_input(g, denominator)
-    return next(_surviving_pieces(mi_t, t_arr, basis, bounds), None) is not None
+    return next(_tested_pieces(mi_t, t_arr, basis, bounds)[1], None) is not None
 
 
 def _oracle_input(g: AffineAuto, denominator: int):

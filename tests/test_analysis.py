@@ -5,6 +5,7 @@ import itertools
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -948,15 +949,25 @@ def test_huge_power_makes_no_composition_and_one_reduction(monkeypatch):
 
 
 def test_search_prunes_before_the_whole_grid(monkeypatch, quotient_pair):
-    """Free elements build few candidates; the identity builds its classes once."""
-    built, expand = [], analysis_module._expand
+    """Free elements build few candidates; the identity builds its classes once.
 
-    def spy(partial, digits, bounds):
-        for piece in expand(partial, digits, bounds):
-            built[-1] += piece.shape[1]
-            yield piece
+    Candidates are built as digit rows by `_expand` or, on the box's last
+    level, as packed keys by `_expanded_keys`; the spies count both.
+    """
+    built = []
 
-    monkeypatch.setattr(analysis_module, "_expand", spy)
+    def counting(expand):
+        def spy(*args):
+            for piece in expand(*args):
+                built[-1] += piece.shape[-1]
+                yield piece
+
+        return spy
+
+    for name in ("_expand", "_expanded_keys"):
+        monkeypatch.setattr(
+            analysis_module, name, counting(getattr(analysis_module, name))
+        )
     for element in closure(quotient_pair):
         built.append(0)
         points = torsion_fixed_points_bruteforce(element.auto, 8)
@@ -1228,6 +1239,68 @@ def test_unpacking_inverts_packing(case):
     out = analysis_module._unpacked_rows(keys, radices)
     assert out.dtype == _narrowest_unsigned(max(radices) - 1)
     assert np.array_equal(out, rows)
+
+
+@st.composite
+def partial_columns(draw):
+    """Digit bounds, the digits to expand (maybe none) and partial columns,
+    whose expanded digits are 0.
+
+    The expanded digits' bounds multiply to per_column, from 1 to 2^18, so
+    a piece of _CHUNK = 2^16 candidates can end inside a column or span
+    many columns, and the columns number at most 2^18 / per_column.
+    """
+    m = draw(st.integers(1, 5))
+    bounds = draw(st.lists(st.integers(1, 64), min_size=m, max_size=m))
+    digits = sorted(draw(st.sets(st.integers(0, m - 1))))
+    per_column = prod(bounds[k] for k in digits)
+    assume(per_column <= 1 << 18)
+    columns = draw(
+        st.lists(
+            st.tuples(
+                *(
+                    st.just(0) if k in digits else st.integers(0, b - 1)
+                    for k, b in enumerate(bounds)
+                )
+            ),
+            min_size=1,
+            max_size=max(1, min(3000, (1 << 18) // per_column)),
+        )
+    )
+    return bounds, digits, np.array(columns, dtype=np.int64).T
+
+
+@given(partial_columns())
+@example(([3, 60, 50, 30], [1, 2, 3], np.array([[0, 0, 0, 0], [2, 0, 0, 0]]).T))
+@example(([7, 5, 11], [0, 2], np.tile(np.array([[0], [3], [0]]), 1000)))
+@settings(deadline=None, max_examples=60)
+def test_key_expansion_packs_the_expanded_rows(case):
+    """The box's key pieces concatenate to the keys of `_expand`'s rows,
+    also when the partial columns arrive in two pieces."""
+    bounds, digits, partial = case
+    rows = np.concatenate(list(analysis_module._expand(partial, digits, bounds)), 1)
+    (expected,) = analysis_module._packed_keys(rows.T, bounds)
+    partials = [p for p in np.array_split(partial, 2, axis=1) if p.shape[1]]
+    pieces = list(analysis_module._expanded_keys(partials, digits, bounds))
+    assert all(0 < len(piece) <= analysis_module._CHUNK for piece in pieces)
+    assert np.array_equal(np.concatenate(pieces), expected)
+
+
+def test_oracle_box_builds_no_digit_rows():
+    """The n = 2 identity at D = 4 returns its 524,288 box points from keys.
+
+    Its traced peak stays below 24 bytes a point: the key pieces and the
+    offset table or the concatenated keys, 8 bytes a point each.
+    """
+    identity = AffineAuto.identity(quotient_lattice(2))
+    tracemalloc.start()
+    try:
+        points = torsion_fixed_points_bruteforce(identity, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 524_288
+    assert peak < 24 * len(points)
 
 
 def test_oracle_holds_less_than_one_int64_copy_of_its_rows():
