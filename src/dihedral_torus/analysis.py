@@ -79,6 +79,7 @@ from .torus import (
     AffineAuto,
     EnlargedLattice,
     TorsionPoint,
+    _compose_translation,
     _power,
     _signed_cycles,
     compose,
@@ -199,20 +200,18 @@ def exists_fixed_point(g: AffineAuto) -> bool:
 
 
 def _has_fixed_point(auto: AffineAuto, cycles) -> bool:
-    # Sums t itself: the presentation proof decides g∘z with g's cycles,
-    # whose prefix sums hold g's shift.
+    # Every caller passes auto's own cycles, whose prefix[-1] is c·t.
     kernel = [(coords, pots) for coords, pots, closed, _ in cycles if closed]
     if not kernel:
         # M - I invertible: (M - I)x = -t always solvable, λ = 0.
         return True
-
-    def project(v):
-        return [sum(c * v[i] for i, c in zip(coords, pots)) for coords, pots in kernel]
-
     lattice = auto.lattice
     den, d = auto.denominator, lattice.denominator
-    t_proj = project(auto.shift)
-    extras = [project(gen) for gen in lattice.extra_numerators]
+    t_proj = [prefix[-1] for _, _, closed, prefix in cycles if closed]
+    extras = [
+        [sum(c * gen[i] for i, c in zip(coords, pots)) for coords, pots in kernel]
+        for gen in lattice.extra_numerators
+    ]
     # Z^m projects onto Z^K.  Where every projected extra is integral, the
     # projected t must be integral; the other coordinates are decided
     # together by subgroup membership.
@@ -367,7 +366,7 @@ def _rotation_flags(r: AffineAuto, r_cycles, k: int, z: AffineAuto | None):
 
     c runs over 0 and, with z, 1.  The largest d comes first, and r^d z^c
     is decided only when no decided proper power (r^d z^c)^{m/d} =
-    r^m z^{cm/d} is free of both; r^d z has the cycles of r^d.
+    r^m z^{cm/d} is free of both; r^d z reuses the cycle walk of r^d.
     """
     flags = {(k, 0): (False, True)}
     if z is not None:
@@ -384,8 +383,8 @@ def _rotation_flags(r: AffineAuto, r_cycles, k: int, z: AffineAuto | None):
             if g is None:
                 g = _power(r, d)
                 cycles = r_cycles if d == 1 else _signed_cycles(g)
-            h = compose(g, z) if c else g
-            flags[d, c] = (is_translation(h), _has_fixed_point(h, cycles))
+            h, h_cycles = _compose_translation(g, cycles, z) if c else (g, cycles)
+            flags[d, c] = (is_translation(h), _has_fixed_point(h, h_cycles))
     return flags
 
 
@@ -399,9 +398,9 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     the r^{k/p}, p | k prime.  A pair with ord s = 4 and ord rs = 2 whose
     z = s² is a central translation outside ⟨r⟩ is the central extension
     of D_k of order 4k: its rows, in `closure`'s order and with its
-    words, follow from s, rs, sz, rsz (with the cycles of s and rs) and
-    the r^d z^c.  Any other pair raises ValueError naming the hypothesis
-    it fails; nothing is closed.
+    words, follow from s, rs, sz, rsz (reusing the cycle walks of s and
+    rs) and the r^d z^c.  Any other pair raises ValueError naming the
+    hypothesis it fails; nothing is closed.
     """
     r_cycles, s_cycles = _signed_cycles(r), _signed_cycles(s)
     k, s_order = _order(r, r_cycles), _order(s, s_cycles)
@@ -422,7 +421,7 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
         # r^{k/2} = z needs the linear part of r^{k/2} to be the identity.
         if not (k % 2 or (k // 2) % linear or _power(r, k // 2) != z):
             raise ValueError("no presentation: z = s² lies in ⟨r⟩")
-        reflections += [(compose(g, z), cycles) for g, cycles in reflections]
+        reflections += [_compose_translation(g, c, z) for g, c in reflections]
     mirrors = [(is_translation(g), _has_fixed_point(g, c)) for g, c in reflections]
     flags = _rotation_flags(r, r_cycles, k, z)
     reports = []
@@ -542,68 +541,36 @@ def _analysis(
     )
 
 
-def _oracle_arrays(auto: AffineAuto, lattice: EnlargedLattice, d: int):
-    """Integer-scaled data for the grid enumeration: everything times W.
-
-    W = W0·d where W0 clears every denominator in t and the lattice basis
-    (M − I is integral); then W·((M − I)·p + t) is integral on the whole
-    grid p ∈ (1/d)Z^m and W·L has the integer basis W·B.  The basis is
-    the lattice's integer HNF data over its denominator, whose entries
-    have exactly that denominator as their lcm.
-    """
-    m = lattice.m
-    w0 = lcm(auto.denominator, lattice.denominator)
-    w = w0 * d
-    mi_int = [[0] * m for _ in range(m)]
-    for i, (src, sign) in enumerate(zip(auto.perm, auto.signs)):
-        mi_int[i][src] += sign * w0
-        mi_int[i][i] -= w0
-    t_int = [x * (w // auto.denominator) for x in auto.shift]
-    scale = w // lattice.denominator
-    basis_int = [[0] * m for _ in range(m)]
-    for i, pivot in enumerate(lattice.pivots):
-        basis_int[i][i] = pivot * scale
-    for i, _, tail in lattice.sheared_rows:
-        for j, b in tail:
-            basis_int[i][j] = b * scale
-    return w, mi_int, t_int, basis_int
-
-
-def _overflow_bound(d: int, mi_int, t_int, basis_int) -> int:
-    """Bound on every intermediate of the enumeration, in absolute value.
-
-    Only basis rows with off-diagonal entries subtract across columns.
-    """
+def _overflow_bound(d: int, rows, shift, pivots, tails) -> int:
+    """Bound on every intermediate of the enumeration, in absolute value:
+    the dense formula over M − I and W·L's basis, read off at most two
+    entries a row and the sheared rows, the only ones that subtract across
+    columns (each, in row order, adds (bound // pivot + 1)·its largest)."""
     bound = max(
-        sum(abs(e) for e in row) * (d - 1) + abs(t)
-        for row, t in zip(mi_int, t_int)
+        sum(abs(c) for _, c in row) * (d - 1) + abs(t) for row, t in zip(rows, shift)
     )
-    bound = max(bound, max(abs(e) for row in basis_int for e in row) * d)
-    for i, row in enumerate(basis_int):
-        if any(e for j, e in enumerate(row) if j != i):
-            q_bound = bound // row[i] + 1
-            bound += q_bound * max(abs(e) for e in row)
+    entries = [abs(b) for tail in tails.values() for _, b in tail]
+    bound = max(bound, max([*pivots, *entries]) * d)
+    for i, tail in tails.items():
+        bound += (bound // pivots[i] + 1) * max(pivots[i], *(abs(b) for _, b in tail))
     return bound
 
 
-def _triangular_residues(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _triangular_residues(v: np.ndarray, pivots, tails) -> np.ndarray:
     """Reduce rows of v modulo the upper-triangular row basis, in place.
 
-    Afterwards column i of v holds the canonical residue in
-    [0, basis[i][i]).  Basis rows are usually scaled standard vectors, so
-    the update only touches their nonzero columns.
+    The basis is W·L's: row i is pivots[i] at column i plus, for a
+    sheared row, the (column, entry) pairs of tails[i].  Afterwards
+    column i of v holds the canonical residue in [0, pivots[i]).
     """
-    m = basis.shape[0]
-    for i in range(m):
-        pivot = basis[i, i]
-        tail = [j for j in range(i + 1, m) if basis[i, j]]
-        if not tail:
+    for i, pivot in enumerate(pivots):
+        if i not in tails:
             v[:, i] %= pivot
             continue
         q = v[:, i] // pivot
         v[:, i] -= q * pivot
-        for j in tail:
-            v[:, j] -= q * basis[i, j]
+        for j, b in tails[i]:
+            v[:, j] -= q * b
     return v
 
 
@@ -690,7 +657,7 @@ def _expand(partial: np.ndarray, digits: Sequence[int], bounds: Sequence[int]):
 
 
 def _tested_pieces(
-    mi_t: np.ndarray, t_arr: np.ndarray, basis: np.ndarray, bounds: Sequence[int]
+    rows, shift, pivots, tails, bounds: Sequence[int]
 ) -> tuple[list[int], Iterator[np.ndarray]]:
     """The digits no test reads, and the partial digit vectors that pass
     every test, as m digit rows in nonempty pieces of at most _CHUNK.
@@ -698,59 +665,57 @@ def _tested_pieces(
     Grid points are digit vectors with digit k in [0, bounds[k]), found
     by a search over partial digit vectors that tests the image
     coordinates i = 0..m−1 in the triangular order of the basis.  Image
-    coordinate i reads only the digits k with mi_t[k, i] ≠ 0, so those
-    not yet assigned are expanded just before it is tested: it is the
-    image entry plus t_i, less what the sheared basis rows have carried
-    into it, and must be a multiple of the pivot, since that residue is
-    final once basis rows 0..i−1 are subtracted.  A partial vector that
-    fails is dropped before any later digit is assigned.  Digits that no
+    coordinate i reads only the digits of rows[i], its at most two
+    (digit, coefficient) pairs, so those not yet assigned are expanded
+    just before it is tested: it is Σ digit·coefficient plus shift[i],
+    less what the sheared basis rows (`tails`) have carried into it, and
+    must be a multiple of pivots[i], since that residue is final once
+    basis rows 0..i−1 are subtracted.  A partial vector that fails is
+    dropped before any later digit is assigned.  Digits that no
     coordinate reads stay 0, as each assignment to them is a fixed grid
     point (for the identity, every digit of one zero column).  The search
     goes depth first and no array holds more than _CHUNK partial vectors.
     """
-    m = basis.shape[0]
-    tails = [[j for j in range(i + 1, m) if basis[i, j]] for i in range(m)]
+    m = len(rows)
     # Partial vectors are stored one per column: m digit rows, then one
     # carry row per coordinate that a sheared row subtracts from.
-    carry_row = {
-        j: m + k for k, j in enumerate(sorted({j for tail in tails for j in tail}))
-    }
-    supports, new_digits, assigned = [], [], set()
-    for i in range(m):
-        support = np.flatnonzero(mi_t[:, i])
-        supports.append((support, mi_t[support, i]))
-        new_digits.append([k for k in support.tolist() if k not in assigned])
-        assigned.update(support.tolist())
+    carried = sorted({j for tail in tails.values() for j, _ in tail})
+    carry_row = {j: m + k for k, j in enumerate(carried)}
+    new_digits, assigned = [], set()
+    for row in rows:
+        new_digits.append([k for k, _ in row if k not in assigned])
+        assigned.update(new_digits[-1])
     free = [k for k in range(m) if k not in assigned]
 
     def search(partial: np.ndarray, i: int):
         if i == m:
             yield partial[:m]
             return
-        pivot = basis[i, i]
-        support, coef = supports[i]
-        fresh = new_digits[i]
+        pivot, fresh = pivots[i], new_digits[i]
         for piece in _expand(partial, fresh, bounds) if fresh else (partial,):
-            image = coef @ piece[support] + t_arr[i]
+            image = np.full(piece.shape[1], shift[i], dtype=np.int64)
+            for k, c in rows[i]:
+                image += piece[k] * c
             if i in carry_row:
                 image -= piece[carry_row[i]]
             hit = image % pivot == 0
-            if not hit.all():
-                piece, image = piece[:, hit], image[hit]
-                if not len(image):
-                    continue
+            kept = np.count_nonzero(hit)
+            if not kept:
+                continue
+            if kept < len(hit):
+                piece, image = piece.compress(hit, axis=1), image[hit]
             # Each piece is handed down once, so it takes its carries in place.
-            for j in tails[i]:
-                piece[carry_row[j]] += image // pivot * basis[i, j]
+            for j, b in tails.get(i, ()):
+                piece[carry_row[j]] += image // pivot * b
             yield from search(piece, i + 1)
 
     return free, search(np.zeros((m + len(carry_row), 1), dtype=np.int64), 0)
 
 
-def _surviving_pieces(mi_t, t_arr, basis, bounds) -> Iterator[np.ndarray]:
+def _surviving_pieces(rows, shift, pivots, tails, bounds) -> Iterator[np.ndarray]:
     """The fixed grid points as m digit rows: `_tested_pieces`, free
     digits expanded, in nonempty pieces of at most _CHUNK columns."""
-    free, tested = _tested_pieces(mi_t, t_arr, basis, bounds)
+    free, tested = _tested_pieces(rows, shift, pivots, tails, bounds)
     for partial in tested:
         yield from _expand(partial, free, bounds) if free else (partial,)
 
@@ -760,17 +725,20 @@ def _expanded_keys(partials, digits: Sequence[int], bounds: Sequence[int]):
     for each of `partials`, in nonempty pieces of at most _CHUNK keys, with
     no row built: the one key Σ_k x_k·prod(bounds[k+1:]) of digits x is a
     column's base key plus an offset by position inside the column, from
-    one table of the `digits`' offsets built for the first column."""
-    weights = np.array([prod(bounds[k + 1 :]) for k in range(len(bounds))], np.int64)
+    one table of the `digits`' offsets built for the first column.  Keys
+    take the narrowest type that holds prod(bounds), and so every weight."""
     offsets = None
     for partial in partials:
         if offsets is None:
-            offsets = np.zeros(1, dtype=np.int64)
+            weights = [prod(bounds[k + 1 :]) for k in range(len(bounds))]
+            key_type = np.min_scalar_type(prod(bounds))
+            offsets = np.zeros(1, dtype=key_type)
             for k in digits:
-                offsets = (offsets[:, None] + np.arange(bounds[k]) * weights[k]).ravel()
-            group = max(1, _CHUNK // len(offsets))
+                column = np.arange(bounds[k], dtype=key_type) * weights[k]
+                offsets = (offsets[:, None] + column).ravel()
+            weights, group = np.array(weights), max(1, _CHUNK // len(offsets))
         for first in range(0, partial.shape[1], group):
-            base = weights @ partial[:, first : first + group]
+            base = (weights @ partial[:, first : first + group]).astype(key_type)
             for start in range(0, len(offsets), _CHUNK):
                 yield np.add.outer(base, offsets[start : start + _CHUNK]).ravel()
 
@@ -853,12 +821,14 @@ def torsion_fixed_points_bruteforce(
     the comparison exact.
 
     Image coordinate W·((M − I)·p + t)_i depends on at most two grid
-    digits, so the grid is searched level by level: the digits one
-    coordinate reads are assigned just before its lattice-membership
-    test in int64, and partial digit vectors that fail are dropped before
-    the next digits are assigned.  Digits no coordinate reads are
-    assigned last, untested.  Each survivor is held only as mixed-radix
-    keys, which pack as many consecutive coordinates as fit in 62 bits.
+    digits, read off the signed permutation, and the lattice enters as
+    its scaled HNF pivots and sheared rows: no m×m table is built.  The
+    grid is searched level by level: the digits one coordinate reads are
+    assigned just before its lattice-membership test in int64, and
+    partial digit vectors that fail are dropped before the next digits
+    are assigned.  Digits no coordinate reads are assigned last, untested.
+    Each survivor is held only as mixed-radix keys, which pack as many
+    consecutive coordinates as fit in 62 bits.
 
     When the lattice denominator divides `denominator`, every grid class
     has its canonical form on the grid, inside the HNF box, so the search
@@ -866,8 +836,9 @@ def torsion_fixed_points_bruteforce(
     lattice.denominator), denominator^m / [L : Z^m] candidates, each
     already canonical and in its own class (the identity at n = 1 and
     denominator 8 builds 131,072, not the 262,144 grid points).  Their
-    digits, whose ranges multiply to at most the budget, fit one key,
-    which the last level writes with no digit row.  For any other
+    digits, whose ranges multiply to at most the budget, fit one key of
+    the narrowest type that holds their product, which the last level
+    writes with no digit row.  For any other
     denominator the last level builds the digit rows of the whole grid,
     and the survivors are reduced to canonical form, packed scaled by W,
     and deduplicated by comparing adjacent keys.
@@ -884,21 +855,23 @@ def torsion_fixed_points_bruteforce(
     box, denominator^m otherwise), and scalings that could leave the
     int64 range, with OracleBudgetExceeded.
     """
-    w, bounds, canonical, mi_t, t_arr, basis = _oracle_input(g, denominator)
+    w, bounds, canonical, *search = _oracle_input(g, denominator)
     step = w // denominator
     if canonical:
         # A box candidate's digits are its canonical row over step.
         radices, scale = bounds, step
-        free, tested = _tested_pieces(mi_t, t_arr, basis, bounds)
+        free, tested = _tested_pieces(*search, bounds)
         pieces = [[key] for key in _expanded_keys(tested, free, bounds)]
     else:
-        radices, scale = [int(pivot) for pivot in basis.diagonal()], 1
+        _, _, radices, tails = search
+        scale = 1
 
         def reduced(piece):
-            return _packed_keys(_triangular_residues((piece * step).T, basis), radices)
+            rows = _triangular_residues((piece * step).T, radices, tails)
+            return _packed_keys(rows, radices)
 
         # map drops each row piece once it is packed, before the next is built.
-        pieces = list(map(reduced, _surviving_pieces(mi_t, t_arr, basis, bounds)))
+        pieces = list(map(reduced, _surviving_pieces(*search, bounds)))
     if not pieces:
         empty = [np.empty(0, dtype=np.int64) for _ in _key_columns(radices)]
         return _TorsionPoints(empty, radices, scale, w)
@@ -929,13 +902,21 @@ def _has_torsion_fixed_point(g: AffineAuto, denominator: int) -> bool:
     Refuses what the oracle refuses, and stops at the first partial digit
     vector that passes every test, whose free digits it never expands.
     """
-    _, bounds, _, mi_t, t_arr, basis = _oracle_input(g, denominator)
-    return next(_tested_pieces(mi_t, t_arr, basis, bounds)[1], None) is not None
+    _, bounds, _, *search = _oracle_input(g, denominator)
+    return next(_tested_pieces(*search, bounds)[1], None) is not None
 
 
 def _oracle_input(g: AffineAuto, denominator: int):
     """W, the digit bounds, whether every candidate is canonical, and the
-    int64 arrays of the grid search, once the oracle's checks pass.
+    grid search's integer data, once the oracle's checks pass.
+
+    W = W0·d, where W0 clears the denominators of t and of the lattice's
+    HNF data, makes W·((M − I)·p + t) integral on the grid p ∈ (1/d)Z^m.
+    The data, with no m×m table: row i of W0·(M − I) as (digit,
+    coefficient) pairs sorted by digit, sign·W0 at perm[i] and −W0 at i,
+    merged into (sign − 1)·W0, none for sign +1, when perm[i] = i; W·t;
+    and W·L's pivots and, by row, the (column, entry) tails of its
+    sheared rows.
 
     When the lattice denominator divides d, L ⊆ (1/d)Z^m, so the canonical
     form of a grid point is a grid point in the HNF box: digit i ranges
@@ -958,18 +939,21 @@ def _oracle_input(g: AffineAuto, denominator: int):
             f"{DEFAULT_ORACLE_BUDGET}"
         )
 
-    w, mi_int, t_int, basis_int = _oracle_arrays(g, lattice, d)
-    # The bound covers every entry of the full image W·((M − I)·p + t):
-    # |entry i| ≤ Σ_k |e_ik|·(d − 1) + |t_i|.  The search forms each entry
-    # as a sum over its support, whose partial sums are bounded by the
-    # same terms, and its carries are the reduction's own intermediates.
-    if _overflow_bound(d, mi_int, t_int, basis_int) >= _INT64_SAFE:
+    w0 = lcm(g.denominator, lattice.denominator)
+    w = w0 * d
+    rows = [
+        ((i, -2 * w0),) * (sign < 0) if src == i
+        else tuple(sorted(((src, sign * w0), (i, -w0))))
+        for i, (src, sign) in enumerate(zip(g.perm, g.signs))
+    ]
+    shift = [x * (w // g.denominator) for x in g.shift]
+    scale = w // lattice.denominator
+    pivots = [pivot * scale for pivot in lattice.pivots]
+    tails = {
+        i: [(j, b * scale) for j, b in tail] for i, _, tail in lattice.sheared_rows
+    }
+    # The bound covers every entry of the image, which the search forms
+    # term by term from W·t, and the carries, the reduction's own terms.
+    if _overflow_bound(d, rows, shift, pivots, tails) >= _INT64_SAFE:
         raise OracleBudgetExceeded("oracle scaling exceeds 64-bit integer range")
-    return (
-        w,
-        bounds,
-        canonical,
-        np.array(mi_int, dtype=np.int64).T,
-        np.array(t_int, dtype=np.int64),
-        np.array(basis_int, dtype=np.int64),
-    )
+    return w, bounds, canonical, rows, shift, pivots, tails

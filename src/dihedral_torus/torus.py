@@ -476,6 +476,20 @@ def _decompose(g: AffineAuto) -> tuple:
     return tuple(cycles)
 
 
+def _compose_translation(g: AffineAuto, cycles, z: AffineAuto) -> tuple:
+    """g∘z for a translation z, and its signed cycles, kept on it: g's
+    `cycles` with prefix sums over its own shift, one O(m) pass."""
+    h = compose(g, z)
+    shift, slot = h.shift, []
+    for coords, pots, closed, _ in cycles:
+        prefix = [0]
+        for i, c in zip(coords, pots):
+            prefix.append(prefix[-1] + c * shift[i])
+        slot.append((coords, pots, closed, tuple(prefix)))
+    h._cycles = tuple(slot)
+    return h, h._cycles
+
+
 def _power(g: AffineAuto, e: int) -> AffineAuto:
     """g^e for every integer e, in closed form over g's signed cycles.
 

@@ -5,7 +5,7 @@ import itertools
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -544,11 +544,11 @@ class TestTorsionOracle:
 
     def test_overflow_bound_charges_only_sheared_rows(self):
         bound = analysis_module._overflow_bound
-        zero = [[0, 0], [0, 0]]
+        zero = [(), ()]
         # Start: the largest basis entry times d, here 8.
-        assert bound(1, zero, [0, 0], [[4, 0], [0, 8]]) == 8
+        assert bound(1, zero, [0, 0], [4, 8], {}) == 8
         # Row 0 subtracts q·(4, 4) from column 1, |q| ≤ 8 // 4 + 1 = 3.
-        assert bound(1, zero, [0, 0], [[4, 4], [0, 8]]) == 8 + 3 * 4
+        assert bound(1, zero, [0, 0], [4, 8], {0: [(1, 4)]}) == 8 + 3 * 4
 
     def test_large_n_fits_int64(self):
         r, _ = realified_action(14)
@@ -846,6 +846,79 @@ def test_search_carries_across_sheared_rows_in_the_box(g):
     _search_matches_enumeration(g, 3, 4)
 
 
+def _dense_bound(g, d):
+    """The oracle's int64 bound from the dense M − I and HNF basis.
+
+    The reference for the bound read off the signed permutation: W0
+    clears the denominators of t and of the basis, each row of
+    W0·(M − I) charges Σ|entry|·(d − 1) + |W·t_i|, the largest entry of
+    W·B times d starts the basis, and each row of W·B with an
+    off-diagonal entry adds (bound // pivot + 1) times its largest entry.
+    """
+    basis = g.lattice.canonical_basis
+    entries = [*g.translation, *(e for row in basis for e in row)]
+    w0 = lcm(*(x.denominator for x in entries))
+    w = w0 * d
+    mi = [
+        [w0 * (e - (i == j)) for j, e in enumerate(row)]
+        for i, row in enumerate(g.linear.rows)
+    ]
+    t = [x * w for x in g.translation]
+    scaled = [[e * w for e in row] for row in basis]
+    bound = max(sum(abs(e) for e in row) * (d - 1) + abs(x) for row, x in zip(mi, t))
+    bound = max(bound, max(abs(e) for row in scaled for e in row) * d)
+    for i, row in enumerate(scaled):
+        if any(e for j, e in enumerate(row) if j != i):
+            bound += (bound // row[i] + 1) * max(abs(e) for e in row)
+    assert bound.denominator == 1
+    return w, int(bound)
+
+
+def _sparse_bound(g, d):
+    w, _, _, *search = analysis_module._oracle_input(g, d)
+    return w, analysis_module._overflow_bound(d, *search)
+
+
+@given(signed_permutation_autos(6, sheared=True), st.integers(1, 12))
+@settings(deadline=None, max_examples=60)
+def test_overflow_bound_equals_the_dense_formula(g, d):
+    assert _sparse_bound(g, d) == _dense_bound(g, d)
+
+
+@pytest.mark.parametrize("n, bits", [(14, 9), (64, 12)])
+def test_overflow_bound_of_r_at_d2(n, bits, monkeypatch):
+    # The grid at D = 2 exceeds the budget, which is checked first.
+    monkeypatch.setattr(analysis_module, "DEFAULT_ORACLE_BUDGET", 2**300)
+    r, _ = realified_action(n)
+    w, bound = _sparse_bound(r, 2)
+    assert (w, bound) == _dense_bound(r, 2)
+    assert bound.bit_length() == bits
+
+
+def test_oracle_reads_no_dense_table(monkeypatch):
+    """The oracle reads perm, signs, shift and the HNF data, never the
+    dense linear part or the `Fraction` basis: both reads fail here."""
+    elements = [e.auto for e in closure(realified_action(1))]
+    large = realified_action(64)
+    large = (*large, compose(*large))
+
+    def dense(self):
+        raise AssertionError("read a dense table")
+
+    monkeypatch.setattr(AffineAuto, "linear", property(dense))
+    monkeypatch.setattr(EnlargedLattice, "canonical_basis", property(dense))
+    for g in elements:
+        # D = 8 walks the box; D = 3 reduces and deduplicates.
+        boxed = torsion_fixed_points_bruteforce(g, 8)
+        reduced = torsion_fixed_points_bruteforce(g, 3)
+        assert bool(boxed) == exists_fixed_point(g)
+        assert not reduced or exists_fixed_point(g)
+        if g.is_identity:
+            assert (len(boxed), len(reduced)) == (8**6 // 2, 3**6)
+    for g in large:
+        assert analysis_module._has_torsion_fixed_point(g, 1) == exists_fixed_point(g)
+
+
 @given(st.integers(1, 5).flatmap(lambda k: signed_permutation_autos(6, fixed=k)))
 @settings(deadline=None, max_examples=20)
 def test_search_expands_free_digits_last(g):
@@ -1068,13 +1141,13 @@ def _eager_rows(g, d):
     """The oracle's rows unpacked at once from the surviving grid points:
     scaled by W, reduced off the box, sorted, deduplicated, packed on the
     scaled radices and unpacked."""
-    w, bounds, canonical, mi_t, t_arr, basis = analysis_module._oracle_input(g, d)
-    m = basis.shape[0]
-    pieces = analysis_module._surviving_pieces(mi_t, t_arr, basis, bounds)
+    w, bounds, canonical, *search = analysis_module._oracle_input(g, d)
+    _, _, radices, tails = search
+    m = len(radices)
+    pieces = analysis_module._surviving_pieces(*search, bounds)
     rows = np.concatenate([piece[:m] for piece in pieces], axis=1).T * (w // d)
     if not canonical:
-        rows = analysis_module._triangular_residues(rows, basis)
-    radices = [int(basis[j, j]) for j in range(m)]
+        rows = analysis_module._triangular_residues(rows, radices, tails)
     keys = analysis_module._packed_keys(np.unique(rows, axis=0), radices)
     return analysis_module._unpacked_rows(keys, radices), w
 
@@ -1156,10 +1229,10 @@ def test_oracle_sorts_on_several_packed_keys():
         TorusShape(n),
         lattice,
     )
-    _, _, _, basis_int = analysis_module._oracle_arrays(s0, lattice, 2)
+    # W = 2·lattice.denominator, so the radices are the pivots times 2.
     radix_product = 1
-    for i, row in enumerate(basis_int):
-        radix_product *= row[i]
+    for pivot in lattice.pivots:
+        radix_product *= pivot * 2
     assert radix_product > analysis_module._INT64_SAFE
     points = torsion_fixed_points_bruteforce(s0, 2)
     assert len(points) == 256
@@ -1183,11 +1256,11 @@ def test_oracle_box_packs_digits_into_one_key():
     shift = [F(0), F(0), F(1, 1024), F(0), F(0), F(0)]
     g = AffineAuto((1, 0, 2, 3, 5, 4), (1, 1, -1, 1, 1, 1), shift, lattice)
     d = 2048
-    _, _, _, basis_int = analysis_module._oracle_arrays(g, lattice, d)
-    radices = [row[i] for i, row in enumerate(basis_int)]
+    # W = 2^21 and lattice.denominator = 2^9 scale each pivot by 2^12.
+    radices = [pivot * 2**12 for pivot in lattice.pivots]
     assert len(analysis_module._key_columns(radices)) == 2
-    _, bounds, canonical, *_ = analysis_module._oracle_input(g, d)
-    assert canonical and bounds == [4] * 6
+    _, bounds, canonical, _, _, pivots, _ = analysis_module._oracle_input(g, d)
+    assert canonical and bounds == [4] * 6 and pivots == radices
     assert len(analysis_module._key_columns(bounds)) == 1
     # One grid point per class: digits below D/512 = 4 are canonical.
     expected = set()
