@@ -79,7 +79,6 @@ from .torus import (
     AffineAuto,
     EnlargedLattice,
     TorsionPoint,
-    _compose_translation,
     _power,
     _signed_cycles,
     compose,
@@ -155,29 +154,19 @@ class GroupAnalysis:
 def order(g: AffineAuto) -> int:
     """Smallest k ≥ 1 with g^k the identity modulo g's lattice.
 
-    Closed form, exact at any size (see the module docstring).
+    Closed form over g's own cycle walk, exact at any size (module docstring).
     """
-    return _order(g, _signed_cycles(g))
-
-
-def _linear_order(cycles) -> int:
-    """Order of the linear part: the lcm of the cycle lengths, open ones doubled."""
-    return lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed, _ in cycles))
-
-
-def _order(auto: AffineAuto, cycles) -> int:
-    k = _linear_order(cycles)
-    total = [0] * len(auto.perm)
-    # Every caller passes auto's own cycles, whose prefix[-1] is c·t.
-    for coords, potentials, closed, prefix in cycles:
+    k = _linear_order(g)
+    total = [0] * len(g.perm)
+    for coords, potentials, closed, prefix in _signed_cycles(g):
         if closed:
             for i, c in zip(coords, potentials):
                 total[i] = k // len(coords) * prefix[-1] * c
     # g^k is the translation by T = num/den; the least q with q·T ∈ L is
     # base·e for the least divisor e of gcd(den, d) that passes, and
     # e = gcd(den, d), q = den, always passes.
-    lattice = auto.lattice
-    num, den = lattice.reduce_scaled(total, auto.denominator)
+    lattice = g.lattice
+    num, den = lattice.reduce_scaled(total, g.denominator)
     common = gcd(den, lattice.denominator)
     base = den // common
     for e in range(1, common):
@@ -189,24 +178,27 @@ def _order(auto: AffineAuto, cycles) -> int:
     return k * den
 
 
+def _linear_order(g: AffineAuto) -> int:
+    """Order of g's linear part: the lcm of its cycle lengths, open ones doubled."""
+    cycles = _signed_cycles(g)
+    return lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed, _ in cycles))
+
+
 def is_translation(g: AffineAuto) -> bool:
     """True for a nonidentity element whose linear part is the identity."""
     return g.is_linear_identity and any(g.shift)
 
 
 def exists_fixed_point(g: AffineAuto) -> bool:
-    """Exact decision of whether g(z) = z has a solution modulo g's lattice."""
-    return _has_fixed_point(g, _signed_cycles(g))
-
-
-def _has_fixed_point(auto: AffineAuto, cycles) -> bool:
-    # Every caller passes auto's own cycles, whose prefix[-1] is c·t.
+    """Exact decision of whether g(z) = z has a solution modulo g's lattice,
+    over the closed cycles of g's own cycle walk (module docstring)."""
+    cycles = _signed_cycles(g)
     kernel = [(coords, pots) for coords, pots, closed, _ in cycles if closed]
     if not kernel:
         # M - I invertible: (M - I)x = -t always solvable, λ = 0.
         return True
-    lattice = auto.lattice
-    den, d = auto.denominator, lattice.denominator
+    lattice = g.lattice
+    den, d = g.denominator, lattice.denominator
     t_proj = [prefix[-1] for _, _, closed, prefix in cycles if closed]
     extras = [
         [sum(c * gen[i] for i, c in zip(coords, pots)) for coords, pots in kernel]
@@ -236,16 +228,9 @@ def _fixes(g: AffineAuto, num: Sequence[int], den: int) -> bool:
     return not any(g.lattice.reduce_scaled(moved, den)[0])
 
 
-def _report(auto: AffineAuto, word: str, cycles=None) -> ElementReport:
+def _report(g: AffineAuto, word: str) -> ElementReport:
     """Order, translation flag and fixed-point verdict from one decomposition."""
-    if cycles is None:
-        cycles = _signed_cycles(auto)
-    return ElementReport(
-        word=word,
-        order=_order(auto, cycles),
-        is_translation=is_translation(auto),
-        has_fixed_point=_has_fixed_point(auto, cycles),
-    )
+    return ElementReport(word, order(g), is_translation(g), exists_fixed_point(g))
 
 
 def closure(gens: Sequence[AffineAuto]) -> list[GroupElement]:
@@ -361,12 +346,12 @@ def _extension_rows(k: int) -> tuple[tuple[tuple[int, int, int], str], ...]:
     return tuple((form, _path_label(paths[form], ("r", "s"))) for form in queue)
 
 
-def _rotation_flags(r: AffineAuto, r_cycles, k: int, z: AffineAuto | None):
+def _rotation_flags(r: AffineAuto, k: int, z: AffineAuto | None):
     """(is_translation, has_fixed_point) of r^d z^c for d | k, keyed (d, c).
 
     c runs over 0 and, with z, 1.  The largest d comes first, and r^d z^c
     is decided only when no decided proper power (r^d z^c)^{m/d} =
-    r^m z^{cm/d} is free of both; r^d z reuses the cycle walk of r^d.
+    r^m z^{cm/d} is free of both; each map decided walks its own cycles.
     """
     flags = {(k, 0): (False, True)}
     if z is not None:
@@ -382,37 +367,34 @@ def _rotation_flags(r: AffineAuto, r_cycles, k: int, z: AffineAuto | None):
                 continue
             if g is None:
                 g = _power(r, d)
-                cycles = r_cycles if d == 1 else _signed_cycles(g)
-            h, h_cycles = _compose_translation(g, cycles, z) if c else (g, cycles)
-            flags[d, c] = (is_translation(h), _has_fixed_point(h, h_cycles))
+            h = compose(g, z) if c else g
+            flags[d, c] = (is_translation(h), exists_fixed_point(h))
     return flags
 
 
 def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     """The analysis of ⟨r, s⟩, derived from its presentation.
 
-    r, s and rs are decomposed once each.  A pair with ord s = ord rs = 2
-    is D_k, k = ord r, and lists nothing: its rows follow from s, rs and
-    the r^d, d | k (module docstring), the largest d first, each decided
-    unless a decided r^m with d | m is free, so a free action decides only
-    the r^{k/p}, p | k prime.  A pair with ord s = 4 and ord rs = 2 whose
-    z = s² is a central translation outside ⟨r⟩ is the central extension
-    of D_k of order 4k: its rows, in `closure`'s order and with its
-    words, follow from s, rs, sz, rsz (reusing the cycle walks of s and
-    rs) and the r^d z^c.  Any other pair raises ValueError naming the
-    hypothesis it fails; nothing is closed.
+    Each map decided walks its own cycles once, r, s and rs included.  A
+    pair with ord s = ord rs = 2 is D_k, k = ord r, and lists nothing:
+    its rows follow from s, rs and the r^d, d | k (module docstring), the
+    largest d first, each decided unless a decided r^m with d | m is
+    free, so a free action decides only the r^{k/p}, p | k prime.  A pair
+    with ord s = 4 and ord rs = 2 whose z = s² is a central translation
+    outside ⟨r⟩ is the central extension of D_k of order 4k: its rows, in
+    `closure`'s order and with its words, follow from s, rs, sz, rsz and
+    the r^d z^c.  Any other pair raises ValueError naming the hypothesis
+    it fails; nothing is closed.
     """
-    r_cycles, s_cycles = _signed_cycles(r), _signed_cycles(s)
-    k, s_order = _order(r, r_cycles), _order(s, s_cycles)
+    k, s_order = order(r), order(s)
     if s_order not in (2, 4):
         raise ValueError(f"no presentation: ord s = {s_order}, not 2 or 4")
     rs = compose(r, s)
-    rs_cycles = _signed_cycles(rs)
-    rs_order = _order(rs, rs_cycles)
+    rs_order = order(rs)
     if rs_order != 2:
         raise ValueError(f"no presentation: ord rs = {rs_order}, not 2")
-    linear = _linear_order(r_cycles)
-    reflections = [(s, s_cycles), (rs, rs_cycles)]
+    linear = _linear_order(r)
+    reflections = [s, rs]
     z = None
     if s_order == 4:
         z = compose(s, s)
@@ -421,9 +403,9 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
         # r^{k/2} = z needs the linear part of r^{k/2} to be the identity.
         if not (k % 2 or (k // 2) % linear or _power(r, k // 2) != z):
             raise ValueError("no presentation: z = s² lies in ⟨r⟩")
-        reflections += [_compose_translation(g, c, z) for g, c in reflections]
-    mirrors = [(is_translation(g), _has_fixed_point(g, c)) for g, c in reflections]
-    flags = _rotation_flags(r, r_cycles, k, z)
+        reflections += [compose(g, z) for g in reflections]
+    mirrors = [(is_translation(g), exists_fixed_point(g)) for g in reflections]
+    flags = _rotation_flags(r, k, z)
     reports = []
     if z is None:
         # r^a s^b at index 2a + b, as analyze_group lists a dihedral group.
@@ -483,9 +465,7 @@ def analyze_group(gens: Sequence[AffineAuto]) -> GroupAnalysis:
         return _enumerate(autos)
     r, s = autos
     rs = compose(r, s)
-    r_cycles = _signed_cycles(r)
-    r_rep = _report(r, "r", r_cycles)
-    s_rep, rs_rep = _report(s, "s"), _report(rs, "r s")
+    r_rep, s_rep, rs_rep = _report(r, "r"), _report(s, "s"), _report(rs, "r s")
     if (s_rep.order, rs_rep.order) != (2, 2):
         return _enumerate(autos)
     k = r_rep.order
@@ -501,7 +481,7 @@ def analyze_group(gens: Sequence[AffineAuto]) -> GroupAnalysis:
         GroupElement(g, (0,) * (i // 2) + (1,) * (i % 2), divmod(i, 2), rep.word)
         for i, (g, rep) in enumerate(zip(maps[: 2 * k], reports))
     ]
-    return _analysis(elements, tuple(reports[: 2 * k]), k, _linear_order(r_cycles))
+    return _analysis(elements, tuple(reports[: 2 * k]), k, _linear_order(r))
 
 
 def _enumerate(autos: list[AffineAuto]) -> GroupAnalysis:
@@ -517,7 +497,7 @@ def _enumerate(autos: list[AffineAuto]) -> GroupAnalysis:
         elements,
         tuple(_report(e.auto, e.label) for e in elements),
         None,
-        _linear_order(_signed_cycles(autos[0])),
+        _linear_order(autos[0]),
     )
 
 

@@ -40,6 +40,17 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _positive(text: str) -> int:
+    """argparse type of the counts and denominators: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dihedral-torus",
@@ -55,18 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="verify the order-8n action for one n (or --range for n = 1..N)",
     )
-    verify.add_argument("--n", type=int, help="family parameter n >= 1")
+    verify.add_argument("--n", type=_positive, help="family parameter n >= 1")
     verify.add_argument("--json", metavar="PATH", help="write a JSON certificate")
     verify.add_argument(
         "--range",
-        type=int,
+        type=_positive,
         dest="range_max",
         metavar="N",
         help="verify every n from 1 to N and aggregate the results",
     )
     verify.add_argument(
         "--oracle",
-        type=int,
+        type=_positive,
         metavar="D",
         help="cross-check every fixed-point decision by brute force over "
         "points with coordinates in (1/D)Z",
@@ -76,14 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
         "corollary",
         help="verify the embedded free D_k action of order 2k",
     )
-    corollary.add_argument("--k", type=int, required=True, help="dihedral index k >= 1")
+    corollary.add_argument(
+        "--k", type=_positive, required=True, help="dihedral index k >= 1"
+    )
     corollary.add_argument("--json", metavar="PATH", help="write a JSON certificate")
 
     element = sub.add_parser(
         "element",
         help="inspect one group word on both the ambient product and the quotient",
     )
-    element.add_argument("--n", type=int, required=True, help="family parameter n >= 1")
+    element.add_argument(
+        "--n", type=_positive, required=True, help="family parameter n >= 1"
+    )
     element.add_argument(
         "--word",
         required=True,
@@ -91,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     element.add_argument(
         "--oracle",
-        type=int,
+        type=_positive,
         metavar="D",
         help="also enumerate torsion fixed points at denominator D",
     )
@@ -159,12 +174,6 @@ def cmd_verify(args) -> int:
         return _usage_error("one of --n or --range is required")
     if args.n is not None and args.range_max is not None:
         return _usage_error("--n and --range are mutually exclusive")
-    if args.n is not None and args.n < 1:
-        return _usage_error("--n must be a positive integer")
-    if args.range_max is not None and args.range_max < 1:
-        return _usage_error("--range must be a positive integer")
-    if args.oracle is not None and args.oracle < 1:
-        return _usage_error("--oracle denominator must be a positive integer")
 
     # Schema 1 keeps the closure_cap key, always null: no verifier takes a cap.
     params = {
@@ -211,8 +220,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corollary(args) -> int:
-    if args.k < 1:
-        return _usage_error("--k must be a positive integer")
     start = time.perf_counter()
     cert = verify_corollary(args.k)
     _print_certificate(cert)
@@ -247,10 +254,6 @@ def _print_view(
 
 
 def cmd_element(args) -> int:
-    if args.n < 1:
-        return _usage_error("--n must be a positive integer")
-    if args.oracle is not None and args.oracle < 1:
-        return _usage_error("--oracle denominator must be a positive integer")
     try:
         word = parse_word(args.word)
     except WordParseError as exc:

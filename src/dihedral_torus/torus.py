@@ -448,7 +448,8 @@ def inverse(g: AffineAuto) -> AffineAuto:
 
 
 def _signed_cycles(g: AffineAuto) -> tuple:
-    """(coordinates, potentials c, closed, prefix) per cycle of M, kept on g."""
+    """(coordinates, potentials c, closed, prefix) per cycle of M: g's own
+    walk, made on the first read and kept on g."""
     if g._cycles is None:
         g._cycles = _decompose(g)
     return g._cycles
@@ -474,20 +475,6 @@ def _decompose(g: AffineAuto) -> tuple:
             i = perm[i]
         cycles.append((tuple(coords), tuple(potentials), c == 1, tuple(prefix)))
     return tuple(cycles)
-
-
-def _compose_translation(g: AffineAuto, cycles, z: AffineAuto) -> tuple:
-    """g∘z for a translation z, and its signed cycles, kept on it: g's
-    `cycles` with prefix sums over its own shift, one O(m) pass."""
-    h = compose(g, z)
-    shift, slot = h.shift, []
-    for coords, pots, closed, _ in cycles:
-        prefix = [0]
-        for i, c in zip(coords, pots):
-            prefix.append(prefix[-1] + c * shift[i])
-        slot.append((coords, pots, closed, tuple(prefix)))
-    h._cycles = tuple(slot)
-    return h, h._cycles
 
 
 def _power(g: AffineAuto, e: int) -> AffineAuto:

@@ -19,7 +19,8 @@ from itertools import groupby
 
 from .torus import AffineAuto, _power, compose
 
-_TERM = re.compile(r"([rs])(?:\^(-?\d+))?\Z")
+# ASCII digits only: \d alone would read "r^٣" as r^3.
+_TERM = re.compile(r"([rs])(?:\^(-?\d+))?\Z", re.ASCII)
 
 
 class WordParseError(ValueError):

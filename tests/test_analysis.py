@@ -339,9 +339,10 @@ class TestAnalyzeGroup:
     def test_generators_are_decided_and_composed_once(self, monkeypatch):
         # The presentation check and the listing share r, s and rs: at
         # n = 2 the 16 elements take 13 compositions (rs, then r^a and
-        # r^a s for a = 2..7) and 16 decompositions, one per element.
+        # r^a s for a = 2..7) and 16 cycle walks, one per element.  Fresh
+        # copies of r and s, since the cached ones may have been walked.
         composed, decomposed = [], []
-        compose_, decompose = analysis_module.compose, analysis_module._signed_cycles
+        compose_, decompose = analysis_module.compose, torus_module._decompose
 
         def composing(g, h):
             composed.append((g, h))
@@ -352,8 +353,11 @@ class TestAnalyzeGroup:
             return decompose(auto)
 
         monkeypatch.setattr(analysis_module, "compose", composing)
-        monkeypatch.setattr(analysis_module, "_signed_cycles", spy)
-        r, s = realified_action(2)
+        monkeypatch.setattr(torus_module, "_decompose", spy)
+        r, s = (
+            AffineAuto(g.perm, g.signs, g.translation, g.lattice)
+            for g in realified_action(2)
+        )
         result = analyze_group([r, s])
         assert result.group_size == 16
         assert len(composed) == 13

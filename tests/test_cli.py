@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus import analysis, cli
+from dihedral_torus import analysis, cli, torus
 from dihedral_torus.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -229,18 +229,22 @@ class TestElementCommand:
         assert "budget" in capsys.readouterr().err
 
     def test_one_cycle_decomposition_per_map(self, capsys, monkeypatch):
-        calls, decompose = [], analysis._signed_cycles
+        # r and s are cached per n and may be walked already: count the
+        # walks of the two element maps, one per lattice.
+        walked, decompose = [], torus._decompose
+        generators = {*realified_action(4), *realified_action(4, ambient_lattice(4))}
 
         def spy(auto):
-            calls.append(auto)
+            walked.append(auto)
             return decompose(auto)
 
-        monkeypatch.setattr(analysis, "_signed_cycles", spy)
+        monkeypatch.setattr(torus, "_decompose", spy)
         assert main(["element", "--n", "4", "--word", "r^3 s"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "order: 2" in out
         assert out.count("has fixed point: no") == 2
-        assert len(calls) == 2
+        elements = [g for g in walked if g not in generators]
+        assert sorted(g.lattice.index for g in elements) == [1, 2]
 
     def test_huge_exponents_print_their_residues(self, capsys):
         # At n = 64, r has order 256 and s order 4 upstairs, 2 below; a
@@ -310,6 +314,27 @@ class TestArgumentParsing:
     def test_non_integer_argument(self, capsys):
         assert main(["verify", "--n", "three"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["verify", "--n", "0"], "--n"),
+            (["verify", "--range", "-1"], "--range"),
+            (["verify", "--n", "1", "--oracle", "0"], "--oracle"),
+            (["corollary", "--k", "0"], "--k"),
+            (["element", "--n", "0", "--word", "r"], "--n"),
+            (["element", "--n", "1", "--word", "r", "--oracle", "0"], "--oracle"),
+        ],
+    )
+    def test_non_positive_values_name_their_flag(self, args, flag, capsys):
+        value = args[args.index(flag) + 1]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not a positive integer: '{value}'" in err
+
+    def test_non_integer_reads_invalid_int_value(self, capsys):
+        assert main(["corollary", "--k", "x"]) == EXIT_USAGE
+        assert "argument --k: invalid int value: 'x'" in capsys.readouterr().err
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dihedral_torus import words
 from dihedral_torus.analysis import analyze_group, order
+from dihedral_torus.cli import EXIT_USAGE, main
 from dihedral_torus.dihedral import ambient_lattice, realified_action
 from dihedral_torus.torus import AffineAuto, compose, inverse
 from dihedral_torus.words import (
@@ -57,6 +58,15 @@ class TestParsing:
         for bad in ("t", "r^", "^2", "r^1.5", "R"):
             with pytest.raises(WordParseError):
                 parse_word(bad)
+
+    def test_exponents_are_ascii_digits(self, capsys):
+        # Unicode decimal digits (Arabic-Indic ٣, fullwidth ３) are refused.
+        for text, position in (("r^\u0663", 0), ("s r^\uff13", 2)):
+            with pytest.raises(WordParseError) as exc:
+                parse_word(text)
+            assert exc.value.position == position
+        assert main(["element", "--n", "1", "--word", "r^\u0663"]) == EXIT_USAGE
+        assert "invalid term" in capsys.readouterr().err
 
     def test_overlong_exponent_is_a_parse_error(self):
         # int() refuses more digits than sys.get_int_max_str_digits().
