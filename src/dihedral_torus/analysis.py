@@ -68,9 +68,9 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -103,20 +103,17 @@ class OracleBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Group element: automorphism plus bookkeeping words.
+    """Group element: automorphism plus a word for it.
 
-    path is a word for the element as generator indices (left-to-right
-    composition order, empty for the identity): its BFS discovery word
-    in a closure, (0,)*a + (1,)*b for the normal form r^a s^b.  word and
-    label are that normal form (a, b) and its rendering when the group
-    is D_k by its presentation (module docstring); a closure sets no
-    word, and `analyze_group` labels it by the path.
+    path is that word as generator indices (left-to-right composition
+    order, empty for the identity): its BFS discovery word in a closure,
+    (0,)*a + (1,)*b for the normal form r^a s^b of a D_k listed by its
+    presentation (module docstring).  Its rendering is the `word` of the
+    element's report in a `GroupAnalysis`.
     """
 
     auto: AffineAuto
     path: tuple[int, ...]
-    word: tuple[int, int] | None = None
-    label: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,20 +132,34 @@ class GroupAnalysis:
 
     `elements` is empty when the verdicts are derived from a presentation
     (module docstring), free or not, and `analyze_group` fills it.
-    Reports hold r^a s^b at index 2a + b for D_k; for its central
-    extension (rotation_order None) they hold r^a s^b z^c in
+    Reports hold r^a s^b at index 2a + b for D_k (rotation_order k); for
+    its central extension (rotation_order None) they hold r^a s^b z^c in
     `_extension_rows` order, which is also the order of its closure.
-    `linear_order` is the order of the first generator's linear part.
+    The identity's report comes first.  Every summary is read off the
+    reports.
     """
 
     elements: tuple[GroupElement, ...]
     reports: tuple[ElementReport, ...]
-    group_size: int
-    is_free: bool
-    has_no_translations: bool
     rotation_order: int | None
-    symmetry_class_count: int | None
-    linear_order: int
+
+    @property
+    def group_size(self) -> int:
+        return len(self.reports)
+
+    @property
+    def symmetry_class_count(self) -> int | None:
+        """For D_k: the reflections r^a s fall into classes by a mod gcd(2, k)."""
+        k = self.rotation_order
+        return None if k is None else 2 - k % 2
+
+    @cached_property
+    def is_free(self) -> bool:
+        return not any(rep.has_fixed_point for rep in self.reports[1:])
+
+    @cached_property
+    def has_no_translations(self) -> bool:
+        return not any(rep.is_translation for rep in self.reports)
 
 
 def order(g: AffineAuto) -> int:
@@ -393,7 +404,6 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     rs_order = order(rs)
     if rs_order != 2:
         raise ValueError(f"no presentation: ord rs = {rs_order}, not 2")
-    linear = _linear_order(r)
     reflections = [s, rs]
     z = None
     if s_order == 4:
@@ -401,7 +411,7 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
         if not (z.is_linear_identity and _fixes(r, z.shift, z.denominator)):
             raise ValueError("no presentation: z = s² is not a central translation")
         # r^{k/2} = z needs the linear part of r^{k/2} to be the identity.
-        if not (k % 2 or (k // 2) % linear or _power(r, k // 2) != z):
+        if not (k % 2 or (k // 2) % _linear_order(r) or _power(r, k // 2) != z):
             raise ValueError("no presentation: z = s² lies in ⟨r⟩")
         reflections += [compose(g, z) for g in reflections]
     mirrors = [(is_translation(g), exists_fixed_point(g)) for g in reflections]
@@ -415,7 +425,7 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
                 ElementReport(_dihedral_label(a, 0), k // d, *flags[d, 0]),
                 ElementReport(_dihedral_label(a, 1), 2, *mirrors[a % (2 - k % 2)]),
             ]
-        return _analysis((), tuple(reports), k, linear)
+        return GroupAnalysis((), tuple(reports), k)
     # mirrors holds s, rs, sz, rsz: r^{b'} s z^{c'} at index b' + 2c'.
     for (a, b, c), label in _extension_rows(k):
         if b:
@@ -426,7 +436,7 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
             d = gcd(a, k)
             rep = ElementReport(label, lcm(k // d, 1 + c), *flags[d, c])
         reports.append(rep)
-    return _analysis((), tuple(reports), None, linear)
+    return GroupAnalysis((), tuple(reports), None)
 
 
 def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementReport]:
@@ -477,11 +487,11 @@ def analyze_group(gens: Sequence[AffineAuto]) -> GroupAnalysis:
     for a in range(2, k):
         maps += [compose(maps[-2], r), compose(r, maps[-1])]
         reports += [_report(maps[-2 + b], _dihedral_label(a, b)) for b in (0, 1)]
-    elements = [
-        GroupElement(g, (0,) * (i // 2) + (1,) * (i % 2), divmod(i, 2), rep.word)
-        for i, (g, rep) in enumerate(zip(maps[: 2 * k], reports))
-    ]
-    return _analysis(elements, tuple(reports[: 2 * k]), k, _linear_order(r))
+    elements = tuple(
+        GroupElement(g, (0,) * (i // 2) + (1,) * (i % 2))
+        for i, g in enumerate(maps[: 2 * k])
+    )
+    return GroupAnalysis(elements, tuple(reports[: 2 * k]), k)
 
 
 def _enumerate(autos: list[AffineAuto]) -> GroupAnalysis:
@@ -489,36 +499,9 @@ def _enumerate(autos: list[AffineAuto]) -> GroupAnalysis:
     names = ("r", "s") if len(autos) == 2 else tuple(
         f"g{i + 1}" for i in range(len(autos))
     )
-    elements = [
-        replace(e, label=_path_label(e.path, names))
-        for e in closure(autos)
-    ]
-    return _analysis(
-        elements,
-        tuple(_report(e.auto, e.label) for e in elements),
-        None,
-        _linear_order(autos[0]),
-    )
-
-
-def _analysis(
-    elements: Sequence[GroupElement],
-    reports: tuple[ElementReport, ...],
-    k: int | None,
-    linear_order: int,
-) -> GroupAnalysis:
-    """The analysis of these reports, the identity's first, for D_k or no k."""
-    return GroupAnalysis(
-        elements=tuple(elements),
-        reports=reports,
-        group_size=len(reports),
-        is_free=not any(rep.has_fixed_point for rep in reports[1:]),
-        has_no_translations=not any(rep.is_translation for rep in reports),
-        rotation_order=k,
-        # The reflections r^a s fall into classes by a mod gcd(2, k).
-        symmetry_class_count=None if k is None else 2 - k % 2,
-        linear_order=linear_order,
-    )
+    elements = tuple(closure(autos))
+    reports = tuple(_report(e.auto, _path_label(e.path, names)) for e in elements)
+    return GroupAnalysis(elements, reports, None)
 
 
 def _overflow_bound(d: int, rows, shift, pivots, tails) -> int:

@@ -41,9 +41,11 @@ EXIT_BUDGET = 3
 
 
 def _positive(text: str) -> int:
-    """argparse type of the counts and denominators: an int of at least 1."""
+    """argparse type of the counts and denominators: ASCII digits, at least 1."""
     try:
-        value = int(text)
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError(text)
+        value = int(text)  # raises past the interpreter's digit limit
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:

@@ -30,10 +30,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 
-from .analysis import ElementReport, GroupAnalysis, _facts, _fixes, _prove_dihedral
+from .analysis import ElementReport, _facts, _fixes, _linear_order, _prove_dihedral
 from .torus import (
     AffineAuto,
     ComplexMonomialMap,
@@ -140,41 +140,55 @@ def realified_action(
 
 @dataclass(frozen=True)
 class StepResult:
-    """Outcome of one certificate step: named sub-checks and their verdicts."""
+    """Outcome of one certificate step: named sub-checks; it passes when all do."""
 
     name: str
-    passed: bool
     checks: tuple[tuple[str, bool], ...]
 
-    @classmethod
-    def from_checks(
-        cls, name: str, checks: list[tuple[str, bool]]
-    ) -> "StepResult":
-        return cls(
-            name=name,
-            passed=all(ok for _, ok in checks),
-            checks=tuple(checks),
-        )
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok in self.checks)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Verdict on one dihedral action: named steps and the group's facts.
+    """Verdict on one dihedral action: named steps and one report per element.
 
     The theorem, its mutants and the corollary all fill five steps; `k`
-    is set only for the corollary's D_k.
+    is set only for the corollary's D_k.  Every summary is read off the
+    steps and the reports, the identity's first.
     """
 
     n: int
-    dimension: int
     group_order_expected: int
-    group_order_actual: int
     steps: tuple[StepResult, ...]
-    is_free: bool
-    has_no_translations: bool
-    theorem_verified: bool
     reports: tuple[ElementReport, ...]
     k: int | None = None
+
+    @property
+    def dimension(self) -> int:
+        return 2 * self.n + 1
+
+    @property
+    def group_order_actual(self) -> int:
+        return len(self.reports)
+
+    @cached_property
+    def is_free(self) -> bool:
+        return not any(rep.has_fixed_point for rep in self.reports[1:])
+
+    @cached_property
+    def has_no_translations(self) -> bool:
+        return not any(rep.is_translation for rep in self.reports)
+
+    @cached_property
+    def theorem_verified(self) -> bool:
+        return (
+            all(st.passed for st in self.steps)
+            and self.group_order_actual == self.group_order_expected
+            and self.is_free
+            and self.has_no_translations
+        )
 
     @property
     def verified(self) -> bool:
@@ -200,34 +214,6 @@ _COROLLARY_STEP_NAMES = (
     "no translations",
     "free action",
 )
-
-
-def _conclude(
-    n: int,
-    expected: int,
-    steps: tuple[StepResult, ...],
-    analysis: GroupAnalysis,
-    k: int | None = None,
-) -> Certificate:
-    """The certificate of evaluated steps and the analysis they read."""
-    verified = (
-        all(st.passed for st in steps)
-        and analysis.group_size == expected
-        and analysis.is_free
-        and analysis.has_no_translations
-    )
-    return Certificate(
-        n=n,
-        dimension=2 * n + 1,
-        group_order_expected=expected,
-        group_order_actual=analysis.group_size,
-        steps=steps,
-        is_free=analysis.is_free,
-        has_no_translations=analysis.has_no_translations,
-        theorem_verified=verified,
-        reports=analysis.reports,
-        k=k,
-    )
 
 
 def _offsets_fold(offsets: Sequence[TorsionPoint]) -> bool:
@@ -274,11 +260,11 @@ def _certify(
         and r.shift[last] * four_n == r.denominator
         and r.lattice.pivots[last] == r.lattice.denominator
     )
-    step1 = StepResult.from_checks(
+    step1 = StepResult(
         _STEP_NAMES[0],
-        [
+        (
             ("r has order 4n on the quotient", r_order == four_n),
-            ("the linear part of r has order 4n", analysis.linear_order == four_n),
+            ("the linear part of r has order 4n", _linear_order(r) == four_n),
             ("the linear part of r fixes w on the ambient torus",
              _fixes(r_ambient, w_num, w_den)),
             ("every power r^j shifts the E′ coordinate by exactly j/4n", shifts_ok),
@@ -286,16 +272,16 @@ def _certify(
              not any(f.is_translation for f in power_facts)),
             ("no proper rotation power has a fixed point",
              not any(f.has_fixed_point for f in power_facts)),
-        ],
+        ),
     )
 
     # Step 2: s² is the translation by w upstairs, the linear part of s
     # fixes w, and the offsets telescope to half periods.  Shifts on Z^m
     # are canonical, so s² is that translation iff it has w's reduced shift.
     s_squared = compose(s_ambient, s_ambient)
-    step2 = StepResult.from_checks(
+    step2 = StepResult(
         _STEP_NAMES[1],
-        [
+        (
             ("s² is the translation by w on the ambient torus",
              s_squared.is_linear_identity and (s_squared.shift, s_squared.denominator)
              == ambient.reduce_scaled(w_num, w_den)),
@@ -304,45 +290,45 @@ def _certify(
             ("offsets satisfy b_i − b_{2n+1−i} = 1/2 for every i",
              _offsets_fold(build_b(n))),
             ("s has order 2 on the quotient", s_order == 2),
-        ],
+        ),
     )
 
     # Step 3: the defining dihedral relations and the closure size.
-    step3 = StepResult.from_checks(
+    step3 = StepResult(
         _STEP_NAMES[2],
-        [
+        (
             ("orders of (r, s, rs) are (4n, 2, 2)",
              (r_order, s_order, rs_order) == (four_n, 2, 2)),
             ("closure of {r, s} has exactly 8n elements",
              analysis.group_size == 8 * n),
             ("closure satisfies the dihedral presentation",
              analysis.rotation_order == four_n),
-        ],
+        ),
     )
 
     # Step 4: the symmetries fall into exactly two conjugacy classes
     # (those of s and rs), and neither representative is a translation.
-    step4 = StepResult.from_checks(
+    step4 = StepResult(
         _STEP_NAMES[3],
-        [
+        (
             ("symmetries form exactly two conjugacy classes",
              analysis.symmetry_class_count == 2),
             ("s is not a translation", not s_facts.is_translation),
             ("rs is not a translation", not rs_facts.is_translation),
-        ],
+        ),
     )
 
     # Step 5: the two class representatives, and with them every
     # nonidentity element, act without fixed points.
-    step5 = StepResult.from_checks(
+    step5 = StepResult(
         _STEP_NAMES[4],
-        [
+        (
             ("s has no fixed point on the quotient", not s_facts.has_fixed_point),
             ("rs has no fixed point on the quotient", not rs_facts.has_fixed_point),
             ("no nonidentity element has a fixed point", analysis.is_free),
-        ],
+        ),
     )
-    return _conclude(n, 8 * n, (step1, step2, step3, step4, step5), analysis)
+    return Certificate(n, 8 * n, (step1, step2, step3, step4, step5), analysis.reports)
 
 
 def verify_theorem(n: int) -> Certificate:
@@ -420,22 +406,17 @@ def verify_corollary(k: int) -> Certificate:
     analysis = _prove_dihedral(_power(r, plan.rotation_power), refl)
     rot_facts, refl_facts, product_facts = _facts(analysis, (1, 0), (0, 1), (1, 1))
     step_checks = (
-        [("r^{4n/k} has order k on the quotient", rot_facts.order == k)],
-        [("s has order 2 on the quotient", refl_facts.order == 2)],
-        [
+        (("r^{4n/k} has order k on the quotient", rot_facts.order == k),),
+        (("s has order 2 on the quotient", refl_facts.order == 2),),
+        (
             ("closure of {r^{4n/k}, s} has exactly 2k elements",
              analysis.group_size == plan.expected_order),
-            (
-                "closure satisfies the dihedral presentation",
-                analysis.rotation_order == k,
-            ),
+            ("closure satisfies the dihedral presentation",
+             analysis.rotation_order == k),
             ("r^{4n/k}s has order 2", product_facts.order == 2),
-        ],
-        [("no element is a translation", analysis.has_no_translations)],
-        [("no nonidentity element has a fixed point", analysis.is_free)],
+        ),
+        (("no element is a translation", analysis.has_no_translations),),
+        (("no nonidentity element has a fixed point", analysis.is_free),),
     )
-    steps = tuple(
-        StepResult.from_checks(name, checks)
-        for name, checks in zip(_COROLLARY_STEP_NAMES, step_checks)
-    )
-    return _conclude(n, plan.expected_order, steps, analysis, k)
+    steps = tuple(map(StepResult, _COROLLARY_STEP_NAMES, step_checks))
+    return Certificate(n, plan.expected_order, steps, analysis.reports, k)

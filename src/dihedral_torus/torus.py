@@ -137,6 +137,8 @@ class EnlargedLattice:
         if m < 1:
             raise ValueError("dimension must be positive")
         extra_vs = tuple(vector(g) for g in extras)
+        if not extra_vs:
+            return cls(m, (), 1, 1, (1,) * m, (), ())  # Z^m is its own HNF
         if any(len(g) != m for g in extra_vs):
             raise ValueError("extra generators must have length m")
         d = lcm(1, *(e.denominator for g in extra_vs for e in g))

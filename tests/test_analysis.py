@@ -239,14 +239,14 @@ class TestConjugacyClasses:
         self, quotient_pair
     ):
         analysis = analyze_group(quotient_pair)
-        by_label = {e.label: rep for e, rep in
-                    zip(analysis.elements, analysis.reports)}
+        by_path = {e.path: rep for e, rep in
+                   zip(analysis.elements, analysis.reports)}
         for cls in conjugacy_classes(analysis.elements):
             verdicts = {
                 (
-                    by_label[e.label].order,
-                    by_label[e.label].is_translation,
-                    by_label[e.label].has_fixed_point,
+                    by_path[e.path].order,
+                    by_path[e.path].is_translation,
+                    by_path[e.path].has_fixed_point,
                 )
                 for e in cls
             }
@@ -270,7 +270,7 @@ class TestAnalyzeGroup:
         assert analysis.is_free
         assert analysis.has_no_translations
         assert analysis.symmetry_class_count == 2
-        assert [e.label for e in analysis.elements] == [
+        assert [rep.word for rep in analysis.reports] == [
             "", "s", "r", "r s", "r^2", "r^2 s", "r^3", "r^3 s",
         ]
         identity_report = analysis.reports[0]
@@ -293,8 +293,8 @@ class TestAnalyzeGroup:
         assert not analysis.has_no_translations
         assert analysis.is_free
         # Fallback labels are BFS discovery words over the generator names.
-        assert analysis.elements[0].label == ""
-        assert {e.label for e in analysis.elements} >= {"r", "s", "s^2"}
+        assert analysis.reports[0].word == ""
+        assert {rep.word for rep in analysis.reports} >= {"r", "s", "s^2"}
 
     def test_symmetry_classes_for_larger_n(self):
         analysis = analyze_group(realified_action(2))
@@ -306,7 +306,7 @@ class TestAnalyzeGroup:
         symmetry_sizes = [
             len(cls)
             for cls in classes
-            if all(e.word[1] == 1 for e in cls)
+            if all(e.path.count(1) == 1 for e in cls)
         ]
         assert symmetry_sizes == [4, 4]
 
@@ -329,7 +329,7 @@ class TestAnalyzeGroup:
         analysis = analyze_group([r])
         assert analysis.group_size == 4
         assert analysis.rotation_order is None
-        assert [e.label for e in analysis.elements] == [
+        assert [rep.word for rep in analysis.reports] == [
             "", "g1", "g1^2", "g1^3",
         ]
 
@@ -397,13 +397,13 @@ class TestFastPathsAgainstGenericCode:
         k = analysis.rotation_order
         assert k is not None
         generic = conjugacy_classes(analysis.elements)
-        reflection_classes = [cls for cls in generic if cls[0].word[1] == 1]
+        reflection_classes = [cls for cls in generic if cls[0].path.count(1) == 1]
         assert analysis.symmetry_class_count == 2 - k % 2
         assert analysis.symmetry_class_count == len(reflection_classes)
         # The classes of r^a s are the residues of a modulo gcd(2, k).
         step = 2 - k % 2
         assert sorted(
-            sorted(e.word[0] for e in cls) for cls in reflection_classes
+            sorted(e.path.count(0) for e in cls) for cls in reflection_classes
         ) == [list(range(c, k, step)) for c in range(step)]
 
     @pytest.mark.parametrize("name, pair", _dihedral_pairs())
@@ -411,8 +411,8 @@ class TestFastPathsAgainstGenericCode:
         r, s = pair
         analysis = analyze_group(pair)
         k = analysis.rotation_order
-        assert [e.word for e in analysis.elements] == [
-            (a, b) for a in range(k) for b in (0, 1)
+        assert [e.path for e in analysis.elements] == [
+            (0,) * a + (1,) * b for a in range(k) for b in (0, 1)
         ]
         power = AffineAuto.identity(r.lattice)
         for a in range(k):
@@ -435,7 +435,6 @@ class TestFastPathsAgainstGenericCode:
             assert analysis.group_size == 16 * n
             assert analysis.rotation_order is None
             assert analysis.symmetry_class_count is None
-            assert all(e.word is None for e in analysis.elements)
         analyze_group(realified_action(1))
         assert seen == []
 
@@ -468,8 +467,7 @@ class TestFastPathsAgainstGenericCode:
         assert analysis.group_size == 6
         assert analysis.rotation_order is None
         assert analysis.symmetry_class_count is None
-        assert all(e.word is None for e in analysis.elements)
-        assert [e.label for e in analysis.elements] == [
+        assert [rep.word for rep in analysis.reports] == [
             "", "r", "s", "r^2", "r s", "r^2 s",
         ]
 

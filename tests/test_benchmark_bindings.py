@@ -50,3 +50,31 @@ def test_traced_queries_take_the_map_positionally_and_nothing_else():
             if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
         ]
         assert len(positional) == count, fn.__name__
+
+
+# What `perfbench/workloads.py` reads off a certificate and its reports.
+CERTIFICATE_READS = (
+    "theorem_verified", "is_free", "has_no_translations", "group_order_actual",
+    "reports", "n", "verified", "ambient_dimension",
+)
+REPORT_READS = ("word", "order", "is_translation", "has_fixed_point")
+
+
+def test_results_expose_what_the_benchmark_reads():
+    # A certificate's summaries are properties, so a dropped name would
+    # otherwise show only as a failed benchmark run.
+    for cert in (
+        dihedral.verify_theorem(1),
+        dihedral.verify_mutant("no-quotient", 1),
+        dihedral.verify_corollary(5),
+    ):
+        assert [a for a in CERTIFICATE_READS if not hasattr(cert, a)] == []
+        for rep in cert.reports:
+            assert [a for a in REPORT_READS if not hasattr(rep, a)] == []
+    assert dihedral.build_corollary(5).params.n == 5
+    rot, refl = dihedral.realified_action(1)
+    elements = analysis.closure([rot, refl])
+    assert [e.path for e in elements][:3] == [(), (0,), (1,)]
+    assert all(e.auto.lattice.m == 6 for e in elements)
+    g = words.evaluate_word(words.parse_word("r s"), rot, refl)
+    assert len(g.translation.coords) == 6

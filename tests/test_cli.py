@@ -336,6 +336,23 @@ class TestArgumentParsing:
         assert main(["corollary", "--k", "x"]) == EXIT_USAGE
         assert "argument --k: invalid int value: 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value",
+        ["٣", "1_0", " 3 ", "+3", "3\n", pytest.param("9" * 5000, id="5000-digits")],
+    )
+    def test_counts_are_ascii_digits_only(self, value, capsys):
+        # int() would read the first five as numbers; a count is -?[0-9]+,
+        # and one past int()'s digit limit reads the same way.
+        assert main(["corollary", "--k", value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument --k: invalid int value: {value!r}" in err
+
+    def test_a_negative_count_reads_not_positive(self, capsys):
+        # The digit check lets one minus sign through to the bound check.
+        assert main(["corollary", "--k", "-1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --k: not a positive integer: '-1'" in err
+
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "verify" in capsys.readouterr().out

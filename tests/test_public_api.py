@@ -6,6 +6,7 @@ a change to the surface is made on purpose and shows in the diff of
 this file.
 """
 
+import dataclasses
 import inspect
 
 import dihedral_torus
@@ -86,6 +87,16 @@ PARAMETERS = {
     "verify_theorem": ("n",),
 }
 
+# The stored fields of the verdict types, in order.  Every summary (a
+# certificate's flags, a step's `passed`, an analysis's group size) is
+# read off these, so none can disagree with the rows it summarises.
+FIELDS = {
+    "Certificate": ("n", "group_order_expected", "steps", "reports", "k"),
+    "StepResult": ("name", "checks"),
+    "GroupAnalysis": ("elements", "reports", "rotation_order"),
+    "GroupElement": ("auto", "path"),
+}
+
 
 def test_all_has_no_duplicates():
     assert len(dihedral_torus.__all__) == len(set(dihedral_torus.__all__))
@@ -108,3 +119,11 @@ def test_function_parameters_are_pinned():
         if callable(obj) and not inspect.isclass(obj):
             parameters[name] = tuple(inspect.signature(obj).parameters)
     assert parameters == PARAMETERS
+
+
+def test_verdict_types_store_only_their_rows():
+    stored = {
+        name: tuple(f.name for f in dataclasses.fields(getattr(dihedral_torus, name)))
+        for name in FIELDS
+    }
+    assert stored == FIELDS

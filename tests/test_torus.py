@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_torus import torus
 from dihedral_torus.dihedral import (
     ambient_lattice,
     build_r,
@@ -65,6 +66,25 @@ class TestEnlargedLattice:
         p = (F(3, 2), F(0), F(0), F(0), F(0), F(0))
         assert std.reduce(p).coords == (H, F(0), F(0), F(0), F(0), F(0))
         assert std.index == 1
+
+    def test_standard_takes_no_reduction(self, monkeypatch):
+        # Z^m is its own HNF: a cold build, past the shared cache, reduces
+        # nothing and equals Z^m generated with a zero extra.
+        m = 7
+        reductions = []
+
+        def counting_hnf(rows):
+            reductions.append(rows)
+            return hnf(rows)
+
+        monkeypatch.setattr(torus, "hnf", counting_hnf)
+        std = EnlargedLattice.standard.__wrapped__(EnlargedLattice, m)
+        assert reductions == []
+        padded = EnlargedLattice.from_extra_generators(m, [[0] * m])
+        assert len(reductions) == 1
+        assert std == padded and hash(std) == hash(padded)
+        assert std.canonical_basis == padded.canonical_basis
+        assert (std.index, std.extra_generators) == (1, ())
 
     def test_quotient_lattice_canonical_form(self):
         lat = quotient_lattice(1)

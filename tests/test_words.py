@@ -160,8 +160,8 @@ class TestEvaluation:
     def test_analysis_labels_evaluate_to_their_elements(self, n):
         r, s = realified_action(n)
         analysis = analyze_group([r, s])
-        for element in analysis.elements:
-            evaluated = evaluate_word(parse_word(element.label), r, s)
+        for element, rep in zip(analysis.elements, analysis.reports, strict=True):
+            evaluated = evaluate_word(parse_word(rep.word), r, s)
             assert evaluated == element.auto
 
 
