@@ -7,7 +7,9 @@ but never leaves integer arithmetic.
 Every call takes its maps as `AffineAuto` values and decides them
 modulo their own lattice.  A question about another lattice L is asked
 of `g.with_lattice(L)`, which refuses an L that g's linear part does
-not preserve.
+not preserve.  `order`, which lives in `torus` beside the cycle walk
+and powers it reads, and `exists_fixed_point` decide a map once and keep
+the verdict on it.
 
 Every automorphism is g: z ↦ M·z + t modulo a lattice L with M a signed
 permutation, so both decisions have closed forms over the cycles of M.
@@ -79,10 +81,12 @@ from .torus import (
     AffineAuto,
     EnlargedLattice,
     TorsionPoint,
+    _linear_order,
     _power,
     _signed_cycles,
     compose,
     inverse,
+    order,
 )
 
 DEFAULT_CLOSURE_CAP = 1024
@@ -162,39 +166,6 @@ class GroupAnalysis:
         return not any(rep.is_translation for rep in self.reports)
 
 
-def order(g: AffineAuto) -> int:
-    """Smallest k ≥ 1 with g^k the identity modulo g's lattice.
-
-    Closed form over g's own cycle walk, exact at any size (module docstring).
-    """
-    k = _linear_order(g)
-    total = [0] * len(g.perm)
-    for coords, potentials, closed, prefix in _signed_cycles(g):
-        if closed:
-            for i, c in zip(coords, potentials):
-                total[i] = k // len(coords) * prefix[-1] * c
-    # g^k is the translation by T = num/den; the least q with q·T ∈ L is
-    # base·e for the least divisor e of gcd(den, d) that passes, and
-    # e = gcd(den, d), q = den, always passes.
-    lattice = g.lattice
-    num, den = lattice.reduce_scaled(total, g.denominator)
-    common = gcd(den, lattice.denominator)
-    base = den // common
-    for e in range(1, common):
-        q = base * e
-        if common % e == 0 and not any(
-            lattice.reduce_scaled([x * q for x in num], den)[0]
-        ):
-            return k * q
-    return k * den
-
-
-def _linear_order(g: AffineAuto) -> int:
-    """Order of g's linear part: the lcm of its cycle lengths, open ones doubled."""
-    cycles = _signed_cycles(g)
-    return lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed, _ in cycles))
-
-
 def is_translation(g: AffineAuto) -> bool:
     """True for a nonidentity element whose linear part is the identity."""
     return g.is_linear_identity and any(g.shift)
@@ -202,7 +173,13 @@ def is_translation(g: AffineAuto) -> bool:
 
 def exists_fixed_point(g: AffineAuto) -> bool:
     """Exact decision of whether g(z) = z has a solution modulo g's lattice,
-    over the closed cycles of g's own cycle walk (module docstring)."""
+    over the closed cycles of g's own walk (module docstring), kept on g."""
+    if g._fixed is None:
+        g._fixed = _decide_fixed_point(g)
+    return g._fixed
+
+
+def _decide_fixed_point(g: AffineAuto) -> bool:
     cycles = _signed_cycles(g)
     kernel = [(coords, pots) for coords, pots, closed, _ in cycles if closed]
     if not kernel:

@@ -15,9 +15,11 @@ only, `AffineAuto(perm, signs, translation, lattice)`, or by `realify`
 from a `ComplexMonomialMap`, which is a map's description and not an
 algebra: composition, powers and inversion act on `AffineAuto` values.
 Those, equality and hashing are O(m) integer operations; the dense
-matrix is built only when a caller asks for it.  A power g^e is read in
-closed form off the signed cycles of g's linear part, which each map
-decomposes once, so its cost does not grow with e.
+matrix is built only when a caller asks for it.  Each map keeps its
+signed cycles, walked once, its order and fixed-point verdict, each
+decided once, and its powers: g^e is read in closed form off the
+cycles, so its cost does not grow with e, and kept on g under e mod
+ord g.
 
 Coordinate layout: complex coordinate i (0-based) owns the two real
 slots 2i, 2i+1, in order (1-part, τ-part).
@@ -269,14 +271,16 @@ class AffineAuto:
     M is a signed permutation: output coordinate i is signs[i]·z[perm[i]].
     t is shift/denominator, with the integer shift reduced modulo L and in
     lowest terms, so equal maps have equal fields.  Values are immutable
-    and hashable, so they double as closure keys.
+    and hashable, so they double as closure keys.  Equality and hashing
+    ignore the slots that keep its cycles, order, verdict and powers.
 
     The constructor takes (perm, signs, translation, lattice) and checks
     that perm is a permutation of the m coordinates, that every sign is
     ±1 and that M maps the lattice onto itself.
     """
 
-    __slots__ = ("perm", "signs", "shift", "denominator", "lattice", "_linear", "_cycles")
+    __slots__ = ("perm", "signs", "shift", "denominator", "lattice",
+                 "_linear", "_cycles", "_order", "_fixed", "_powers")
 
     def __init__(
         self,
@@ -305,6 +309,7 @@ class AffineAuto:
             *lattice.scaled(translation)
         )
         self.lattice, self._linear, self._cycles = lattice, None, None
+        self._order = self._fixed = self._powers = None
 
     @classmethod
     def _make(cls, perm, signs, shift, denominator, lattice) -> "AffineAuto":
@@ -313,6 +318,7 @@ class AffineAuto:
         g = object.__new__(cls)
         g.perm, g.signs, g.shift, g.denominator = perm, signs, shift, denominator
         g.lattice, g._linear, g._cycles = lattice, None, None
+        g._order = g._fixed = g._powers = None
         return g
 
     @classmethod
@@ -479,6 +485,47 @@ def _decompose(g: AffineAuto) -> tuple:
     return tuple(cycles)
 
 
+def order(g: AffineAuto) -> int:
+    """Smallest k ≥ 1 with g^k the identity modulo g's lattice: exact, over
+    g's cycle walk (`analysis` module docstring), decided once, kept on g."""
+    return _order(g)
+
+
+def _order(g: AffineAuto) -> int:
+    # `order` without its public binding, which a tracer may wrap.
+    if g._order is not None:
+        return g._order
+    k = _linear_order(g)
+    total = [0] * len(g.perm)
+    for coords, potentials, closed, prefix in _signed_cycles(g):
+        if closed:
+            for i, c in zip(coords, potentials):
+                total[i] = k // len(coords) * prefix[-1] * c
+    # g^k is the translation by T = num/den; the least q with q·T ∈ L is
+    # base·e for the least divisor e of gcd(den, d) that passes, and
+    # e = gcd(den, d), q = den, always passes.
+    lattice = g.lattice
+    num, den = lattice.reduce_scaled(total, g.denominator)
+    common = gcd(den, lattice.denominator)
+    base = den // common
+    for e in range(1, common):
+        q = base * e
+        if common % e == 0 and not any(
+            lattice.reduce_scaled([x * q for x in num], den)[0]
+        ):
+            break
+    else:
+        q = den
+    g._order = k * q
+    return g._order
+
+
+def _linear_order(g: AffineAuto) -> int:
+    """Order of g's linear part: the lcm of its cycle lengths, open ones doubled."""
+    cycles = _signed_cycles(g)
+    return lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed, _ in cycles))
+
+
 def _power(g: AffineAuto, e: int) -> AffineAuto:
     """g^e for every integer e, in closed form over g's signed cycles.
 
@@ -486,11 +533,21 @@ def _power(g: AffineAuto, e: int) -> AffineAuto:
     moves as y_a ↦ y_{a+1} + c_a·t_{coords[a]}, with y_{a+L} = σ·y_a.  So
     for a + e = qL + b, g^e sends y_a to σ^q·y_b plus laps·total +
     σ^q·prefix[b] − prefix[a], where the q whole laps add Σ_{j<q} σ^j·total:
-    laps = q when σ = 1 and q mod 2 when σ = −1.  One lattice reduction
-    and no composition, whatever the size of e.
+    laps = q when σ = 1 and q mod 2 when σ = −1.  e is taken mod ord g;
+    g^1 is g, and any other power is built once (one lattice reduction, no
+    composition) and kept on g under its reduced exponent.
     """
-    if e == 1:
+    k = _order(g)
+    e %= k
+    if e == 1 % k:  # g^e is g (for every e when g is the identity)
         return g
+    powers = g._powers = g._powers or {}
+    if e not in powers:
+        powers[e] = _closed_power(g, e)
+    return powers[e]
+
+
+def _closed_power(g: AffineAuto, e: int) -> AffineAuto:
     m = len(g.perm)
     perm, signs, shift = [0] * m, [0] * m, [0] * m
     for coords, pots, closed, prefix in _signed_cycles(g):

@@ -990,11 +990,15 @@ class TestCycleSlot:
             assert len(decompositions) == 1 and decompositions[0] is fresh
 
     def test_derived_maps_start_empty(self):
-        r, s = realified_action(2)
+        shared, s = realified_action(2)
+        # A fresh copy: the shared r keeps the powers other tests decided.
+        r = AffineAuto(shared.perm, shared.signs, shared.translation, shared.lattice)
         order(r), order(s)
-        derived = [compose(r, s), inverse(r), *(_power(r, e) for e in (-3, 0, 2, 9))]
-        assert all(g._cycles is None for g in derived)
-        assert _power(r, 1) is r
+        assert _power(r, 9) is r and _power(r, 1) is r  # ord r = 8
+        derived = [compose(r, s), inverse(r), *(_power(r, e) for e in (-3, 0, 2))]
+        assert all(
+            (g._cycles, g._order, g._fixed, g._powers) == (None,) * 4 for g in derived
+        )
 
     def test_filled_slot_changes_no_value(self):
         for n, lattice in ((1, None), (2, ambient_lattice(2))):
@@ -1009,7 +1013,9 @@ class TestCycleSlot:
 
 
 def test_huge_power_makes_no_composition_and_one_reduction(monkeypatch):
-    r, _ = realified_action(64)
+    shared, _ = realified_action(64)
+    # A fresh copy, so that no earlier test has built r^0 on it.
+    r = AffineAuto(shared.perm, shared.signs, shared.translation, shared.lattice)
     assert order(r) == 256
     counts = {"compose": 0, "reduce_scaled": 0}
     monkeypatch.setattr(torus_module, "compose", _counting(counts, "compose", compose))
@@ -1020,7 +1026,7 @@ def test_huge_power_makes_no_composition_and_one_reduction(monkeypatch):
     g = _power(r, 10**4000)
     assert counts == {"compose": 0, "reduce_scaled": 1}
     monkeypatch.undo()
-    assert g == _power(r, 10**4000 % 256)
+    assert g == _power(shared, 10**4000 % 256)
 
 
 def test_search_prunes_before_the_whole_grid(monkeypatch, quotient_pair):

@@ -10,7 +10,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from dihedral_torus import analysis, dihedral, words
+from dihedral_torus import analysis, dihedral, torus, words
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,6 +35,20 @@ def test_every_traced_target_exists():
 
 def test_compose_is_one_binding_across_modules():
     assert analysis.compose is dihedral.compose is words.compose
+    assert analysis.order is torus.order
+
+
+def test_powers_read_the_order_past_its_traced_binding(monkeypatch):
+    # The tracer wraps `order` in every module that binds it, so a power
+    # that read it there would count as a caller's order query.
+    calls = []
+    monkeypatch.setattr(torus, "order", lambda *args: calls.append(args))
+    r, s = dihedral.realified_action(2)
+    fresh = torus.AffineAuto(r.perm, r.signs, r.translation, r.lattice)
+    for e in (-1, 0, 1, 5, 10**40):
+        torus._power(fresh, e)
+    words.evaluate_word(words.parse_word("r^3 s^3"), fresh, s)
+    assert calls == [] and fresh._order == 8
 
 
 def test_traced_queries_take_the_map_positionally_and_nothing_else():

@@ -19,6 +19,7 @@ from dihedral_torus.torus import (
     AffineAuto,
     EnlargedLattice,
     TorusShape,
+    _power,
     compose,
     inverse,
     realify,
@@ -152,3 +153,64 @@ def test_order_is_base_times_least_passing_divisor(e, y, perm, k):
     shift = (Fraction(1, 12 * k), Fraction(y) / k, 0, 0, 0, 0)
     g = AffineAuto(perm, (1,) * M, shift, SIXTHS)
     assert order(g) == k * 2 * e == dense_order(g)
+
+
+def _fresh(g):
+    return AffineAuto(g.perm, g.signs, g.translation, g.lattice)
+
+
+def _slots(g):
+    return g._cycles, g._order, g._fixed, g._powers
+
+
+def _filled(g):
+    """g walked and decided, with g^2 kept unless g^2 is g."""
+    order(g), exists_fixed_point(g), _power(g, 2)
+    return g
+
+
+@given(invariant_cases(), st.integers(-(10**30), 10**30))
+@settings(deadline=None, max_examples=60)
+def test_powers_are_kept_under_the_exponent_mod_the_order(case, k):
+    g = compose(*case)
+    n = order(g)
+    for e in range(-3 * n, 3 * n + 1):
+        assert _power(g, e) is _power(g, e + k * n)
+        assert len(g._powers or {}) <= n  # the identity keeps no power
+    assert _power(g, 1) is g and _power(g, n + 1) is g
+
+
+@given(invariant_cases())
+@settings(deadline=None, max_examples=60)
+def test_kept_powers_match_compositions_and_a_fresh_copy(case):
+    g = case[0]
+    product, g_inv = AffineAuto.identity(g.lattice), inverse(g)
+    inverse_product = product
+    for e in range(2 * order(g) + 2):
+        assert _power(g, e) == product == _power(_fresh(g), e)
+        assert _power(g, -e) == inverse_product == _power(_fresh(g), -e)
+        product, inverse_product = compose(product, g), compose(inverse_product, g_inv)
+
+
+@given(invariant_cases())
+@settings(deadline=None, max_examples=60)
+def test_kept_facts_change_no_verdict_and_no_value(case):
+    for g in (case[0], compose(*case)):
+        filled, fresh = _filled(_fresh(g)), _fresh(g)
+        assert None not in _slots(filled)[:3] and _slots(fresh) == (None,) * 4
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert (order(filled), exists_fixed_point(filled)) == (
+            order(fresh), exists_fixed_point(fresh)
+        )
+
+
+@given(invariant_cases())
+@settings(deadline=None, max_examples=60)
+def test_derived_maps_start_with_empty_slots(case):
+    g, h = (_filled(x) for x in case)
+    # Every signed permutation keeps Z^m and Z^m + Z·(1/2, ..., 1/2).
+    standard = EnlargedLattice.standard(M)
+    halved = EnlargedLattice.from_extra_generators(M, [[Fraction(1, 2)] * M])
+    other = standard if g.lattice != standard else halved
+    for derived in (compose(g, h), inverse(g), g.linear_part(), g.with_lattice(other)):
+        assert derived is not g and _slots(derived) == (None,) * 4

@@ -993,3 +993,51 @@ def test_facts_of_a_closure_are_the_rows_of_those_maps(n):
     derived = analysis._prove_dihedral(r, s)
     assert derived.elements == ()
     assert analysis._facts(derived, *forms) == expected
+
+
+class TestKeptFacts:
+    """Each map walks its cycles, decides its order and fixed point, and
+    builds each of its powers once, and keeps them for the next query."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"walks": 0, "powers": 0}
+        for name, key in (("_decompose", "walks"), ("_closed_power", "powers")):
+            def spy(*args, _original=getattr(torus, name), _key=key):
+                counts[_key] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(torus, name, spy)
+        return counts
+
+    @pytest.mark.parametrize(
+        "verify, n, cold, warm",
+        [
+            # r, s, rs and r^{256} cold; rs, composed anew, warm.
+            (lambda: verify_theorem(128), 128, (4, 1), (1, 0)),
+            # r, r^4, s and r^4·s cold; r^4·s warm.
+            (lambda: verify_corollary(13), 13, (4, 1), (1, 0)),
+        ],
+        ids=["theorem-128", "corollary-13"],
+    )
+    def test_warm_verifiers_walk_only_their_new_compositions(
+        self, verify, n, cold, warm, work, monkeypatch
+    ):
+        # Empty the cached r and s, which earlier tests may have decided.
+        for g in realified_action(n):
+            for slot in ("_cycles", "_order", "_fixed", "_powers"):
+                monkeypatch.setattr(g, slot, None)
+        for expected in (cold, warm):
+            work.update(walks=0, powers=0)
+            assert verify().theorem_verified
+            assert (work["walks"], work["powers"]) == expected
+
+    def test_a_repeated_single_run_word_redoes_nothing(self, work):
+        r, s = realified_action(2)
+        word = parse_word("r^13")
+        g = evaluate_word(word, r, s)
+        order(g), analysis.exists_fixed_point(g)
+        work.update(walks=0, powers=0)
+        again = evaluate_word(word, r, s)
+        order(again), analysis.exists_fixed_point(again)
+        assert again is g and work == {"walks": 0, "powers": 0}
