@@ -130,17 +130,28 @@ class ElementReport:
     has_fixed_point: bool
 
 
+class _Summaries:
+    """is_free and has_no_translations, read off the `reports` of a
+    verdict type whose identity's report comes first."""
+
+    @cached_property
+    def is_free(self) -> bool:
+        return not any(rep.has_fixed_point for rep in self.reports[1:])
+
+    @cached_property
+    def has_no_translations(self) -> bool:
+        return not any(rep.is_translation for rep in self.reports)
+
+
 @dataclass(frozen=True)
-class GroupAnalysis:
+class GroupAnalysis(_Summaries):
     """The elements of a generated group together with per-element verdicts.
 
     `elements` is empty when the verdicts are derived from a presentation
     (module docstring), free or not, and `analyze_group` fills it.
-    Reports hold r^a s^b at index 2a + b for D_k (rotation_order k); for
-    its central extension (rotation_order None) they hold r^a s^b z^c in
-    `_extension_rows` order, which is also the order of its closure.
-    The identity's report comes first.  Every summary is read off the
-    reports.
+    Reports hold the normal forms of D_k (rotation_order k) or of its
+    central extension (rotation_order None) in `_normal_forms` order, the
+    identity's first.  Every summary is read off the reports.
     """
 
     elements: tuple[GroupElement, ...]
@@ -156,14 +167,6 @@ class GroupAnalysis:
         """For D_k: the reflections r^a s fall into classes by a mod gcd(2, k)."""
         k = self.rotation_order
         return None if k is None else 2 - k % 2
-
-    @cached_property
-    def is_free(self) -> bool:
-        return not any(rep.has_fixed_point for rep in self.reports[1:])
-
-    @cached_property
-    def has_no_translations(self) -> bool:
-        return not any(rep.is_translation for rep in self.reports)
 
 
 def is_translation(g: AffineAuto) -> bool:
@@ -289,19 +292,6 @@ def conjugacy_classes(
     return classes
 
 
-@cache
-def _dihedral_label(a: int, b: int) -> str:
-    """Rendering of r^a s^b, one shared string per normal form."""
-    parts = []
-    if a == 1:
-        parts.append("r")
-    elif a:
-        parts.append(f"r^{a}")
-    if b:
-        parts.append("s")
-    return " ".join(parts)
-
-
 def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
     parts = []
     for gi in path:
@@ -314,24 +304,36 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
 
 
 @cache
-def _extension_rows(k: int) -> tuple[tuple[tuple[int, int, int], str], ...]:
-    """r^a s^b z^c of the central extension, as (a, b, c), in closure order.
+def _normal_forms(k: int, extension: bool) -> dict[tuple[int, int, int], tuple]:
+    """Each normal form r^a s^b z^c of D_k, or of its central extension of
+    order 4k, as (a, b, c), mapped in row order to its row index, its
+    label and the form that leads its class (module docstring).
 
-    A breadth-first search over the normal forms with the multiplication
-    rules of the module docstring, so the order and the discovery words
-    are `closure`'s; each form comes with the label of its word.
+    D_k holds r^a s^b (c = 0) at index 2a + b, labeled by that word; the
+    extension holds its forms in `closure`'s order and with its words, by
+    a breadth-first search with the multiplication rules.  r^a z^c is led
+    by r^{gcd(a, k)} z^c and r^a s z^c by one of s, rs, sz and rsz.
     """
-    paths = {(0, 0, 0): ()}
-    queue = [(0, 0, 0)]
-    for a, b, c in queue:
-        path = paths[a, b, c]
-        by_r = ((a - 1) % k, 1, 1 - c) if b else ((a + 1) % k, 0, c)
-        by_s = (a, 0, 1 - c) if b else (a, 1, c)
-        for gi, form in enumerate((by_r, by_s)):
-            if form not in paths:
-                paths[form] = path + (gi,)
-                queue.append(form)
-    return tuple((form, _path_label(paths[form], ("r", "s"))) for form in queue)
+    rows = {}
+    if extension:
+        paths = {(0, 0, 0): ()}
+        queue = [(0, 0, 0)]
+        for a, b, c in queue:
+            by_r = ((a - 1) % k, 1, 1 - c) if b else ((a + 1) % k, 0, c)
+            by_s = (a, 0, 1 - c) if b else (a, 1, c)
+            for gi, form in enumerate((by_r, by_s)):
+                if form not in paths:
+                    paths[form] = paths[a, b, c] + (gi,)
+                    queue.append(form)
+        for index, ((a, b, c), path) in enumerate(paths.items()):
+            lead = (a % 2, 1, (c - a // 2) % 2) if b else (gcd(a, k), 0, c)
+            rows[a, b, c] = (index, _path_label(path, ("r", "s")), lead)
+    else:
+        for a in range(k):
+            rotation = "" if a == 0 else "r" if a == 1 else f"r^{a}"
+            rows[a, 0, 0] = (2 * a, rotation, (gcd(a, k), 0, 0))
+            rows[a, 1, 0] = (2 * a + 1, f"{rotation} s".lstrip(), (a % 2, 1, 0))
+    return rows
 
 
 def _rotation_flags(r: AffineAuto, k: int, z: AffineAuto | None):
@@ -345,7 +347,6 @@ def _rotation_flags(r: AffineAuto, k: int, z: AffineAuto | None):
     if z is not None:
         flags[k, 1] = (True, False)  # a translation other than the identity
     for d in [d for d in range(k - 1, 0, -1) if k % d == 0]:
-        g = None
         for c in range(1 if z is None else 2):
             if any(
                 m % d == 0 and e == m // d * c % 2 and not any(f)
@@ -353,9 +354,7 @@ def _rotation_flags(r: AffineAuto, k: int, z: AffineAuto | None):
             ):
                 flags[d, c] = (False, False)
                 continue
-            if g is None:
-                g = _power(r, d)
-            h = compose(g, z) if c else g
+            h = compose(_power(r, d), z) if c else _power(r, d)
             flags[d, c] = (is_translation(h), exists_fixed_point(h))
     return flags
 
@@ -369,10 +368,10 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     largest d first, each decided unless a decided r^m with d | m is
     free, so a free action decides only the r^{k/p}, p | k prime.  A pair
     with ord s = 4 and ord rs = 2 whose z = s² is a central translation
-    outside ⟨r⟩ is the central extension of D_k of order 4k: its rows, in
-    `closure`'s order and with its words, follow from s, rs, sz, rsz and
-    the r^d z^c.  Any other pair raises ValueError naming the hypothesis
-    it fails; nothing is closed.
+    outside ⟨r⟩ is the central extension of D_k of order 4k: its rows
+    follow from s, rs, sz, rsz and the r^d z^c.  Each row of
+    `_normal_forms` takes the verdicts of its class's leader.  Any other
+    pair raises ValueError naming the hypothesis it fails; nothing is closed.
     """
     k, s_order = order(r), order(s)
     if s_order not in (2, 4):
@@ -391,44 +390,29 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
         if not (k % 2 or (k // 2) % _linear_order(r) or _power(r, k // 2) != z):
             raise ValueError("no presentation: z = s² lies in ⟨r⟩")
         reflections += [compose(g, z) for g in reflections]
-    mirrors = [(is_translation(g), exists_fixed_point(g)) for g in reflections]
-    flags = _rotation_flags(r, k, z)
-    reports = []
-    if z is None:
-        # r^a s^b at index 2a + b, as analyze_group lists a dihedral group.
-        for a in range(k):
-            d = gcd(a, k)
-            reports += [
-                ElementReport(_dihedral_label(a, 0), k // d, *flags[d, 0]),
-                ElementReport(_dihedral_label(a, 1), 2, *mirrors[a % (2 - k % 2)]),
-            ]
-        return GroupAnalysis((), tuple(reports), k)
-    # mirrors holds s, rs, sz, rsz: r^{b'} s z^{c'} at index b' + 2c'.
-    for (a, b, c), label in _extension_rows(k):
-        if b:
-            rep = ElementReport(
-                label, 4 - 2 * (a % 2), *mirrors[a % 2 + 2 * ((c - a // 2) % 2)]
-            )
-        else:
-            d = gcd(a, k)
-            rep = ElementReport(label, lcm(k // d, 1 + c), *flags[d, c])
-        reports.append(rep)
-    return GroupAnalysis((), tuple(reports), None)
+    # The leaders: s, rs, sz and rsz as r^{i mod 2} s z^{i // 2}, and r^d z^c.
+    verdicts = {
+        (i % 2, 1, i // 2): (order(g), is_translation(g), exists_fixed_point(g))
+        for i, g in enumerate(reflections)
+    }
+    for (d, c), flags in _rotation_flags(r, k, z).items():
+        verdicts[d, 0, c] = (lcm(k // d, 1 + c), *flags)
+    rows = _normal_forms(k, z is not None).values()
+    reports = tuple(ElementReport(label, *verdicts[lead]) for _, label, lead in rows)
+    return GroupAnalysis((), reports, k if z is None else None)
 
 
 def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementReport]:
     """The verdicts the analysis of ⟨r, s⟩ holds for r^a s^b, given as (a, b).
 
-    D_k holds them at index 2(a mod k) + b, and its central extension of
-    order 4k at the place of (a mod k, b, 0) in `_extension_rows(k)`,
-    derived or closed alike.
+    They sit at the index `_normal_forms` gives (a mod k, b, 0): D_k's
+    when the analysis has a rotation order k, else the central extension
+    of order 4k, derived or closed alike.
     """
-    k = analysis.rotation_order
-    if k is not None:
-        return [analysis.reports[2 * (a % k) + b] for a, b in forms]
-    k = analysis.group_size // 4
-    index = {form: i for i, (form, _) in enumerate(_extension_rows(k))}
-    return [analysis.reports[index[a % k, b, 0]] for a, b in forms]
+    extension = analysis.rotation_order is None
+    k = analysis.group_size // (4 if extension else 2)
+    rows = _normal_forms(k, extension)
+    return [analysis.reports[rows[a % k, b, 0][0]] for a, b in forms]
 
 
 def analyze_group(gens: Sequence[AffineAuto]) -> GroupAnalysis:
@@ -436,39 +420,37 @@ def analyze_group(gens: Sequence[AffineAuto]) -> GroupAnalysis:
 
     Two generators with ord r = k and ord s = ord rs = 2 generate D_k of
     order 2k (module docstring): its elements are listed as the normal
-    forms r^a s^b at index 2a + b, labeled by them, and its symmetry
-    classes counted by the parity of k.  Any other generating set is
-    closed breadth first, labeled by discovery words over r, s (two
-    generators) or g1..gk, and counts no class.  A group of more than
-    DEFAULT_CLOSURE_CAP elements raises ClosureCapExceeded; a D_k that
-    large is refused before any element is listed.  Each element's
-    verdicts come from one cycle decomposition of its own map; those of
-    r, s and rs also decide the presentation, and rs is composed once.
-    No verifier calls it; it is the listing the derivations are tested
-    against.
+    forms r^a s^b of `_normal_forms`, at index 2a + b and with its
+    labels, and its symmetry classes counted by the parity of k.  Any
+    other generating set is closed breadth first, labeled by discovery
+    words over r, s (two generators) or g1..gk, and counts no class.  A
+    group of more than DEFAULT_CLOSURE_CAP elements raises
+    ClosureCapExceeded; a D_k that large is refused before any element
+    is listed.  Each element's verdicts come from one cycle decomposition
+    of its own map and are kept on it; those of r, s and rs also decide
+    the presentation, and rs is composed once.  No verifier calls it; it
+    is the listing the derivations are tested against.
     """
     autos = list(gens)
     if len(autos) != 2:
         return _enumerate(autos)
     r, s = autos
     rs = compose(r, s)
-    r_rep, s_rep, rs_rep = _report(r, "r"), _report(s, "s"), _report(rs, "r s")
-    if (s_rep.order, rs_rep.order) != (2, 2):
+    if (order(s), order(rs)) != (2, 2):
         return _enumerate(autos)
-    k = r_rep.order
+    k = order(r)
     if 2 * k > DEFAULT_CLOSURE_CAP:
         raise ClosureCapExceeded(_CAP_EXCEEDED)
     # r^a s^b at index 2a + b: r^a = r^{a−1}·r and r^a s = r·r^{a−1}s.
-    identity = AffineAuto.identity(r.lattice)
-    maps, reports = [identity, s, r, rs], [_report(identity, ""), s_rep, r_rep, rs_rep]
-    for a in range(2, k):
+    maps = [AffineAuto.identity(r.lattice), s, r, rs]
+    for _ in range(2, k):
         maps += [compose(maps[-2], r), compose(r, maps[-1])]
-        reports += [_report(maps[-2 + b], _dihedral_label(a, b)) for b in (0, 1)]
+    forms = _normal_forms(k, False).items()
     elements = tuple(
-        GroupElement(g, (0,) * (i // 2) + (1,) * (i % 2))
-        for i, g in enumerate(maps[: 2 * k])
+        GroupElement(maps[i], (0,) * a + (1,) * b) for (a, b, _), (i, _, _) in forms
     )
-    return GroupAnalysis(elements, tuple(reports[: 2 * k]), k)
+    reports = tuple(_report(maps[i], label) for _, (i, label, _) in forms)
+    return GroupAnalysis(elements, reports, k)
 
 
 def _enumerate(autos: list[AffineAuto]) -> GroupAnalysis:

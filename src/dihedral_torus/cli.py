@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed: {elapsed_ms:.1f} ms")
 
-    if args.json:
+    if args.json is not None:
         if args.range_max is not None:
             doc = range_document(certs, params)
         else:
@@ -227,7 +227,7 @@ def cmd_corollary(args) -> int:
     _print_certificate(cert)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed: {elapsed_ms:.1f} ms")
-    if args.json and not _write_certificate(
+    if args.json is not None and not _write_certificate(
         args.json, corollary_document(cert, {"k": args.k})
     ):
         return EXIT_USAGE

@@ -33,7 +33,14 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
 
-from .analysis import ElementReport, _facts, _fixes, _linear_order, _prove_dihedral
+from .analysis import (
+    ElementReport,
+    _facts,
+    _fixes,
+    _linear_order,
+    _prove_dihedral,
+    _Summaries,
+)
 from .torus import (
     AffineAuto,
     ComplexMonomialMap,
@@ -138,6 +145,21 @@ def realified_action(
     )
 
 
+@cache
+def _mutant_action(name: str, n: int) -> tuple[AffineAuto, ...]:
+    """A mutant's (r, s, r_ambient, s_ambient), built once: its maps keep their facts."""
+    r, s = realified_action(n)
+    r_ambient, s_ambient = realified_action(n, ambient_lattice(n))
+    # A mutant without a translation is the validated map's linear part.
+    if name == "no-rotation-shift":
+        r, r_ambient = r.linear_part(), r_ambient.linear_part()
+    elif name == "zero-offsets":
+        s, s_ambient = s.linear_part(), s_ambient.linear_part()
+    elif name == "no-quotient":
+        r, s = r_ambient, s_ambient
+    return r, s, r_ambient, s_ambient
+
+
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one certificate step: named sub-checks; it passes when all do."""
@@ -151,7 +173,7 @@ class StepResult:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_Summaries):
     """Verdict on one dihedral action: named steps and one report per element.
 
     The theorem, its mutants and the corollary all fill five steps; `k`
@@ -172,14 +194,6 @@ class Certificate:
     @property
     def group_order_actual(self) -> int:
         return len(self.reports)
-
-    @cached_property
-    def is_free(self) -> bool:
-        return not any(rep.has_fixed_point for rep in self.reports[1:])
-
-    @cached_property
-    def has_no_translations(self) -> bool:
-        return not any(rep.is_translation for rep in self.reports)
 
     @cached_property
     def theorem_verified(self) -> bool:
@@ -356,16 +370,7 @@ def verify_mutant(name: str, n: int) -> Certificate:
         raise ValueError(f"unknown mutant {name!r}; choose from {sorted(MUTANTS)}")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    r, s = realified_action(n)
-    r_ambient, s_ambient = realified_action(n, ambient_lattice(n))
-    # A mutant without a translation is the validated map's linear part.
-    if name == "no-rotation-shift":
-        r, r_ambient = r.linear_part(), r_ambient.linear_part()
-    elif name == "zero-offsets":
-        s, s_ambient = s.linear_part(), s_ambient.linear_part()
-    elif name == "no-quotient":
-        r, s = r_ambient, s_ambient
-    return _certify(n, r, s, r_ambient, s_ambient)
+    return _certify(n, *_mutant_action(name, n))
 
 
 @dataclass(frozen=True)

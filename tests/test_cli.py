@@ -397,17 +397,19 @@ def test_module_entry_point(args):
     assert "certificate: verified" in result.stdout
 
 
+@pytest.mark.parametrize("name", ["missing/cert.json", ""], ids=["missing", "empty"])
 @pytest.mark.parametrize(
     "args", [["verify", "--n", "1"], ["corollary", "--k", "5"]]
 )
-def test_unwritable_certificate_is_a_usage_error(args, capsys, tmp_path):
-    path = tmp_path / "missing" / "cert.json"
-    assert main([*args, "--json", str(path)]) == EXIT_USAGE
+def test_unwritable_certificate_is_a_usage_error(args, name, capsys, tmp_path):
+    # An empty path is a path that cannot be written, not an absent flag.
+    path = str(tmp_path / name) if name else ""
+    assert main([*args, "--json", path]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "certificate: verified" in captured.out
     assert "certificate written" not in captured.out
     assert captured.err == f"error: cannot write {path}: No such file or directory\n"
-    assert not path.parent.exists()
+    assert not (tmp_path / "missing").exists()
 
 
 _JSON_NAMES = ("cert.json", "missing/cert.json", ".")

@@ -479,10 +479,10 @@ class TestPresentationProof:
         assert not derived.is_free
         listed = analysis.analyze_group([r, s])
         assert derived == replace(listed, elements=())
-        forms = analysis._extension_rows(derived.group_size // 4)
+        forms = analysis._normal_forms(derived.group_size // 4, True)
         assert len({
             (rep.order, rep.has_fixed_point)
-            for ((_, b, _), _), rep in zip(forms, derived.reports) if b
+            for (_, b, _), rep in zip(forms, derived.reports) if b
         }) > 1
 
     @pytest.mark.parametrize(
@@ -694,11 +694,12 @@ class TestPresentationProof:
         # and _certify composes s² once more.  Each map it decides walks
         # its own cycles: r, s, rs, r^{128}, sz, rsz and r^{128}·z.  The
         # cached r and s are emptied first, as another test may have
-        # walked them.
+        # walked or decided them or built r^{128}.
         n = 64
         realified_action(n)
         for g in realified_action(n, ambient_lattice(n)):
-            monkeypatch.setattr(g, "_cycles", None)
+            for slot in ("_cycles", "_order", "_fixed", "_powers"):
+                monkeypatch.setattr(g, slot, None)
         counts = {"compose": 0, "_decompose": 0, "_enumerate": 0}
 
         def counting(key, original):
@@ -995,6 +996,30 @@ def test_facts_of_a_closure_are_the_rows_of_those_maps(n):
     assert analysis._facts(derived, *forms) == expected
 
 
+@pytest.mark.parametrize("k", [4, 8, 12, 13])
+def test_facts_of_a_dihedral_listing_are_the_rows_of_those_maps(k):
+    # k = 4n is the quotient pair (r, s) at n = 1, 2, 3, and k = 13 the
+    # corollary's (r^4, s) at n = 13.  The listing and the derivation of
+    # D_k hold r^a s^b at the same place, for a outside 0..k−1 too.
+    plan = build_corollary(k)
+    r, s = realified_action(plan.params.n)
+    r = _power(r, plan.rotation_power)
+    listed = analysis.analyze_group([r, s])
+    derived = analysis._prove_dihedral(r, s)
+    assert listed.rotation_order == derived.rotation_order == k
+    forms = [(a, b) for a in range(-k, 2 * k) for b in (0, 1)]
+    row = dict(zip((e.auto for e in listed.elements), listed.reports))
+    expected = [
+        row[torus.compose(_power(r, a), s) if b else _power(r, a)] for a, b in forms
+    ]
+    assert analysis._facts(listed, *forms) == expected
+    assert analysis._facts(derived, *forms) == expected
+    # The table writes each label straight from (a, b), with no path, and
+    # it is the rendering of the listed element's path r^a s^b.
+    for element, rep in zip(listed.elements, listed.reports):
+        assert rep.word == analysis._path_label(element.path, ("r", "s"))
+
+
 class TestKeptFacts:
     """Each map walks its cycles, decides its order and fixed point, and
     builds each of its powers once, and keeps them for the next query."""
@@ -1031,6 +1056,22 @@ class TestKeptFacts:
             work.update(walks=0, powers=0)
             assert verify().theorem_verified
             assert (work["walks"], work["powers"]) == expected
+
+    @pytest.mark.parametrize(
+        "name, warm",
+        [
+            # rs, composed anew; the linear part and its facts are kept.
+            ("no-rotation-shift", (1, 0)),
+            ("zero-offsets", (1, 0)),
+            # rs, sz, rsz and r^{128}·z, composed anew.
+            ("no-quotient", (4, 0)),
+        ],
+    )
+    def test_warm_mutants_keep_their_maps(self, name, warm, work):
+        verify_mutant(name, 64)
+        work.update(walks=0, powers=0)
+        assert not verify_mutant(name, 64).theorem_verified
+        assert (work["walks"], work["powers"]) == warm
 
     def test_a_repeated_single_run_word_redoes_nothing(self, work):
         r, s = realified_action(2)
