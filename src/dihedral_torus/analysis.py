@@ -9,7 +9,8 @@ modulo their own lattice.  A question about another lattice L is asked
 of `g.with_lattice(L)`, which refuses an L that g's linear part does
 not preserve.  `order`, which lives in `torus` beside the cycle walk
 and powers it reads, and `exists_fixed_point` decide a map once and keep
-the verdict on it.
+the verdict on it.  r keeps the class table of each pair (r, s) that
+presents a dihedral group, and its analyses expand their rows from it.
 
 Every automorphism is g: z ↦ M·z + t modulo a lattice L with M a signed
 permutation, so both decisions have closed forms over the cycles of M.
@@ -359,20 +360,20 @@ def _rotation_flags(r: AffineAuto, k: int, z: AffineAuto | None):
     return flags
 
 
-def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
-    """The analysis of ⟨r, s⟩, derived from its presentation.
+def _class_table(r: AffineAuto, s: AffineAuto) -> tuple[int, bool, dict]:
+    """(k = ord r, extension, verdicts) of ⟨r, s⟩, decided once and kept on
+    r under s: verdicts maps each class leader (a, b, c) of `_normal_forms`
+    to (order, is_translation, has_fixed_point).
 
-    Each map decided walks its own cycles once, r, s and rs included.  A
-    pair with ord s = ord rs = 2 is D_k, k = ord r, and lists nothing:
-    its rows follow from s, rs and the r^d, d | k (module docstring), the
-    largest d first, each decided unless a decided r^m with d | m is
-    free, so a free action decides only the r^{k/p}, p | k prime.  A pair
-    with ord s = 4 and ord rs = 2 whose z = s² is a central translation
-    outside ⟨r⟩ is the central extension of D_k of order 4k: its rows
-    follow from s, rs, sz, rsz and the r^d z^c.  Each row of
-    `_normal_forms` takes the verdicts of its class's leader.  Any other
-    pair raises ValueError naming the hypothesis it fails; nothing is closed.
+    ord s = ord rs = 2 makes D_k, led by s, rs and the r^d, d | k (module
+    docstring), the largest d first, each decided unless a decided r^m
+    with d | m is free: a free action decides only the r^{k/p}, p prime.
+    ord s = 4, ord rs = 2 and z = s² a central translation outside ⟨r⟩
+    make the central extension, led by s, rs, sz, rsz and the r^d z^c.
+    Any other pair raises ValueError naming its failed hypothesis.
     """
+    if s in (r._classes or ()):
+        return r._classes[s]
     k, s_order = order(r), order(s)
     if s_order not in (2, 4):
         raise ValueError(f"no presentation: ord s = {s_order}, not 2 or 4")
@@ -383,7 +384,7 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     reflections = [s, rs]
     z = None
     if s_order == 4:
-        z = compose(s, s)
+        z = _power(s, 2)
         if not (z.is_linear_identity and _fixes(r, z.shift, z.denominator)):
             raise ValueError("no presentation: z = s² is not a central translation")
         # r^{k/2} = z needs the linear part of r^{k/2} to be the identity.
@@ -397,9 +398,18 @@ def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
     }
     for (d, c), flags in _rotation_flags(r, k, z).items():
         verdicts[d, 0, c] = (lcm(k // d, 1 + c), *flags)
-    rows = _normal_forms(k, z is not None).values()
+    r._classes = {**(r._classes or {}), s: (k, z is not None, verdicts)}
+    return r._classes[s]
+
+
+def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
+    """The analysis of ⟨r, s⟩: each row of `_normal_forms` takes the
+    verdicts of its leader in the pair's kept `_class_table`, so a warm
+    call composes, walks and decides nothing."""
+    k, extension, verdicts = _class_table(r, s)
+    rows = _normal_forms(k, extension).values()
     reports = tuple(ElementReport(label, *verdicts[lead]) for _, label, lead in rows)
-    return GroupAnalysis((), reports, k if z is None else None)
+    return GroupAnalysis((), reports, None if extension else k)
 
 
 def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementReport]:

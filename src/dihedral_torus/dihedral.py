@@ -48,7 +48,7 @@ from .torus import (
     TorsionPoint,
     TorusShape,
     _power,
-    compose,
+    compose,  # unused here, but bound in every module the tracer wraps
     realify,
 )
 
@@ -86,6 +86,13 @@ def build_b(n: int) -> tuple[TorsionPoint, ...]:
     odd = TorsionPoint.of((_HALF, _HALF))
     even = TorsionPoint.of((Fraction(0), _HALF))
     return tuple(odd if i % 2 else even for i in range(1, 2 * n + 1))
+
+
+@cache
+def _w_and_offsets(n: int) -> tuple[tuple[int, ...], int, bool]:
+    """w reduced modulo Z^m as (numerators, denominator); whether b folds."""
+    w = ambient_lattice(n).reduce_scaled(*ambient_lattice(n).scaled(build_w(n)))
+    return *w, _offsets_fold(build_b(n))
 
 
 @cache
@@ -250,15 +257,13 @@ def _certify(
     """Certify the action of (r, s), also given on the ambient lattice Z^m."""
     shape = TorusShape(n)
     four_n = 4 * n
-    ambient = ambient_lattice(n)
-    w_num, w_den = ambient.scaled(build_w(n))
+    w_num, w_den, offsets_fold = _w_and_offsets(n)
 
     analysis = _prove_dihedral(r, s)
-    r_facts, s_facts, rs_facts, *power_facts = _facts(
-        analysis, (1, 0), (0, 1), (1, 1),
-        *((j, 0) for j in range(1, four_n)),
-    )
+    r_facts, s_facts, rs_facts = _facts(analysis, (1, 0), (0, 1), (1, 1))
     r_order, s_order, rs_order = r_facts.order, s_facts.order, rs_facts.order
+    # r^j, 0 < j < 4n, shares the verdicts of r^d, d = gcd(j, ord r) < 4n.
+    powers = _facts(analysis, *((d, 0) for d in range(1, four_n) if r_order % d == 0))
 
     # Step 1: the rotation and its bare linear part have order exactly
     # 4n; every proper power shifts the E′ coordinate by j/4n, so it is
@@ -283,26 +288,26 @@ def _certify(
              _fixes(r_ambient, w_num, w_den)),
             ("every power r^j shifts the E′ coordinate by exactly j/4n", shifts_ok),
             ("no proper rotation power is a translation",
-             not any(f.is_translation for f in power_facts)),
+             not any(f.is_translation for f in powers)),
             ("no proper rotation power has a fixed point",
-             not any(f.has_fixed_point for f in power_facts)),
+             not any(f.has_fixed_point for f in powers)),
         ),
     )
 
     # Step 2: s² is the translation by w upstairs, the linear part of s
-    # fixes w, and the offsets telescope to half periods.  Shifts on Z^m
-    # are canonical, so s² is that translation iff it has w's reduced shift.
-    s_squared = compose(s_ambient, s_ambient)
+    # fixes w, and the offsets telescope to half periods.  Shifts on Z^m are
+    # canonical, so s² (kept on s_ambient) is w iff it has w's reduced shift.
+    s_squared = _power(s_ambient, 2)
     step2 = StepResult(
         _STEP_NAMES[1],
         (
             ("s² is the translation by w on the ambient torus",
-             s_squared.is_linear_identity and (s_squared.shift, s_squared.denominator)
-             == ambient.reduce_scaled(w_num, w_den)),
+             s_squared.is_linear_identity
+             and (s_squared.shift, s_squared.denominator) == (w_num, w_den)),
             ("the linear part of s fixes w on the ambient torus",
              _fixes(s_ambient, w_num, w_den)),
             ("offsets satisfy b_i − b_{2n+1−i} = 1/2 for every i",
-             _offsets_fold(build_b(n))),
+             offsets_fold),
             ("s has order 2 on the quotient", s_order == 2),
         ),
     )

@@ -271,8 +271,8 @@ class AffineAuto:
     M is a signed permutation: output coordinate i is signs[i]·z[perm[i]].
     t is shift/denominator, with the integer shift reduced modulo L and in
     lowest terms, so equal maps have equal fields.  Values are immutable
-    and hashable, so they double as closure keys.  Equality and hashing
-    ignore the slots that keep its cycles, order, verdict and powers.
+    and hashable, so they double as closure keys.  Equality and hashing ignore
+    the slots that keep its cycles, order, verdict, powers and class tables.
 
     The constructor takes (perm, signs, translation, lattice) and checks
     that perm is a permutation of the m coordinates, that every sign is
@@ -280,7 +280,7 @@ class AffineAuto:
     """
 
     __slots__ = ("perm", "signs", "shift", "denominator", "lattice",
-                 "_linear", "_cycles", "_order", "_fixed", "_powers")
+                 "_linear", "_cycles", "_order", "_fixed", "_powers", "_classes")
 
     def __init__(
         self,
@@ -309,7 +309,7 @@ class AffineAuto:
             *lattice.scaled(translation)
         )
         self.lattice, self._linear, self._cycles = lattice, None, None
-        self._order = self._fixed = self._powers = None
+        self._order = self._fixed = self._powers = self._classes = None
 
     @classmethod
     def _make(cls, perm, signs, shift, denominator, lattice) -> "AffineAuto":
@@ -318,7 +318,7 @@ class AffineAuto:
         g = object.__new__(cls)
         g.perm, g.signs, g.shift, g.denominator = perm, signs, shift, denominator
         g.lattice, g._linear, g._cycles = lattice, None, None
-        g._order = g._fixed = g._powers = None
+        g._order = g._fixed = g._powers = g._classes = None
         return g
 
     @classmethod

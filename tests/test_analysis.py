@@ -48,6 +48,8 @@ from dihedral_torus.torus import (
 )
 from dihedral_torus.words import _power, evaluate_word, parse_word
 
+from conftest import EMPTY, kept
+
 F = Fraction
 
 
@@ -180,7 +182,7 @@ class TestClosure:
         assert inverse(r) in autos
         assert inverse(s) in autos
 
-    def test_cap_and_validation(self, monkeypatch):
+    def test_cap_and_validation(self, work):
         # On Z^1, r = x + 1/k closes to k elements and ⟨r, s⟩ with
         # s = −x is D_k of order 2k: both sides of the cap 1024.
         lattice = EnlargedLattice.standard(1)
@@ -193,16 +195,10 @@ class TestClosure:
         with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap 1024$"):
             closure([rotation(1025)])
         assert len(analyze_group([rotation(512), s]).elements) == 1024
-        composed, compose_ = [], analysis_module.compose
-
-        def composing(g, h):
-            composed.append((g, h))
-            return compose_(g, h)
-
-        monkeypatch.setattr(analysis_module, "compose", composing)
+        work.clear()
         with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap 1024$"):
             analyze_group([rotation(513), s])
-        assert len(composed) == 1  # rs, before any element is listed
+        assert len(work.composed) == 1  # rs, before any element is listed
         with pytest.raises(ValueError):
             closure([])
 
@@ -336,33 +332,19 @@ class TestAnalyzeGroup:
     def test_analysis_is_deterministic(self, quotient_pair):
         assert analyze_group(quotient_pair) == analyze_group(quotient_pair)
 
-    def test_generators_are_decided_and_composed_once(self, monkeypatch):
+    def test_generators_are_decided_and_composed_once(self, work):
         # The presentation check and the listing share r, s and rs: at
         # n = 2 the 16 elements take 13 compositions (rs, then r^a and
         # r^a s for a = 2..7) and 16 cycle walks, one per element.  Fresh
         # copies of r and s, since the cached ones may have been walked.
-        composed, decomposed = [], []
-        compose_, decompose = analysis_module.compose, torus_module._decompose
-
-        def composing(g, h):
-            composed.append((g, h))
-            return compose_(g, h)
-
-        def spy(auto):
-            decomposed.append(auto)
-            return decompose(auto)
-
-        monkeypatch.setattr(analysis_module, "compose", composing)
-        monkeypatch.setattr(torus_module, "_decompose", spy)
         r, s = (
             AffineAuto(g.perm, g.signs, g.translation, g.lattice)
             for g in realified_action(2)
         )
         result = analyze_group([r, s])
         assert result.group_size == 16
-        assert len(composed) == 13
-        assert len(decomposed) == 16
-        assert sorted(map(id, decomposed)) == sorted(id(e.auto) for e in result.elements)
+        assert work.counts == (13, 16, 0)
+        assert sorted(map(id, work.walked)) == sorted(id(e.auto) for e in result.elements)
 
 
 def _dihedral_pairs():
@@ -970,24 +952,13 @@ def _counting(counts, name, original):
 class TestCycleSlot:
     """Each map is decomposed into signed cycles at most once, lazily."""
 
-    @pytest.fixture
-    def decompositions(self, monkeypatch):
-        seen, decompose = [], torus_module._decompose
-
-        def spy(g):
-            seen.append(g)
-            return decompose(g)
-
-        monkeypatch.setattr(torus_module, "_decompose", spy)
-        return seen
-
-    def test_order_and_fixed_point_share_one_decomposition(self, decompositions):
+    def test_order_and_fixed_point_share_one_decomposition(self, work):
         r, s = realified_action(2)
         for g in (r, s, compose(r, s)):
             fresh = AffineAuto(g.perm, g.signs, g.translation, g.lattice)
-            decompositions.clear()
+            work.clear()
             order(fresh), exists_fixed_point(fresh), order(fresh)
-            assert len(decompositions) == 1 and decompositions[0] is fresh
+            assert work.walked == [fresh] and work.walked[0] is fresh
 
     def test_derived_maps_start_empty(self):
         shared, s = realified_action(2)
@@ -996,9 +967,7 @@ class TestCycleSlot:
         order(r), order(s)
         assert _power(r, 9) is r and _power(r, 1) is r  # ord r = 8
         derived = [compose(r, s), inverse(r), *(_power(r, e) for e in (-3, 0, 2))]
-        assert all(
-            (g._cycles, g._order, g._fixed, g._powers) == (None,) * 4 for g in derived
-        )
+        assert all(kept(g) == EMPTY for g in derived)
 
     def test_filled_slot_changes_no_value(self):
         for n, lattice in ((1, None), (2, ambient_lattice(2))):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus import analysis, cli, torus
+from dihedral_torus import analysis, cli
 from dihedral_torus.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -228,22 +228,15 @@ class TestElementCommand:
         ) == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
-    def test_one_cycle_decomposition_per_map(self, capsys, monkeypatch):
+    def test_one_cycle_decomposition_per_map(self, capsys, work):
         # r and s are cached per n and may be walked already: count the
         # walks of the two element maps, one per lattice.
-        walked, decompose = [], torus._decompose
         generators = {*realified_action(4), *realified_action(4, ambient_lattice(4))}
-
-        def spy(auto):
-            walked.append(auto)
-            return decompose(auto)
-
-        monkeypatch.setattr(torus, "_decompose", spy)
         assert main(["element", "--n", "4", "--word", "r^3 s"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "order: 2" in out
         assert out.count("has fixed point: no") == 2
-        elements = [g for g in walked if g not in generators]
+        elements = [g for g in work.walked if g not in generators]
         assert sorted(g.lattice.index for g in elements) == [1, 2]
 
     def test_huge_exponents_print_their_residues(self, capsys):

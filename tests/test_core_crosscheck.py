@@ -25,6 +25,7 @@ from dihedral_torus.torus import (
     realify,
 )
 
+from conftest import EMPTY, kept
 from test_torus import lattices, monomial_maps
 
 SHAPE = TorusShape(1)
@@ -159,10 +160,6 @@ def _fresh(g):
     return AffineAuto(g.perm, g.signs, g.translation, g.lattice)
 
 
-def _slots(g):
-    return g._cycles, g._order, g._fixed, g._powers
-
-
 def _filled(g):
     """g walked and decided, with g^2 kept unless g^2 is g."""
     order(g), exists_fixed_point(g), _power(g, 2)
@@ -197,7 +194,8 @@ def test_kept_powers_match_compositions_and_a_fresh_copy(case):
 def test_kept_facts_change_no_verdict_and_no_value(case):
     for g in (case[0], compose(*case)):
         filled, fresh = _filled(_fresh(g)), _fresh(g)
-        assert None not in _slots(filled)[:3] and _slots(fresh) == (None,) * 4
+        assert None not in (filled._cycles, filled._order, filled._fixed)
+        assert kept(fresh) == EMPTY
         assert filled == fresh and hash(filled) == hash(fresh)
         assert (order(filled), exists_fixed_point(filled)) == (
             order(fresh), exists_fixed_point(fresh)
@@ -213,4 +211,4 @@ def test_derived_maps_start_with_empty_slots(case):
     halved = EnlargedLattice.from_extra_generators(M, [[Fraction(1, 2)] * M])
     other = standard if g.lattice != standard else halved
     for derived in (compose(g, h), inverse(g), g.linear_part(), g.with_lattice(other)):
-        assert derived is not g and _slots(derived) == (None,) * 4
+        assert derived is not g and kept(derived) == EMPTY

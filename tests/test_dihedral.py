@@ -1,7 +1,6 @@
 """Tests for the action builders, the five-step verifier, and the embeddings."""
 
 import inspect
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -34,6 +33,11 @@ from dihedral_torus.words import _power, evaluate_word, parse_word
 
 F = Fraction
 H = F(1, 2)
+
+
+def _fresh(g):
+    """A copy of g that keeps nothing yet."""
+    return torus.AffineAuto(g.perm, g.signs, g.translation, g.lattice)
 
 
 class TestBuilders:
@@ -229,36 +233,16 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem(0)
 
-    def test_each_element_is_composed_once_and_decomposed_once(
-        self, monkeypatch
-    ):
+    def test_each_element_is_composed_once_and_decomposed_once(self, work):
         # Machine-independent work counts of the enumerating analysis for a
         # group of 128 elements: rs is composed once, each further normal
         # form r^a s^b once from r^{a-1} or r^{a-1} s, and each element's
         # verdicts come from one cycle walk of its map.  Fresh copies of r
         # and s, since the cached ones may have been walked.
         n, size = 16, 128
-        gens = [
-            torus.AffineAuto(g.perm, g.signs, g.translation, g.lattice)
-            for g in realified_action(n)
-        ]
-        counts = {"compose": 0, "_decompose": 0}
-
-        def counting(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(analysis, "compose")
-        counting(dihedral, "compose")
-        counting(torus, "_decompose")
+        gens = [_fresh(g) for g in realified_action(n)]
         assert analysis.analyze_group(gens).rotation_order == 4 * n
-        assert counts["compose"] == size - 3
-        assert counts["_decompose"] == size
+        assert work.counts == (size - 3, size, 0)
 
 
 class TestMutants:
@@ -574,39 +558,30 @@ class TestPresentationProof:
         ids=["zero-offsets", "no-rotation-shift", "corollary"],
     )
     def test_generator_orders_are_decided_once(
-        self, verify, monkeypatch, closures
+        self, verify, monkeypatch, closures, forget, work
     ):
-        # r and s are walked at most once each (they may be cached ones,
-        # walked before), rs exactly once, and rs is composed once.
-        pairs, decomposed, composed = [], [], []
-        prove, decompose = analysis._prove_dihedral, torus._decompose
-        original = torus.compose
+        # From emptied slots on, over the pair's lifetime: r and s are
+        # walked once each, and rs is composed and walked once, by the
+        # first call; the second call reads the pair's kept class table.
+        pairs, prove = [], analysis._prove_dihedral
 
         def capture(r, s):
             pairs.append((r, s))
             return prove(r, s)
 
-        def spy(auto):
-            decomposed.append(auto)
-            return decompose(auto)
-
-        def composing(g, h):
-            composed.append(original(g, h))
-            return composed[-1]
-
         monkeypatch.setattr(dihedral, "_prove_dihedral", capture)
-        monkeypatch.setattr(torus, "_decompose", spy)
-        for module in list(sys.modules.values()):
-            if (module.__name__.startswith("dihedral_torus")
-                    and vars(module).get("compose") is original):
-                monkeypatch.setattr(module, "compose", composing)
         verify()
-        (r, s), = pairs
-        rs = original(r, s)
-        assert sum(g is r for g in decomposed) <= 1
-        assert sum(g is s for g in decomposed) <= 1
-        assert decomposed.count(rs) == 1
-        assert composed.count(rs) == 1
+        r, s = pairs[0]
+        rs = torus.compose(r, s)
+        forget(r, s)
+        work.clear()
+        verify()
+        verify()
+        assert pairs == [(r, s)] * 3
+        assert sum(g is r for g in work.walked) == 1
+        assert sum(g is s for g in work.walked) == 1
+        assert work.walked.count(rs) == 1
+        assert work.composed.count(rs) == 1
         assert closures == []
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -621,110 +596,55 @@ class TestPresentationProof:
         assert verify_corollary(k).verified
         assert closures == []
 
-    def test_theorem_composes_logarithmically_often(self, monkeypatch):
+    def test_theorem_composes_logarithmically_often(self, forget, work):
         # At n = 128, enumerating the 1,024 elements makes 2,050
-        # compositions and 1,028 cycle decompositions.
+        # compositions and 1,028 cycle decompositions.  The cached maps
+        # are emptied first, as another test may have decided them.
         n = 128
-        realified_action(n)
-        realified_action(n, ambient_lattice(n))
-        counts = {"compose": 0, "_decompose": 0}
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        original = torus.compose
-        for module in list(sys.modules.values()):
-            if (module.__name__.startswith("dihedral_torus")
-                    and vars(module).get("compose") is original):
-                monkeypatch.setattr(
-                    module, "compose", counting("compose", original)
-                )
-        monkeypatch.setattr(
-            torus, "_decompose", counting("_decompose", torus._decompose)
-        )
+        forget(*realified_action(n), *realified_action(n, ambient_lattice(n)))
         assert verify_theorem(n).theorem_verified
-        assert 0 < counts["compose"] <= 32
-        assert 0 < counts["_decompose"] <= 16
+        composed, walked, _ = work.counts
+        assert 0 < composed <= 32
+        assert 0 < walked <= 16
 
     @pytest.mark.parametrize("name", ["zero-offsets", "no-rotation-shift"])
     def test_mutants_that_keep_the_presentation_list_nothing(
-        self, name, monkeypatch
+        self, name, monkeypatch, forget, work
     ):
         # At n = 64 listing the 512 elements made 521 compositions and
         # 517-519 cycle decompositions; the derivation decides a few
-        # rotation classes instead.
+        # rotation classes instead.  The mutant's maps are emptied first.
         n = 64
-        realified_action(n)
-        realified_action(n, ambient_lattice(n))
-        counts = {"compose": 0, "_decompose": 0, "_enumerate": 0}
-
-        def counting(key, original):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        original = torus.compose
-        for module in list(sys.modules.values()):
-            if (module.__name__.startswith("dihedral_torus")
-                    and vars(module).get("compose") is original):
-                monkeypatch.setattr(
-                    module, "compose", counting("compose", original)
-                )
-        for module, private in ((torus, "_decompose"), (analysis, "_enumerate")):
-            monkeypatch.setattr(
-                module, private, counting(private, getattr(module, private))
-            )
+        forget(*dihedral._mutant_action(name, n))
+        listings = []
+        monkeypatch.setattr(analysis, "_enumerate", listings.append)
         cert = verify_mutant(name, n)
         assert not cert.theorem_verified
         assert cert.group_order_actual == 8 * n
-        assert counts["_enumerate"] == 0
-        assert 0 < counts["_decompose"] <= 16
-        assert 0 < counts["compose"] <= 48
+        assert listings == []
+        composed, walked, _ = work.counts
+        assert 0 < walked <= 16
+        assert 0 < composed <= 48
 
-    def test_no_quotient_builds_no_closure(self, monkeypatch, closures):
+    def test_no_quotient_builds_no_closure(
+        self, monkeypatch, closures, forget, work
+    ):
         # At n = 64 closing the 1,024 elements made 2,048 compositions and
-        # 1,026 cycle decompositions.  The derivation composes rs, z = s²,
-        # sz, rsz and r^{128}·z (the power itself is read off r's cycles),
-        # and _certify composes s² once more.  Each map it decides walks
-        # its own cycles: r, s, rs, r^{128}, sz, rsz and r^{128}·z.  The
-        # cached r and s are emptied first, as another test may have
-        # walked or decided them or built r^{128}.
+        # 1,026 cycle decompositions.  The derivation composes rs, sz, rsz
+        # and r^{128}·z, and reads z = s² and r^{128} off the cycles of s
+        # and r; _certify reads the same s², kept on s.  Each map it
+        # decides walks its own cycles: r, s, rs, r^{128}, sz, rsz and
+        # r^{128}·z.  The mutant's r and s are emptied first, as another
+        # test may have walked or decided them or built their powers.
         n = 64
-        realified_action(n)
-        for g in realified_action(n, ambient_lattice(n)):
-            for slot in ("_cycles", "_order", "_fixed", "_powers"):
-                monkeypatch.setattr(g, slot, None)
-        counts = {"compose": 0, "_decompose": 0, "_enumerate": 0}
-
-        def counting(key, original):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        original = torus.compose
-        for module in list(sys.modules.values()):
-            if (module.__name__.startswith("dihedral_torus")
-                    and vars(module).get("compose") is original):
-                monkeypatch.setattr(
-                    module, "compose", counting("compose", original)
-                )
-        for module, private in ((torus, "_decompose"), (analysis, "_enumerate")):
-            monkeypatch.setattr(
-                module, private, counting(private, getattr(module, private))
-            )
+        forget(*dihedral._mutant_action("no-quotient", n))
+        listings = []
+        monkeypatch.setattr(analysis, "_enumerate", listings.append)
         cert = verify_mutant("no-quotient", n)
         assert cert.group_order_actual == 16 * n
         assert not cert.has_no_translations
-        assert closures == []
-        assert counts == {"compose": 6, "_decompose": 7, "_enumerate": 0}
+        assert closures == listings == []
+        assert work.counts == (4, 7, 2)
 
     @pytest.mark.parametrize(
         "extras, e_shift, holds",
@@ -1022,63 +942,125 @@ def test_facts_of_a_dihedral_listing_are_the_rows_of_those_maps(k):
 
 class TestKeptFacts:
     """Each map walks its cycles, decides its order and fixed point, and
-    builds each of its powers once, and keeps them for the next query."""
-
-    @pytest.fixture
-    def work(self, monkeypatch):
-        counts = {"walks": 0, "powers": 0}
-        for name, key in (("_decompose", "walks"), ("_closed_power", "powers")):
-            def spy(*args, _original=getattr(torus, name), _key=key):
-                counts[_key] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(torus, name, spy)
-        return counts
+    builds each of its powers once, and keeps them for the next query;
+    each generator pair keeps its class table on r."""
 
     @pytest.mark.parametrize(
-        "verify, n, cold, warm",
+        "verify, maps, cold",
         [
-            # r, s, rs and r^{256} cold; rs, composed anew, warm.
-            (lambda: verify_theorem(128), 128, (4, 1), (1, 0)),
-            # r, r^4, s and r^4·s cold; r^4·s warm.
-            (lambda: verify_corollary(13), 13, (4, 1), (1, 0)),
+            # rs composed; r, s, rs, r^{256} and s upstairs walked; r^{256}
+            # and s² upstairs built.
+            (lambda: verify_theorem(128),
+             lambda: (*realified_action(128), *realified_action(128, ambient_lattice(128))),
+             (1, 5, 2)),
+            # r^4·s composed; r, r^4, s and r^4·s walked; r^4 built.
+            (lambda: verify_corollary(13), lambda: realified_action(13), (1, 4, 1)),
         ],
         ids=["theorem-128", "corollary-13"],
     )
-    def test_warm_verifiers_walk_only_their_new_compositions(
-        self, verify, n, cold, warm, work, monkeypatch
+    def test_warm_verifiers_compose_and_walk_nothing(
+        self, verify, maps, cold, forget, work
     ):
-        # Empty the cached r and s, which earlier tests may have decided.
-        for g in realified_action(n):
-            for slot in ("_cycles", "_order", "_fixed", "_powers"):
-                monkeypatch.setattr(g, slot, None)
-        for expected in (cold, warm):
-            work.update(walks=0, powers=0)
+        forget(*maps())
+        for expected in (cold, (0, 0, 0)):
+            work.clear()
             assert verify().theorem_verified
-            assert (work["walks"], work["powers"]) == expected
+            assert work.counts == expected
 
-    @pytest.mark.parametrize(
-        "name, warm",
-        [
-            # rs, composed anew; the linear part and its facts are kept.
-            ("no-rotation-shift", (1, 0)),
-            ("zero-offsets", (1, 0)),
-            # rs, sz, rsz and r^{128}·z, composed anew.
-            ("no-quotient", (4, 0)),
-        ],
-    )
-    def test_warm_mutants_keep_their_maps(self, name, warm, work):
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_warm_mutants_keep_their_maps(self, name, work):
         verify_mutant(name, 64)
-        work.update(walks=0, powers=0)
+        work.clear()
         assert not verify_mutant(name, 64).theorem_verified
-        assert (work["walks"], work["powers"]) == warm
+        assert work.counts == (0, 0, 0)
 
     def test_a_repeated_single_run_word_redoes_nothing(self, work):
         r, s = realified_action(2)
         word = parse_word("r^13")
         g = evaluate_word(word, r, s)
         order(g), analysis.exists_fixed_point(g)
-        work.update(walks=0, powers=0)
+        work.clear()
         again = evaluate_word(word, r, s)
         order(again), analysis.exists_fixed_point(again)
-        assert again is g and work == {"walks": 0, "powers": 0}
+        assert again is g and work.counts == (0, 0, 0)
+
+
+def _rendered(cert):
+    """A theorem certificate's bytes, its step checks and its verdict tuples."""
+    text = certificate.render_json(certificate.theorem_document(cert, {"n": cert.n}))
+    steps = tuple((st.name, st.checks) for st in cert.steps)
+    verdicts = (cert.theorem_verified, cert.is_free, cert.has_no_translations)
+    return text, steps, cert.reports, verdicts
+
+
+class TestKeptClassTable:
+    """A pair decides its class table once and r keeps it under s: every
+    later call reads it and renders what fresh maps render."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_verifiers_sharing_r_match_fresh_maps(self, n, forget):
+        # Another test may have rebuilt the cached generators: rebuild the
+        # mutants from them, so the zero-offsets mutant keeps the theorem's r.
+        dihedral._mutant_action.cache_clear()
+        theorem = (*realified_action(n), *realified_action(n, ambient_lattice(n)))
+        mutant = dihedral._mutant_action("zero-offsets", n)
+        assert mutant[0] is theorem[0]
+        forget(*theorem, *mutant)
+        runs = (
+            (lambda: verify_theorem(n), theorem),
+            (lambda: verify_mutant("zero-offsets", n), mutant),
+            (lambda: verify_theorem(n), theorem),
+        )
+        for verify, maps in runs:
+            fresh = dihedral._certify(n, *map(_fresh, maps))
+            assert _rendered(verify()) == _rendered(fresh)
+        # One table per partner of r, each decided once.
+        r = theorem[0]
+        assert list(r._classes) == [theorem[1], mutant[1]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_corollary_of_the_whole_rotation_reads_the_theorem_table(
+        self, n, forget, work
+    ):
+        # verify_corollary(4n) takes r^1 = r: the theorem's own pair.
+        r, s = realified_action(n)
+        forget(r, s)
+
+        def rendered():
+            cert = verify_corollary(4 * n)
+            params = {"k": 4 * n}
+            return certificate.render_json(certificate.corollary_document(cert, params))
+
+        cold = rendered()
+        verify_theorem(n)
+        work.clear()
+        assert rendered() == cold
+        assert work.counts == (0, 0, 0)
+        assert list(r._classes) == [s]
+
+    def test_a_refused_pair_keeps_nothing(self):
+        # s with its E′ sign kept, at n = 3: rs has order 12, so the pair
+        # presents no dihedral group, on the first call and on the second.
+        n = 3
+        pairs = [realified_action(n), realified_action(n, ambient_lattice(n))]
+        maps = []
+        for r, s in pairs:
+            signs = s.signs[:-2] + (1, 1)
+            maps += [_fresh(r), torus.AffineAuto(s.perm, signs, s.translation, s.lattice)]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="ord rs = 12, not 2$"):
+                dihedral._certify(n, *maps)
+            assert maps[0]._classes is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_listings_neither_read_nor_fill_the_table(self, n):
+        for lattice in (None, ambient_lattice(n)):
+            r, s = realified_action(n, lattice)
+            listed = analysis.analyze_group([_fresh(r), _fresh(s)])
+            closed = analysis._enumerate([_fresh(r), _fresh(s)])
+            # A table that no pair could have: reading it would fail.
+            r, s = _fresh(r), _fresh(s)
+            r._classes = {s: (1, False, {})}
+            assert analysis.analyze_group([r, s]) == listed
+            assert analysis._enumerate([r, s]) == closed
+            assert r._classes == {s: (1, False, {})} and s._classes is None
