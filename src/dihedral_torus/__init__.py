@@ -45,7 +45,6 @@ from .dihedral import (
     verify_mutant,
     verify_theorem,
 )
-from .linalg import Matrix, hnf, subgroup_membership
 from .torus import (
     AffineAuto,
     ComplexMonomialMap,
@@ -60,6 +59,16 @@ from .torus import (
 from .words import GroupWord, WordParseError, evaluate_word, parse_word
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # `linalg`, the dense reference algebra, loads on first use.
+    if name in ("Matrix", "hnf", "subgroup_membership"):
+        from . import linalg
+
+        return getattr(linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AffineAuto",

@@ -12,12 +12,7 @@ import sys
 import time
 from typing import Sequence
 
-from .analysis import (
-    OracleBudgetExceeded,
-    _has_torsion_fixed_point,
-    _report,
-    torsion_fixed_points_bruteforce,
-)
+from .analysis import OracleBudgetExceeded, _report, torsion_fixed_points_bruteforce
 from .certificate import (
     corollary_document,
     range_document,
@@ -162,6 +157,7 @@ def _oracle_sweep(cert: Certificate, denominator: int) -> list[str]:
     Each report's word is evaluated on the n-th action and checked
     against that report's verdict (expected: no disagreement).
     """
+    from .oracle import _has_torsion_fixed_point
     r, s = realified_action(cert.n)
     mismatches = []
     for rep in cert.reports:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and rationals.
+"""Dense exact linear algebra: the reference the sparse core is tested against.
 
 Everything works with arbitrary-precision `int` and `fractions.Fraction`;
 no floating point appears anywhere.  Matrices are immutable and all
@@ -16,16 +16,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-Rational = int | Fraction
-Vector = tuple[Fraction, ...]
+from .torus import Rational, Vector, vector
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def vector(entries: Iterable[Rational]) -> Vector:
-    """Entries as a tuple of `Fraction`s; existing `Fraction`s are kept, not copied."""
-    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
 class Matrix:

@@ -30,13 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from heapq import heappop, heappush
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, Rational, Vector, hnf, vector
+Rational = int | Fraction
+Vector = tuple[Fraction, ...]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def vector(entries: Iterable[Rational]) -> Vector:
+    """Entries as a tuple of `Fraction`s; existing `Fraction`s are kept, not copied."""
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,48 @@ def _point(num: Sequence[int], den: int) -> TorsionPoint:
     return TorsionPoint(tuple(Fraction(x, den) for x in num))
 
 
+def _sparse_hnf(m: int, d: int, rows: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
+    """(pivots, sheared rows) of the HNF of d·Z^m + Σ Z·row, for integer rows.
+
+    From d·I, each row is inserted in column order: one extended-gcd step
+    per column it reaches puts gcd(pivot, entry) on the diagonal.  Entries
+    are kept in [0, d), as d·Z^m lies in the lattice, so a last sweep,
+    bottom-up and in column order, reduces each stored row only in the
+    columns of the other stored rows.
+    """
+    pivots, tails = [d] * m, {}
+    for row in rows:
+        v = {j: x % d for j, x in enumerate(row) if x % d}
+        heap = list(v)  # increasing, so already a heap
+        while heap:
+            i = heappop(heap)
+            if not (a := v.pop(i, 0)):
+                continue
+            p, tail, tails[i] = pivots[i], tails.get(i, {}), {}
+            g = pivots[i] = gcd(p, a)
+            y = pow(a // g, -1, p // g)
+            x = (g - y * a) // p
+            # (row i, v) ↦ (x·row i + y·v, (a/g)·row i − (p/g)·v): unimodular.
+            for k in tail.keys() | v.keys():
+                b, c = tail.get(k, 0), v.get(k, 0)
+                tails[i][k] = (x * b + y * c) % d
+                if k not in v:
+                    heappush(heap, k)
+                v[k] = (a // g * b - p // g * c) % d
+    for i in sorted(tails, reverse=True):
+        # An entry in a column no row met is in [0, d) = [0, pivot) already.
+        tail, heap = tails[i], sorted(tails[i].keys() & tails.keys())
+        while heap:
+            j = heappop(heap)
+            q, tail[j] = divmod(tail[j], pivots[j])
+            for k, b in tails[j].items() if q else ():
+                if k not in tail and k in tails:
+                    heappush(heap, k)
+                tail[k] = (tail.get(k, 0) - q * b) % d
+    sheared = [(i, sorted((j, b) for j, b in tails[i].items() if b)) for i in sorted(tails)]
+    return tuple(pivots), tuple((i, pivots[i], tuple(t)) for i, t in sheared if t)
+
+
 @dataclass(frozen=True)
 class EnlargedLattice:
     """Full-rank lattice Z^m + Z·g_1 + ... + Z·g_k inside Q^m.
@@ -118,10 +167,11 @@ class EnlargedLattice:
     `denominator`·L, where `denominator` is the exponent of L/Z^m (the
     least common denominator of the extra generators): the diagonal
     `pivots`, and (row, pivot, off-diagonal entries) of the rows that
-    have off-diagonal entries.  That integer data is canonical, so
-    equality and hashing compare it alone, in O(m), and two generating
-    sets of one lattice give equal values.  `canonical_basis`, the same
-    basis as rows of `Fraction`s, is derived from it on first use.
+    have off-diagonal entries, built by `_sparse_hnf` with no m×m table.
+    That integer data is canonical, so equality and hashing compare it
+    alone, in O(m), and two generating sets of one lattice give equal
+    values.  `canonical_basis`, the same basis as rows of `Fraction`s, is
+    derived from it on first use.
     """
 
     m: int
@@ -144,28 +194,12 @@ class EnlargedLattice:
         if any(len(g) != m for g in extra_vs):
             raise ValueError("extra generators must have length m")
         d = lcm(1, *(e.denominator for g in extra_vs for e in g))
-        rows = [[int(e * d) for e in g] for g in extra_vs]
-        rows.extend([d if i == j else 0 for j in range(m)] for i in range(m))
-        dec = hnf(rows)
-        assert dec.rank == m  # d·Z^m is among the generators
-        h = dec.h[:m]
-        pivots = tuple(h[i][i] for i in range(m))
-        index, rem = divmod(d**m, prod(pivots))
-        assert rem == 0  # Z^m is a sublattice, so covolumes divide
-        sheared = tuple(
-            (i, h[i][i], tail)
-            for i in range(m)
-            if (tail := tuple((j, h[i][j]) for j in range(i + 1, m) if h[i][j]))
+        rows = tuple(
+            tuple(e.numerator * (d // e.denominator) for e in g) for g in extra_vs
         )
-        return cls(
-            m=m,
-            extra_generators=extra_vs,
-            index=index,
-            denominator=d,
-            pivots=pivots,
-            sheared_rows=sheared,
-            extra_numerators=tuple(tuple(row) for row in rows[: len(extra_vs)]),
-        )
+        pivots, sheared = _sparse_hnf(m, d, rows)
+        index = prod(d // p for p in pivots)  # d^m over the covolume of d·L
+        return cls(m, extra_vs, index, d, pivots, sheared, rows)
 
     @classmethod
     @cache
@@ -335,9 +369,11 @@ class AffineAuto:
         return cls._make(tuple(range(m)), (1,) * m, *reduced, lattice)
 
     @property
-    def linear(self) -> Matrix:
-        """M as a dense matrix, built on first use (for display and tests)."""
+    def linear(self):
+        """M as a dense `linalg.Matrix`, built on first use (for display and tests)."""
         if self._linear is None:
+            from .linalg import Matrix
+
             rows = [[0] * len(self.perm) for _ in self.perm]
             for row, src, sign in zip(rows, self.perm, self.signs):
                 row[src] = sign

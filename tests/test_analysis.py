@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis as analysis_module
+from dihedral_torus import oracle as oracle_module
 from dihedral_torus import torus as torus_module
 from dihedral_torus.analysis import (
     ClosureCapExceeded,
@@ -498,7 +499,7 @@ class TestTorsionOracle:
         # The lattice denominator 2 does not divide 15, so all 15^6 > 10^7
         # grid points are candidates; 2 divides 16, so 16^6 / 2 are.
         r, _ = quotient_pair
-        has_point = analysis_module._has_torsion_fixed_point
+        has_point = oracle_module._has_torsion_fixed_point
         message = "^11390625 candidates exceed the oracle budget of 10000000$"
         for search in (torsion_fixed_points_bruteforce, has_point):
             with pytest.raises(OracleBudgetExceeded, match=message):
@@ -516,7 +517,7 @@ class TestTorsionOracle:
 
     def test_emptiness_query_refuses_what_the_oracle_refuses(self, quotient_pair):
         r, _ = quotient_pair
-        has_point = analysis_module._has_torsion_fixed_point
+        has_point = oracle_module._has_torsion_fixed_point
         with pytest.raises(OracleBudgetExceeded, match="budget"):
             has_point(r, 20)
         with pytest.raises(ValueError):
@@ -527,7 +528,7 @@ class TestTorsionOracle:
             has_point(far, 1)
 
     def test_overflow_bound_charges_only_sheared_rows(self):
-        bound = analysis_module._overflow_bound
+        bound = oracle_module._overflow_bound
         zero = [(), ()]
         # Start: the largest basis entry times d, here 8.
         assert bound(1, zero, [0, 0], [4, 8], {}) == 8
@@ -716,7 +717,7 @@ def test_pair_outside_both_presentations_is_refused(n, monkeypatch):
 @given(quotient_monomial_autos(), st.sampled_from((1, 2, 3, 4)))
 @settings(deadline=None, max_examples=40)
 def test_emptiness_query_matches_the_oracle(g, d):
-    assert analysis_module._has_torsion_fixed_point(g, d) == bool(
+    assert oracle_module._has_torsion_fixed_point(g, d) == bool(
         torsion_fixed_points_bruteforce(g, d)
     )
 
@@ -793,7 +794,7 @@ def _search_matches_enumeration(g, *denominators):
     for d in denominators:
         points = torsion_fixed_points_bruteforce(g, d)
         assert points == _enumerated_fixed_points(g, d)
-        assert analysis_module._has_torsion_fixed_point(g, d) == bool(points)
+        assert oracle_module._has_torsion_fixed_point(g, d) == bool(points)
 
 
 @given(signed_permutation_autos(6))
@@ -825,7 +826,7 @@ quarters = st.sampled_from((F(0), F(1, 4), F(1, 2), F(3, 4)))
 @given(signed_permutation_autos(5, sheared=True, entries=quarters))
 @settings(deadline=None, max_examples=30)
 def test_search_carries_across_sheared_rows_in_the_box(g):
-    canonical = [analysis_module._oracle_input(g, d)[2] for d in (3, 4)]
+    canonical = [oracle_module._oracle_input(g, d)[2] for d in (3, 4)]
     assert canonical == [False, True]
     _search_matches_enumeration(g, 3, 4)
 
@@ -859,8 +860,8 @@ def _dense_bound(g, d):
 
 
 def _sparse_bound(g, d):
-    w, _, _, *search = analysis_module._oracle_input(g, d)
-    return w, analysis_module._overflow_bound(d, *search)
+    w, _, _, *search = oracle_module._oracle_input(g, d)
+    return w, oracle_module._overflow_bound(d, *search)
 
 
 @given(signed_permutation_autos(6, sheared=True), st.integers(1, 12))
@@ -872,7 +873,7 @@ def test_overflow_bound_equals_the_dense_formula(g, d):
 @pytest.mark.parametrize("n, bits", [(14, 9), (64, 12)])
 def test_overflow_bound_of_r_at_d2(n, bits, monkeypatch):
     # The grid at D = 2 exceeds the budget, which is checked first.
-    monkeypatch.setattr(analysis_module, "DEFAULT_ORACLE_BUDGET", 2**300)
+    monkeypatch.setattr(oracle_module, "DEFAULT_ORACLE_BUDGET", 2**300)
     r, _ = realified_action(n)
     w, bound = _sparse_bound(r, 2)
     assert (w, bound) == _dense_bound(r, 2)
@@ -900,7 +901,7 @@ def test_oracle_reads_no_dense_table(monkeypatch):
         if g.is_identity:
             assert (len(boxed), len(reduced)) == (8**6 // 2, 3**6)
     for g in large:
-        assert analysis_module._has_torsion_fixed_point(g, 1) == exists_fixed_point(g)
+        assert oracle_module._has_torsion_fixed_point(g, 1) == exists_fixed_point(g)
 
 
 @given(st.integers(1, 5).flatmap(lambda k: signed_permutation_autos(6, fixed=k)))
@@ -1016,7 +1017,7 @@ def test_search_prunes_before_the_whole_grid(monkeypatch, quotient_pair):
 
     for name in ("_expand", "_expanded_keys"):
         monkeypatch.setattr(
-            analysis_module, name, counting(getattr(analysis_module, name))
+            oracle_module, name, counting(getattr(oracle_module, name))
         )
     for element in closure(quotient_pair):
         built.append(0)
@@ -1047,7 +1048,7 @@ class TestOracleResult:
             built.append(coords)
             return TorsionPoint(coords)
 
-        monkeypatch.setattr(analysis_module, "TorsionPoint", spy)
+        monkeypatch.setattr(oracle_module, "TorsionPoint", spy)
         e = AffineAuto.identity(quotient_lattice(1))
         points = torsion_fixed_points_bruteforce(e, 8)
         assert len(points) == 8**6 // 2
@@ -1118,28 +1119,28 @@ def _eager_rows(g, d):
     """The oracle's rows unpacked at once from the surviving grid points:
     scaled by W, reduced off the box, sorted, deduplicated, packed on the
     scaled radices and unpacked."""
-    w, bounds, canonical, *search = analysis_module._oracle_input(g, d)
+    w, bounds, canonical, *search = oracle_module._oracle_input(g, d)
     _, _, radices, tails = search
     m = len(radices)
-    pieces = analysis_module._surviving_pieces(*search, bounds)
+    pieces = oracle_module._surviving_pieces(*search, bounds)
     rows = np.concatenate([piece[:m] for piece in pieces], axis=1).T * (w // d)
     if not canonical:
-        rows = analysis_module._triangular_residues(rows, radices, tails)
-    keys = analysis_module._packed_keys(np.unique(rows, axis=0), radices)
-    return analysis_module._unpacked_rows(keys, radices), w
+        rows = oracle_module._triangular_residues(rows, radices, tails)
+    keys = oracle_module._packed_keys(np.unique(rows, axis=0), radices)
+    return oracle_module._unpacked_rows(keys, radices), w
 
 
 class TestOracleUnpacksOnFirstRead:
     @pytest.fixture
     def unpacked(self, monkeypatch):
         """Counts the calls of `_unpacked_rows`."""
-        calls, unpack = [], analysis_module._unpacked_rows
+        calls, unpack = [], oracle_module._unpacked_rows
 
         def spy(*args):
             calls.append(args)
             return unpack(*args)
 
-        monkeypatch.setattr(analysis_module, "_unpacked_rows", spy)
+        monkeypatch.setattr(oracle_module, "_unpacked_rows", spy)
         return calls
 
     def test_len_truth_and_repr_unpack_nothing(self, unpacked):
@@ -1210,7 +1211,7 @@ def test_oracle_sorts_on_several_packed_keys():
     radix_product = 1
     for pivot in lattice.pivots:
         radix_product *= pivot * 2
-    assert radix_product > analysis_module._INT64_SAFE
+    assert radix_product > oracle_module._INT64_SAFE
     points = torsion_fixed_points_bruteforce(s0, 2)
     assert len(points) == 256
     assert points == _enumerated_fixed_points(s0, 2)
@@ -1235,10 +1236,10 @@ def test_oracle_box_packs_digits_into_one_key():
     d = 2048
     # W = 2^21 and lattice.denominator = 2^9 scale each pivot by 2^12.
     radices = [pivot * 2**12 for pivot in lattice.pivots]
-    assert len(analysis_module._key_columns(radices)) == 2
-    _, bounds, canonical, _, _, pivots, _ = analysis_module._oracle_input(g, d)
+    assert len(oracle_module._key_columns(radices)) == 2
+    _, bounds, canonical, _, _, pivots, _ = oracle_module._oracle_input(g, d)
     assert canonical and bounds == [4] * 6 and pivots == radices
-    assert len(analysis_module._key_columns(bounds)) == 1
+    assert len(oracle_module._key_columns(bounds)) == 1
     # One grid point per class: digits below D/512 = 4 are canonical.
     expected = set()
     for ks in itertools.product(range(4), repeat=6):
@@ -1284,9 +1285,9 @@ def rows_within_radices(draw):
 def test_unpacking_inverts_packing(case):
     radices, listed = case
     rows = np.array(listed, dtype=np.int64).reshape(len(listed), len(radices))
-    keys = analysis_module._packed_keys(rows, radices)
-    assert len(keys) == len(analysis_module._key_columns(radices))
-    out = analysis_module._unpacked_rows(keys, radices)
+    keys = oracle_module._packed_keys(rows, radices)
+    assert len(keys) == len(oracle_module._key_columns(radices))
+    out = oracle_module._unpacked_rows(keys, radices)
     assert out.dtype == _narrowest_unsigned(max(radices) - 1)
     assert np.array_equal(out, rows)
 
@@ -1328,11 +1329,11 @@ def test_key_expansion_packs_the_expanded_rows(case):
     """The box's key pieces concatenate to the keys of `_expand`'s rows,
     also when the partial columns arrive in two pieces."""
     bounds, digits, partial = case
-    rows = np.concatenate(list(analysis_module._expand(partial, digits, bounds)), 1)
-    (expected,) = analysis_module._packed_keys(rows.T, bounds)
+    rows = np.concatenate(list(oracle_module._expand(partial, digits, bounds)), 1)
+    (expected,) = oracle_module._packed_keys(rows.T, bounds)
     partials = [p for p in np.array_split(partial, 2, axis=1) if p.shape[1]]
-    pieces = list(analysis_module._expanded_keys(partials, digits, bounds))
-    assert all(0 < len(piece) <= analysis_module._CHUNK for piece in pieces)
+    pieces = list(oracle_module._expanded_keys(partials, digits, bounds))
+    assert all(0 < len(piece) <= oracle_module._CHUNK for piece in pieces)
     assert np.array_equal(np.concatenate(pieces), expected)
 
 

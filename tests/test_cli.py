@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus import analysis, cli
+from dihedral_torus import analysis, cli, oracle
 from dihedral_torus.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -77,13 +77,13 @@ class TestVerifyCommand:
     ):
         # The sweep asks only whether a fixed point exists, so it never
         # sorts the fixed rows: the identity at n = 3, D = 3 fixes 3^14.
-        calls, pack = [], analysis._packed_keys
+        calls, pack = [], oracle._packed_keys
 
         def spy(*args, **kwargs):
             calls.append(args)
             return pack(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "_packed_keys", spy)
+        monkeypatch.setattr(oracle, "_packed_keys", spy)
         assert main(["verify", "--range", "3", "--oracle", "3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "confirmed for all 24 elements of n=3" in out
@@ -92,7 +92,7 @@ class TestVerifyCommand:
     def test_oracle_disagreement_sets_exit_code(self, capsys, monkeypatch):
         # An oracle that finds a fixed point everywhere contradicts every
         # nonidentity row of a free action, and fails the run.
-        monkeypatch.setattr(cli, "_has_torsion_fixed_point", lambda g, d: True)
+        monkeypatch.setattr(oracle, "_has_torsion_fixed_point", lambda g, d: True)
         assert main(
             ["verify", "--n", "1", "--oracle", "2"]
         ) == EXIT_VERIFICATION_FAILED

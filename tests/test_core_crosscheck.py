@@ -4,17 +4,22 @@ The reference below works on dense `Matrix` values only: products by
 `Matrix.__matmul__`, orders by repeated products, and fixed points by
 projecting onto `left_nullspace(M − I)` and deciding `subgroup_membership`.
 It is the general-matrix method and uses none of the cycle structure the
-core's closed forms rely on.
+core's closed forms rely on.  Lattices are checked the same way: the
+sparse routine `torus._sparse_hnf` against the dense `hnf` of the extras'
+numerators stacked on d·I.
 """
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_torus import torus
 from dihedral_torus.analysis import exists_fixed_point, order
-from dihedral_torus.linalg import Matrix, left_nullspace, subgroup_membership
+from dihedral_torus.dihedral import build_w, quotient_lattice
+from dihedral_torus.linalg import Matrix, hnf, left_nullspace, subgroup_membership
 from dihedral_torus.torus import (
     AffineAuto,
     EnlargedLattice,
@@ -212,3 +217,80 @@ def test_derived_maps_start_with_empty_slots(case):
     other = standard if g.lattice != standard else halved
     for derived in (compose(g, h), inverse(g), g.linear_part(), g.with_lattice(other)):
         assert derived is not g and kept(derived) == EMPTY
+
+
+def dense_lattice(lattice):
+    """(denominator, pivots, sheared rows, index) of the lattice, read off
+    the dense `hnf` of its extras' numerators stacked on d·I."""
+    m, extras = lattice.m, lattice.extra_generators
+    d = lcm(1, *(Fraction(e).denominator for g in extras for e in g))
+    rows = [[int(Fraction(e) * d) for e in g] for g in extras]
+    h = hnf(rows + [[d * (i == j) for j in range(m)] for i in range(m)]).h[:m]
+    pivots = tuple(h[i][i] for i in range(m))
+    sheared = tuple(
+        (i, h[i][i], tail)
+        for i in range(m)
+        if (tail := tuple((j, h[i][j]) for j in range(i + 1, m) if h[i][j]))
+    )
+    return d, pivots, sheared, d**m // prod(pivots)
+
+
+def sparse_lattice(lattice):
+    return lattice.denominator, lattice.pivots, lattice.sheared_rows, lattice.index
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda m: lattices(m=m, max_extras=3, numerators=st.integers(-12, 12))
+    )
+)
+@settings(deadline=None, max_examples=300)
+def test_sparse_hnf_matches_the_dense_hnf(lattice):
+    assert sparse_lattice(lattice) == dense_lattice(lattice)
+
+
+def test_quotient_lattices_match_the_dense_hnf():
+    for n in range(1, 65):
+        lattice = quotient_lattice(n)
+        assert sparse_lattice(lattice) == dense_lattice(lattice)
+
+
+def test_the_half_period_takes_one_gcd_step(monkeypatch):
+    # w's entries are 1/2 or 0: its first one makes a pivot 1, and w less
+    # twice that basis row is 0 mod 2, so no other column takes a step.
+    steps = []
+    monkeypatch.setattr(torus, "gcd", lambda *args: steps.append(args) or gcd(*args))
+    for n in (1, 8, 64):
+        steps.clear()
+        lattice = EnlargedLattice.from_extra_generators(4 * n + 2, [build_w(n).coords])
+        assert steps == [(2, 1)] and lattice.index == 2
+
+
+def projected_lattices(maps):
+    """The lattices `_decide_fixed_point` projects onto, deciding each map cold."""
+    built, build = [], EnlargedLattice.from_extra_generators.__func__
+
+    def spy(cls, m, extras=()):
+        built.append(build(cls, m, extras))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EnlargedLattice, "from_extra_generators", classmethod(spy))
+        for g in maps:
+            exists_fixed_point(_fresh(g))
+    return built
+
+
+@given(invariant_cases())
+@settings(deadline=None, max_examples=100)
+def test_projected_lattices_match_the_dense_hnf(case):
+    for lattice in projected_lattices([*case, compose(*case)]):
+        assert sparse_lattice(lattice) == dense_lattice(lattice)
+
+
+@pytest.mark.parametrize("t3", [Fraction(1, 4), 0])
+def test_coupled_case_projects_onto_a_lattice_the_dense_hnf_agrees_with(t3):
+    t = (0, 0, Fraction(1, 4), t3, 0, 0)
+    g = AffineAuto((0, 1, 3, 2, 4, 5), (1,) * M, t, HALVES)
+    (lattice,) = projected_lattices([g])
+    assert sparse_lattice(lattice) == dense_lattice(lattice)

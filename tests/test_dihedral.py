@@ -27,7 +27,7 @@ from dihedral_torus.dihedral import (
     verify_mutant,
     verify_theorem,
 )
-from dihedral_torus.linalg import Matrix, hnf
+from dihedral_torus.linalg import Matrix
 from dihedral_torus.torus import EnlargedLattice, TorusShape, realify
 from dihedral_torus.words import _power, evaluate_word, parse_word
 
@@ -121,15 +121,16 @@ class TestSharedConstructions:
             constructor.cache_clear()
         reductions, realifications = [], []
 
-        def counting_hnf(rows):
+        def counting_hnf(m, d, rows):
             reductions.append(tuple(map(tuple, rows)))
-            return hnf(rows)
+            return sparse_hnf(m, d, rows)
 
         def counting_realify(*args):
             realifications.append(args)
             return realify(*args)
 
-        monkeypatch.setattr(torus, "hnf", counting_hnf)
+        sparse_hnf = torus._sparse_hnf
+        monkeypatch.setattr(torus, "_sparse_hnf", counting_hnf)
         monkeypatch.setattr(dihedral, "realify", counting_realify)
         for _ in range(25):
             realified_action(n)

@@ -73,11 +73,12 @@ class TestEnlargedLattice:
         m = 7
         reductions = []
 
-        def counting_hnf(rows):
+        def counting_hnf(m, d, rows):
             reductions.append(rows)
-            return hnf(rows)
+            return sparse_hnf(m, d, rows)
 
-        monkeypatch.setattr(torus, "hnf", counting_hnf)
+        sparse_hnf = torus._sparse_hnf
+        monkeypatch.setattr(torus, "_sparse_hnf", counting_hnf)
         std = EnlargedLattice.standard.__wrapped__(EnlargedLattice, m)
         assert reductions == []
         padded = EnlargedLattice.from_extra_generators(m, [[0] * m])
@@ -351,11 +352,11 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def lattices(draw, m=4):
-    n_extras = draw(st.integers(0, 2))
+def lattices(draw, m=4, max_extras=2, numerators=st.integers(0, 5)):
+    n_extras = draw(st.integers(0, max_extras))
     extras = [
         [
-            F(draw(st.integers(0, 5)), draw(st.sampled_from((1, 2, 3, 4))))
+            F(draw(numerators), draw(st.sampled_from((1, 2, 3, 4))))
             for _ in range(m)
         ]
         for _ in range(n_extras)
