@@ -71,7 +71,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .torus import (
@@ -87,6 +87,7 @@ from .torus import (
 )
 
 DEFAULT_CLOSURE_CAP = 1024
+CACHE_BOUND = 16  # entries in each per-n cache: dihedral's families, normal forms
 _CAP_EXCEEDED = f"closure exceeds cap {DEFAULT_CLOSURE_CAP}"
 
 
@@ -303,7 +304,7 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in parts)
 
 
-@cache
+@lru_cache(maxsize=CACHE_BOUND)
 def _normal_forms(k: int, extension: bool) -> dict[tuple[int, int, int], tuple]:
     """Each normal form r^a s^b z^c of D_k, or of its central extension of
     order 4k, as (a, b, c), mapped in row order to its row index, its

@@ -54,14 +54,13 @@ def _body(cert: Certificate) -> dict[str, Any]:
 def _document(
     command: str, cert: Certificate, params: Mapping[str, Any]
 ) -> dict[str, Any]:
-    doc: dict[str, Any] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "params": dict(params),
+        **_body(cert),
+        "elapsed_ms": None,
     }
-    doc.update(_body(cert))
-    doc["elapsed_ms"] = None
-    return doc
 
 
 def theorem_document(cert: Certificate, params: Mapping[str, Any]) -> dict[str, Any]:
@@ -76,11 +75,7 @@ def range_document(
     certs: Sequence[Certificate], params: Mapping[str, Any]
 ) -> dict[str, Any]:
     """Aggregate of one verify run per n; per-run bodies match the schema."""
-    runs = []
-    for cert in certs:
-        body: dict[str, Any] = {"n": cert.n}
-        body.update(_body(cert))
-        runs.append(body)
+    runs = [{"n": cert.n, **_body(cert)} for cert in certs]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

@@ -181,12 +181,14 @@ def cmd_verify(args) -> int:
         "oracle": args.oracle,
     }
     start = time.perf_counter()
-    ns = [args.n] if args.n is not None else list(range(1, args.range_max + 1))
-    certs = [verify_theorem(n) for n in ns]
-    ok = all(c.theorem_verified for c in certs)
-
-    for cert in certs:
-        _print_certificate(cert)
+    ns = [args.n] if args.n is not None else range(1, args.range_max + 1)
+    keep = args.json is not None or args.oracle is not None
+    certs, ok = [], True
+    for cert in map(verify_theorem, ns):
+        _print_certificate(cert)  # as it is made
+        ok = ok and cert.theorem_verified
+        if keep:  # --json and --oracle read it again
+            certs.append(cert)
 
     if args.oracle is not None:
         for cert in certs:

@@ -18,11 +18,11 @@ builds those objects exactly for any n, verifies the claim as five named
 certificate steps, and embeds an arbitrary dihedral group D_k into the
 family via the rotation-power subgroup ⟨r^{4n/k}, s⟩ with 4n = lcm(4, k).
 
-The per-n constructors (`build_w`, `build_b`, `build_r`, `build_s`,
-`ambient_lattice`, `quotient_lattice`, `realified_action`) depend on n
-(and the lattice) alone, so each runs once per process and returns one
-shared, immutable value: repeated calls cost a dictionary lookup, not an
-HNF and a realification.
+One `_Family` holds all the construction builds for one n (w, b, r, s,
+both lattices, the pair (r, s) on each, the mutants' maps), and one
+cache keeps at most `CACHE_BOUND` families for the public constructors
+to read.  What their maps keep (cycles, powers, class tables) dies with
+an evicted family; a rebuilt one decides it again, to the same bytes.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .analysis import (
+    CACHE_BOUND,
     ElementReport,
     _facts,
     _fixes,
@@ -52,7 +53,7 @@ from .torus import (
     realify,
 )
 
-_HALF = Fraction(1, 2)
+_HALF, _ZERO = Fraction(1, 2), Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -66,105 +67,113 @@ class ConstructionParams:
             raise ValueError("n must be a positive integer")
 
 
-@cache
+@dataclass(frozen=True)
+class _Family:
+    """The construction for one n: its fields at once, the rest on first read."""
+
+    shape: TorusShape
+    w: TorsionPoint
+    b: tuple[TorsionPoint, ...]
+    r: ComplexMonomialMap
+    s: ComplexMonomialMap
+    ambient: EnlargedLattice
+    offsets_fold: bool
+
+    @cached_property
+    def w_reduced(self) -> tuple[tuple[int, ...], int]:
+        """w modulo Z^m as (numerators, denominator)."""
+        return self.ambient.reduce_scaled(*self.ambient.scaled(self.w))
+
+    @cached_property
+    def quotient(self) -> EnlargedLattice:
+        return EnlargedLattice.from_extra_generators(self.shape.real_dim, [self.w.coords])
+
+    def realified(self, lattice: EnlargedLattice) -> tuple[AffineAuto, AffineAuto]:
+        return tuple(realify(g, self.shape, lattice) for g in (self.r, self.s))
+
+    @cached_property
+    def pair(self) -> tuple[AffineAuto, AffineAuto]:
+        return self.realified(self.quotient)
+
+    @cached_property
+    def ambient_pair(self) -> tuple[AffineAuto, AffineAuto]:
+        return self.realified(self.ambient)
+
+    @cached_property
+    def mutants(self) -> dict[str, tuple[AffineAuto, ...]]:
+        """Each mutant's (r, s, r_ambient, s_ambient), from this family's pairs."""
+        (r, s), (r_amb, s_amb) = self.pair, self.ambient_pair
+        # A mutant without a translation is the validated map's linear part.
+        return {
+            "no-rotation-shift": (r.linear_part(), s, r_amb.linear_part(), s_amb),
+            "zero-offsets": (r, s.linear_part(), r_amb, s_amb.linear_part()),
+            "no-quotient": (r_amb, s_amb, r_amb, s_amb),
+        }
+
+
+@lru_cache(maxsize=CACHE_BOUND)
+def _family(n: int) -> _Family:
+    shape, two_n = TorusShape(n), 2 * n  # TorusShape rejects n < 1
+    w = TorsionPoint.of([_HALF, _ZERO] * two_n + [_ZERO, _ZERO])
+    b = (TorsionPoint.of((_HALF, _HALF)), TorsionPoint.of((_ZERO, _HALF))) * n
+    r_shift = TorsionPoint.of([_ZERO] * (2 * two_n) + [Fraction(1, 4 * n), _ZERO])
+    r_perm = (two_n - 1, *range(two_n - 1), two_n)  # the E factors cycled
+    r = ComplexMonomialMap(r_perm, (-1,) + (1,) * two_n, r_shift)
+    s_shift = TorsionPoint.of([c for p in b for c in p.coords] + [_ZERO, _ZERO])
+    s_perm = (*range(two_n - 1, -1, -1), two_n)  # the E factors reversed
+    s = ComplexMonomialMap(s_perm, (-1,) * (two_n + 1), s_shift)
+    ambient = EnlargedLattice.standard(shape.real_dim)
+    return _Family(shape, w, b, r, s, ambient, _offsets_fold(b))
+
+
 def build_w(n: int) -> TorsionPoint:
     """The quotient translation: a half period in each E factor, 0 in E′."""
-    shape = TorusShape(n)
-    coords = [Fraction(0)] * shape.real_dim
-    for i in range(2 * n):
-        coords[2 * i] = _HALF
-    return TorsionPoint.of(coords)
+    return _family(n).w
 
 
-@cache
 def build_b(n: int) -> tuple[TorsionPoint, ...]:
     """Reflection offsets b_1..b_{2n} in lattice coordinates (1-part, τ-part).
 
     Odd-index offsets are (1/2, 1/2) and even-index ones (0, 1/2), so that
     b_i − b_{2n+1−i} is the half period (1/2, 0) for every i.
     """
-    odd = TorsionPoint.of((_HALF, _HALF))
-    even = TorsionPoint.of((Fraction(0), _HALF))
-    return tuple(odd if i % 2 else even for i in range(1, 2 * n + 1))
+    return _family(n).b
 
 
-@cache
-def _w_and_offsets(n: int) -> tuple[tuple[int, ...], int, bool]:
-    """w reduced modulo Z^m as (numerators, denominator); whether b folds."""
-    w = ambient_lattice(n).reduce_scaled(*ambient_lattice(n).scaled(build_w(n)))
-    return *w, _offsets_fold(build_b(n))
-
-
-@cache
 def build_r(n: int) -> ComplexMonomialMap:
     """Rotation generator: cycle the E factors with one sign flip, shift E′."""
-    two_n = 2 * n
-    perm = (two_n - 1,) + tuple(range(two_n - 1)) + (two_n,)
-    signs = (-1,) + (1,) * (two_n - 1) + (1,)
-    shift = [Fraction(0)] * (2 * (two_n + 1))
-    shift[2 * two_n] = Fraction(1, 4 * n)
-    return ComplexMonomialMap(perm, signs, TorsionPoint.of(shift))
+    return _family(n).r
 
 
-@cache
 def build_s(n: int) -> ComplexMonomialMap:
     """Reflection generator: reverse and negate the E factors, offset by b."""
-    two_n = 2 * n
-    perm = tuple(range(two_n - 1, -1, -1)) + (two_n,)
-    signs = (-1,) * (two_n + 1)
-    offsets = build_b(n)
-    shift = []
-    for b in offsets:
-        shift.extend(b.coords)
-    shift.extend((Fraction(0), Fraction(0)))
-    return ComplexMonomialMap(perm, signs, TorsionPoint.of(shift))
+    return _family(n).s
 
 
-@cache
 def ambient_lattice(n: int) -> EnlargedLattice:
     """Period lattice of the unquotiented product, plain Z^m."""
-    return EnlargedLattice.standard(TorusShape(n).real_dim)
+    return _family(n).ambient
 
 
-@cache
 def quotient_lattice(n: int) -> EnlargedLattice:
     """Period lattice of A: Z^m enlarged by the lift of w (index 2)."""
-    return EnlargedLattice.from_extra_generators(
-        TorusShape(n).real_dim, [build_w(n).coords]
-    )
+    return _family(n).quotient
 
 
-@cache
 def realified_action(
     n: int, lattice: EnlargedLattice | None = None
 ) -> tuple[AffineAuto, AffineAuto]:
     """The pair (r, s) as signed permutations modulo `lattice`.
 
-    The lattice defaults to the quotient lattice of A; pass
-    `ambient_lattice(n)` for the unquotiented product.
+    The lattice defaults to the quotient lattice of A; pass `ambient_lattice(n)`
+    for the unquotiented product, or any other lattice for a fresh pair.
     """
-    if lattice is None:
-        lattice = quotient_lattice(n)
-    shape = TorusShape(n)
-    return (
-        realify(build_r(n), shape, lattice),
-        realify(build_s(n), shape, lattice),
-    )
-
-
-@cache
-def _mutant_action(name: str, n: int) -> tuple[AffineAuto, ...]:
-    """A mutant's (r, s, r_ambient, s_ambient), built once: its maps keep their facts."""
-    r, s = realified_action(n)
-    r_ambient, s_ambient = realified_action(n, ambient_lattice(n))
-    # A mutant without a translation is the validated map's linear part.
-    if name == "no-rotation-shift":
-        r, r_ambient = r.linear_part(), r_ambient.linear_part()
-    elif name == "zero-offsets":
-        s, s_ambient = s.linear_part(), s_ambient.linear_part()
-    elif name == "no-quotient":
-        r, s = r_ambient, s_ambient
-    return r, s, r_ambient, s_ambient
+    family = _family(n)
+    if lattice is not None and lattice == family.ambient:
+        return family.ambient_pair
+    if lattice is None or lattice == family.quotient:
+        return family.pair
+    return family.realified(lattice)
 
 
 @dataclass(frozen=True)
@@ -255,9 +264,8 @@ def _certify(
     s_ambient: AffineAuto,
 ) -> Certificate:
     """Certify the action of (r, s), also given on the ambient lattice Z^m."""
-    shape = TorusShape(n)
-    four_n = 4 * n
-    w_num, w_den, offsets_fold = _w_and_offsets(n)
+    four_n, family = 4 * n, _family(n)
+    w_num, w_den = family.w_reduced
 
     analysis = _prove_dihedral(r, s)
     r_facts, s_facts, rs_facts = _facts(analysis, (1, 0), (0, 1), (1, 1))
@@ -271,7 +279,7 @@ def _certify(
     # and translates only along it, so no sheared lattice row reaches the
     # shift of r^j; the lattice is Z in the E′ coordinate, so that shift
     # reduces to j/4n for every j < 4n.
-    last = 2 * shape.eprime_index
+    last = 2 * family.shape.eprime_index
     shifts_ok = (
         r.perm[last : last + 2] == (last, last + 1)
         and r.signs[last : last + 2] == (1, 1)
@@ -307,7 +315,7 @@ def _certify(
             ("the linear part of s fixes w on the ambient torus",
              _fixes(s_ambient, w_num, w_den)),
             ("offsets satisfy b_i − b_{2n+1−i} = 1/2 for every i",
-             offsets_fold),
+             family.offsets_fold),
             ("s has order 2 on the quotient", s_order == 2),
         ),
     )
@@ -352,9 +360,8 @@ def _certify(
 
 def verify_theorem(n: int) -> Certificate:
     """Build the order-8n action for this n and machine-check all five steps."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return _certify(n, *realified_action(n), *realified_action(n, ambient_lattice(n)))
+    family = _family(n)
+    return _certify(n, *family.pair, *family.ambient_pair)
 
 
 MUTANTS = {
@@ -373,9 +380,7 @@ def verify_mutant(name: str, n: int) -> Certificate:
     """
     if name not in MUTANTS:
         raise ValueError(f"unknown mutant {name!r}; choose from {sorted(MUTANTS)}")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return _certify(n, *_mutant_action(name, n))
+    return _certify(n, *_family(n).mutants[name])
 
 
 @dataclass(frozen=True)
@@ -411,8 +416,8 @@ def verify_corollary(k: int) -> Certificate:
     """Verify the embedded D_k action directly (not just by inheritance)."""
     plan = build_corollary(k)
     n = plan.params.n
-    # r^{4n/k} of the family's cached r; the reflection is its s itself.
-    r, refl = realified_action(n)
+    # r^{4n/k} of the family's r; the reflection is its s itself.
+    r, refl = _family(n).pair
     analysis = _prove_dihedral(_power(r, plan.rotation_power), refl)
     rot_facts, refl_facts, product_facts = _facts(analysis, (1, 0), (0, 1), (1, 1))
     step_checks = (

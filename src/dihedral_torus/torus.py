@@ -446,14 +446,11 @@ def realify(
     product itself); pass the quotient's enlarged lattice to realify an
     automorphism of the quotient.
     """
-    c = shape.complex_dim
-    if len(cmap.perm) != c:
+    if len(cmap.perm) != shape.complex_dim:
         raise ValueError("map and shape have different numbers of coordinates")
-    for j, src in enumerate(cmap.perm):
-        if shape.is_eprime(j) != shape.is_eprime(src):
-            raise ValueError(
-                "permutation mixes E and E′ factors (not holomorphic)"
-            )
+    last = shape.eprime_index
+    if any((j == last) != (src == last) for j, src in enumerate(cmap.perm)):
+        raise ValueError("permutation mixes E and E′ factors (not holomorphic)")
     perm = tuple(2 * src + k for src in cmap.perm for k in (0, 1))
     signs = tuple(eps for eps in cmap.signs for _ in (0, 1))
     if lattice is None:

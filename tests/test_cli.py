@@ -254,13 +254,14 @@ class TestElementCommand:
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, printed",
     [
-        ["element", "--n", "2", "--word", "r", "--oracle", "50"],
-        ["verify", "--n", "2", "--oracle", "50"],
+        (["element", "--n", "2", "--word", "r", "--oracle", "50"], []),
+        (["verify", "--n", "2", "--oracle", "50"], ["n=2"]),
+        (["verify", "--range", "2", "--oracle", "50"], ["n=1", "n=2"]),
     ],
 )
-def test_oracle_refusal_exits_3_without_traceback(args):
+def test_oracle_refusal_exits_3_without_traceback(args, printed):
     result = subprocess.run(
         [sys.executable, "-m", "dihedral_torus", *args],
         capture_output=True,
@@ -269,6 +270,10 @@ def test_oracle_refusal_exits_3_without_traceback(args):
     assert result.returncode == EXIT_BUDGET
     assert "exceed the oracle budget" in result.stderr
     assert "Traceback" not in result.stderr
+    # Every certificate prints before the oracle sweep refuses.
+    lines = result.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("n=")] == printed
+    assert result.stdout.count("certificate: verified") == len(printed)
 
 
 @pytest.mark.parametrize(

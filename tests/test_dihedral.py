@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis, certificate, dihedral, torus
-from dihedral_torus.analysis import order
+from dihedral_torus.analysis import CACHE_BOUND, order
 from dihedral_torus.dihedral import (
     MUTANTS,
     Certificate,
@@ -114,10 +114,7 @@ class TestSharedConstructions:
     def test_each_lattice_is_reduced_once(self, monkeypatch):
         n = 3
         # Start cold, so the counts are those of a fresh process.
-        for constructor in (
-            ambient_lattice, quotient_lattice, realified_action,
-            EnlargedLattice.standard,
-        ):
+        for constructor in (dihedral._family, EnlargedLattice.standard):
             constructor.cache_clear()
         reductions, realifications = [], []
 
@@ -146,6 +143,30 @@ class TestSharedConstructions:
         assert len(reductions) == 1
         assert quotient_lattice(n) is quotient_lattice(n)
         assert ambient_lattice(n) is EnlargedLattice.standard(4 * n + 2)
+
+    def test_families_are_bounded_and_rebuild_to_the_same_bytes(self):
+        first = dihedral._family(1)
+        before = _rendered(verify_theorem(1))
+        for n in range(1, CACHE_BOUND + 5):
+            verify_theorem(n)
+        assert dihedral._family.cache_info().currsize == CACHE_BOUND
+        assert analysis._normal_forms.cache_info().currsize <= CACHE_BOUND
+        # n = 1 was evicted with its maps' kept facts; a new family decides
+        # them again.
+        assert dihedral._family(1) is not first
+        assert _rendered(verify_theorem(1)) == before
+
+    def test_a_third_lattice_gets_a_fresh_pair(self):
+        # Z^6 enlarged by a half period of E′: neither lattice of n = 1.
+        lattice = EnlargedLattice.from_extra_generators(6, [(0, 0, 0, 0, H, 0)])
+        family = dihedral._family(1)
+        realified_action(1)
+        realified_action(1, ambient_lattice(1))
+        kept = set(vars(family))
+        first, second = realified_action(1, lattice), realified_action(1, lattice)
+        assert first == second and first[0] is not second[0]
+        assert first[0].lattice is lattice
+        assert set(vars(family)) == kept and dihedral._family(1) is family
 
     def test_corollary_realifies_nothing_once_warm(self, monkeypatch):
         # The corollary's rotation r^{4n/k} is a power of the cached r.
@@ -616,7 +637,7 @@ class TestPresentationProof:
         # 517-519 cycle decompositions; the derivation decides a few
         # rotation classes instead.  The mutant's maps are emptied first.
         n = 64
-        forget(*dihedral._mutant_action(name, n))
+        forget(*dihedral._family(n).mutants[name])
         listings = []
         monkeypatch.setattr(analysis, "_enumerate", listings.append)
         cert = verify_mutant(name, n)
@@ -638,7 +659,7 @@ class TestPresentationProof:
         # r^{128}·z.  The mutant's r and s are emptied first, as another
         # test may have walked or decided them or built their powers.
         n = 64
-        forget(*dihedral._mutant_action("no-quotient", n))
+        forget(*dihedral._family(n).mutants["no-quotient"])
         listings = []
         monkeypatch.setattr(analysis, "_enumerate", listings.append)
         cert = verify_mutant("no-quotient", n)
@@ -1000,11 +1021,10 @@ class TestKeptClassTable:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_verifiers_sharing_r_match_fresh_maps(self, n, forget):
-        # Another test may have rebuilt the cached generators: rebuild the
-        # mutants from them, so the zero-offsets mutant keeps the theorem's r.
-        dihedral._mutant_action.cache_clear()
+        # The family builds its mutants from its own pairs, so the
+        # zero-offsets mutant keeps the theorem's r.
         theorem = (*realified_action(n), *realified_action(n, ambient_lattice(n)))
-        mutant = dihedral._mutant_action("zero-offsets", n)
+        mutant = dihedral._family(n).mutants["zero-offsets"]
         assert mutant[0] is theorem[0]
         forget(*theorem, *mutant)
         runs = (
