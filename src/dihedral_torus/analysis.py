@@ -8,8 +8,8 @@ modulo their own lattice.  A question about another lattice L is asked
 of `g.with_lattice(L)`, which refuses an L that g's linear part does
 not preserve.  `order`, which lives in `torus` beside the cycle walk
 and powers it reads, and `exists_fixed_point` decide a map once and keep
-the verdict on it.  r keeps the class table of each pair (r, s) that
-presents a dihedral group, and its analyses expand their rows from it.
+the verdict on it.  r keeps the presentation of each pair (r, s) with
+one, its class table and the elements words asked for (`_Presentation`).
 
 Every automorphism is g: z ↦ M·z + t modulo a lattice L with M a signed
 permutation, so both decisions have closed forms over the cycles of M.
@@ -55,10 +55,11 @@ has at most 4k elements.  z ∉ ⟨r⟩: r^j = z forces r^{2j} = 1 and
 j = k/2.  So ⟨r, z⟩ = ⟨r⟩ × ⟨z⟩ has order 2k, and s normalizes it, as
 s r s⁻¹ = r⁻¹z and s² = z.  s ∉ ⟨r, z⟩, since such an s would commute
 with r and make r² = z.  (Conjugating r^k = 1 by s gives z^k = 1, so k
-is even.)  Right multiplication sends (a, 0, c) to (a + 1, 0, c) by r
-and to (a, 1, c) by s, and (a, 1, c) to (a − 1, 1, c + 1) by r and to
-(a, 0, c + 1) by s.  r^a z^c shares the verdicts of r^{gcd(a, k)} z^c,
-a generator of the same cyclic subgroup, with order
+is even.)  As s r^e = r^{−e} s z^e, right multiplication by r^e sends
+(a, 0, c) to (a + e, 0, c) and (a, 1, c) to (a − e, 1, c + e), and by
+s^e sends (a, b, c) to (a, (b + e) mod 2, c + ⌊(b + e)/2⌋).  r^a z^c
+shares the verdicts of r^{gcd(a, k)} z^c, a generator of the same cyclic
+subgroup, with order
 lcm(k/gcd(a, k), ord z^c); (r^a s z^c)² = z^{a+1}, so r^a s z^c has
 order 2 for odd a and 4 for even a.  Conjugation by r sends r^a s z^c
 to r^{a+2} s z^{c+1} and by s to r^{−a} s z^{c+a}, so r^a s z^c shares
@@ -304,6 +305,15 @@ def _path_label(path: tuple[int, ...], names: Sequence[str]) -> str:
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in parts)
 
 
+def _times(form: tuple[int, int, int], letter: str, e: int, k: int) -> tuple[int, int, int]:
+    """r^a s^b z^c, as (a, b, c), times r^e or s^e on the right (module
+    docstring): a mod k and c mod 2."""
+    a, b, c = form
+    if letter == "s":
+        return a, (b + e) % 2, (c + (b + e) // 2) % 2
+    return (a - e if b else a + e) % k, b, (c + b * e) % 2
+
+
 @lru_cache(maxsize=CACHE_BOUND)
 def _normal_forms(k: int, extension: bool) -> dict[tuple[int, int, int], tuple]:
     """Each normal form r^a s^b z^c of D_k, or of its central extension of
@@ -312,19 +322,17 @@ def _normal_forms(k: int, extension: bool) -> dict[tuple[int, int, int], tuple]:
 
     D_k holds r^a s^b (c = 0) at index 2a + b, labeled by that word; the
     extension holds its forms in `closure`'s order and with its words, by
-    a breadth-first search with the multiplication rules.  r^a z^c is led
-    by r^{gcd(a, k)} z^c and r^a s z^c by one of s, rs, sz and rsz.
+    a breadth-first search with the rules of `_times`.  r^a z^c is led by
+    r^{gcd(a, k)} z^c and r^a s z^c by one of s, rs, sz and rsz.
     """
     rows = {}
     if extension:
-        paths = {(0, 0, 0): ()}
-        queue = [(0, 0, 0)]
-        for a, b, c in queue:
-            by_r = ((a - 1) % k, 1, 1 - c) if b else ((a + 1) % k, 0, c)
-            by_s = (a, 0, 1 - c) if b else (a, 1, c)
-            for gi, form in enumerate((by_r, by_s)):
+        paths, queue = {(0, 0, 0): ()}, [(0, 0, 0)]
+        for current in queue:
+            for gi, letter in enumerate("rs"):
+                form = _times(current, letter, 1, k)
                 if form not in paths:
-                    paths[form] = paths[a, b, c] + (gi,)
+                    paths[form] = paths[current] + (gi,)
                     queue.append(form)
         for index, ((a, b, c), path) in enumerate(paths.items()):
             lead = (a % 2, 1, (c - a // 2) % 2) if b else (gcd(a, k), 0, c)
@@ -360,20 +368,50 @@ def _rotation_flags(r: AffineAuto, k: int, z: AffineAuto | None):
     return flags
 
 
-def _class_table(r: AffineAuto, s: AffineAuto) -> tuple[int, bool, dict]:
-    """(k = ord r, extension, verdicts) of ⟨r, s⟩, decided once and kept on
-    r under s: verdicts maps each class leader (a, b, c) of `_normal_forms`
-    to (order, is_translation, has_fixed_point).
+@dataclass(eq=False, slots=True)
+class _Presentation:
+    """⟨r, s⟩ as D_k (z None) or its central extension, kept on r under s
+    by `_presentation`: k = ord r, rs, z, and what is asked of the pair."""
 
-    ord s = ord rs = 2 makes D_k, led by s, rs and the r^d, d | k (module
-    docstring), the largest d first, each decided unless a decided r^m
-    with d | m is free: a free action decides only the r^{k/p}, p prime.
-    ord s = 4, ord rs = 2 and z = s² a central translation outside ⟨r⟩
-    make the central extension, led by s, rs, sz, rsz and the r^d z^c.
-    Any other pair raises ValueError naming its failed hypothesis.
-    """
-    if s in (r._classes or ()):
-        return r._classes[s]
+    k: int
+    rs: AffineAuto
+    z: AffineAuto | None
+    elements: dict  # each asked-for normal form's map
+    verdicts: dict | None = None
+
+    def class_table(self, r: AffineAuto, s: AffineAuto) -> dict:
+        """(order, is_translation, has_fixed_point) of each class leader of
+        `_normal_forms`, decided on the first call (`_rotation_flags`)."""
+        if self.verdicts is None:
+            k, z, reflections = self.k, self.z, [s, self.rs]
+            if z is not None:
+                reflections += [compose(g, z) for g in reflections]
+            # The leaders: s, rs, sz and rsz as r^{i mod 2} s z^{i // 2}, and r^d z^c.
+            self.verdicts = {
+                (i % 2, 1, i // 2): (order(g), is_translation(g), exists_fixed_point(g))
+                for i, g in enumerate(reflections)
+            }
+            for (d, c), flags in _rotation_flags(r, k, z).items():
+                self.verdicts[d, 0, c] = (lcm(k // d, 1 + c), *flags)
+        return self.verdicts
+
+    def element(self, r: AffineAuto, s: AffineAuto, form: tuple) -> AffineAuto:
+        """r^a s^b z^c = r^a s^{b+2c} (c = 0 in D_k), built once, with at most
+        one composition of powers r and s do not keep: one map per element."""
+        a, b, c = form if self.z is not None else (*form[:2], 0)
+        if (a, b, c) not in self.elements:
+            j = b + 2 * c  # s^0, the identity, for (0, 0, 0)
+            g = _power(r, a, keep=False) if a else _power(s, j, keep=False)
+            self.elements[a, b, c] = compose(g, _power(s, j, keep=False)) if a and j else g
+        return self.elements[a, b, c]
+
+
+def _presentation(r: AffineAuto, s: AffineAuto) -> _Presentation:
+    """⟨r, s⟩'s presentation (module docstring), kept on r under s; any other
+    pair raises ValueError naming its failed hypothesis, and r keeps nothing."""
+    kept = (r._classes or {}).get(s)
+    if kept is not None:
+        return kept
     k, s_order = order(r), order(s)
     if s_order not in (2, 4):
         raise ValueError(f"no presentation: ord s = {s_order}, not 2 or 4")
@@ -381,7 +419,6 @@ def _class_table(r: AffineAuto, s: AffineAuto) -> tuple[int, bool, dict]:
     rs_order = order(rs)
     if rs_order != 2:
         raise ValueError(f"no presentation: ord rs = {rs_order}, not 2")
-    reflections = [s, rs]
     z = None
     if s_order == 4:
         z = _power(s, 2)
@@ -390,26 +427,19 @@ def _class_table(r: AffineAuto, s: AffineAuto) -> tuple[int, bool, dict]:
         # r^{k/2} = z needs the linear part of r^{k/2} to be the identity.
         if not (k % 2 or (k // 2) % _linear_order(r) or _power(r, k // 2) != z):
             raise ValueError("no presentation: z = s² lies in ⟨r⟩")
-        reflections += [compose(g, z) for g in reflections]
-    # The leaders: s, rs, sz and rsz as r^{i mod 2} s z^{i // 2}, and r^d z^c.
-    verdicts = {
-        (i % 2, 1, i // 2): (order(g), is_translation(g), exists_fixed_point(g))
-        for i, g in enumerate(reflections)
-    }
-    for (d, c), flags in _rotation_flags(r, k, z).items():
-        verdicts[d, 0, c] = (lcm(k // d, 1 + c), *flags)
-    r._classes = {**(r._classes or {}), s: (k, z is not None, verdicts)}
-    return r._classes[s]
+    kept = _Presentation(k, rs, z, {(1 % k, 1, 0): rs})
+    r._classes = {**(r._classes or {}), s: kept}
+    return kept
 
 
 def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
-    """The analysis of ⟨r, s⟩: each row of `_normal_forms` takes the
-    verdicts of its leader in the pair's kept `_class_table`, so a warm
-    call composes, walks and decides nothing."""
-    k, extension, verdicts = _class_table(r, s)
-    rows = _normal_forms(k, extension).values()
+    """The analysis of ⟨r, s⟩, each row of `_normal_forms` with its leader's
+    verdicts in the pair's kept class table: warm, it decides nothing."""
+    kept = _presentation(r, s)
+    verdicts, extension = kept.class_table(r, s), kept.z is not None
+    rows = _normal_forms(kept.k, extension).values()
     reports = tuple(ElementReport(label, *verdicts[lead]) for _, label, lead in rows)
-    return GroupAnalysis((), reports, None if extension else k)
+    return GroupAnalysis((), reports, None if extension else kept.k)
 
 
 def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementReport]:

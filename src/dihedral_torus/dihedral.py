@@ -21,7 +21,7 @@ family via the rotation-power subgroup ⟨r^{4n/k}, s⟩ with 4n = lcm(4, k).
 One `_Family` holds all the construction builds for one n (w, b, r, s,
 both lattices, the pair (r, s) on each, the mutants' maps), and one
 cache keeps at most `CACHE_BOUND` families for the public constructors
-to read.  What their maps keep (cycles, powers, class tables) dies with
+to read.  What their maps keep (cycles, powers, presentations) dies with
 an evicted family; a rebuilt one decides it again, to the same bytes.
 """
 

@@ -306,14 +306,14 @@ class AffineAuto:
     t is shift/denominator, with the integer shift reduced modulo L and in
     lowest terms, so equal maps have equal fields.  Values are immutable
     and hashable, so they double as closure keys.  Equality and hashing ignore
-    the slots that keep its cycles, order, verdict, powers and class tables.
+    the slots that keep its cycles, order, verdict, powers and presentations.
 
     The constructor takes (perm, signs, translation, lattice) and checks
     that perm is a permutation of the m coordinates, that every sign is
     ±1 and that M maps the lattice onto itself.
     """
 
-    __slots__ = ("perm", "signs", "shift", "denominator", "lattice",
+    __slots__ = ("perm", "signs", "shift", "denominator", "lattice", "__weakref__",
                  "_linear", "_cycles", "_order", "_fixed", "_powers", "_classes")
 
     def __init__(
@@ -559,7 +559,7 @@ def _linear_order(g: AffineAuto) -> int:
     return lcm(*(len(coords) * (1 if closed else 2) for coords, _, closed, _ in cycles))
 
 
-def _power(g: AffineAuto, e: int) -> AffineAuto:
+def _power(g: AffineAuto, e: int, keep: bool = True) -> AffineAuto:
     """g^e for every integer e, in closed form over g's signed cycles.
 
     On a cycle of length L and sign product σ, y_a = c_a·z_{coords[a]}
@@ -568,12 +568,14 @@ def _power(g: AffineAuto, e: int) -> AffineAuto:
     σ^q·prefix[b] − prefix[a], where the q whole laps add Σ_{j<q} σ^j·total:
     laps = q when σ = 1 and q mod 2 when σ = −1.  e is taken mod ord g;
     g^1 is g, and any other power is built once (one lattice reduction, no
-    composition) and kept on g under its reduced exponent.
+    composition) and kept on g under its reduced exponent (if `keep`).
     """
     k = _order(g)
     e %= k
     if e == 1 % k:  # g^e is g (for every e when g is the identity)
         return g
+    if not keep:
+        return _closed_power(g, e)
     powers = g._powers = g._powers or {}
     if e not in powers:
         powers[e] = _closed_power(g, e)

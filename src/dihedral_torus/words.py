@@ -7,16 +7,18 @@ generator letter with an optional integer exponent:
 
 The empty word is the identity.  Juxtaposition is composition in writing
 order with the rightmost factor applied first, so "r s" evaluates to
-r ∘ s; negative exponents invert.  A run of terms in one letter is one
-power g^{a+b+...}, read in closed form, whatever its size (`torus._power`).
+r ∘ s; negative exponents invert.  A presented pair (`analysis`) keeps one
+map per normal form r^a s^b z^c; any other composes one power per run.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
 
+from .analysis import _presentation, _times
 from .torus import AffineAuto, _power, compose
 
 # ASCII digits only: \d alone would read "r^٣" as r^3.
@@ -74,8 +76,13 @@ def evaluate_word(
     """Evaluate tokens against concrete generators (rightmost applied first)."""
     if rotation.lattice != reflection.lattice:
         raise ValueError("generators live on different lattices")
-    acc = None
-    for gen, run in groupby(word, key=lambda token: token[0]):
-        power = _power(rotation if gen == "r" else reflection, sum(e for _, e in run))
-        acc = power if acc is None else compose(acc, power)
-    return AffineAuto.identity(rotation.lattice) if acc is None else acc
+    try:
+        presented = _presentation(rotation, reflection)
+    except ValueError:  # no presentation: one unkept power per run of a letter
+        powers = [_power(rotation if gen == "r" else reflection, sum(e for _, e in run), False)
+                  for gen, run in groupby(word, key=lambda token: token[0])]
+        return reduce(compose, powers) if powers else AffineAuto.identity(rotation.lattice)
+    k, form = presented.k, (0, 0, 0)
+    for gen, e in word:
+        form = _times(form, gen, e % (k if gen == "r" else 4), k)
+    return presented.element(rotation, reflection, form)

@@ -1,8 +1,9 @@
 """Fixtures shared by the suites: a work counter and emptied kept slots.
 
-Maps keep what they decide (cycles, order, fixed point, powers, class
-tables) in the slots of `AffineAuto` that are not its value fields, and
-the cached generators are shared by every test.  A test that counts work
+Maps keep what they decide (cycles, order, fixed point, powers,
+presentations) in the slots of `AffineAuto` that are neither its value
+fields nor `__weakref__`, and the cached generators are shared by every
+test.  A test that counts work
 from a cold start empties those slots first with `forget`, so its counts
 do not depend on which tests ran before it.
 """
@@ -15,7 +16,10 @@ import pytest
 from dihedral_torus import torus
 
 VALUE_FIELDS = ("perm", "signs", "shift", "denominator", "lattice")
-KEPT_SLOTS = tuple(s for s in torus.AffineAuto.__slots__ if s not in VALUE_FIELDS)
+KEPT_SLOTS = tuple(
+    s for s in torus.AffineAuto.__slots__
+    if s not in VALUE_FIELDS and s != "__weakref__"
+)
 EMPTY = (None,) * len(KEPT_SLOTS)
 
 

@@ -228,16 +228,22 @@ class TestElementCommand:
         ) == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
-    def test_one_cycle_decomposition_per_map(self, capsys, work):
-        # r and s are cached per n and may be walked already: count the
-        # walks of the two element maps, one per lattice.
-        generators = {*realified_action(4), *realified_action(4, ambient_lattice(4))}
+    def test_one_cycle_decomposition_per_map(self, capsys, forget, work):
+        # From cold, each pair decides its presentation (r, s and rs walked)
+        # and walks its element map once; no class leader such as r^{k/p}
+        # is decided, so nothing else is walked.
+        pairs = [realified_action(4), realified_action(4, ambient_lattice(4))]
+        generators = [g for pair in pairs for g in pair]
+        forget(*generators)
         assert main(["element", "--n", "4", "--word", "r^3 s"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "order: 2" in out
         assert out.count("has fixed point: no") == 2
-        elements = [g for g in work.walked if g not in generators]
-        assert sorted(g.lattice.index for g in elements) == [1, 2]
+        others = [g for g in work.walked if not any(g is h for h in generators)]
+        kept = [r._classes[s] for r, s in pairs]
+        expected = [p.rs for p in kept] + [p.elements[3, 1, 0] for p in kept]
+        assert sorted(map(id, others)) == sorted(map(id, expected))
+        assert len(work.walked) == 8 and all(p.verdicts is None for p in kept)
 
     def test_huge_exponents_print_their_residues(self, capsys):
         # At n = 64, r has order 256 and s order 4 upstairs, 2 below; a

@@ -996,9 +996,11 @@ class TestKeptFacts:
         assert not verify_mutant(name, 64).theorem_verified
         assert work.counts == (0, 0, 0)
 
-    def test_a_repeated_single_run_word_redoes_nothing(self, work):
-        r, s = realified_action(2)
-        word = parse_word("r^13")
+    @pytest.mark.parametrize("lattice", [None, ambient_lattice(2)], ids=["quotient", "ambient"])
+    @pytest.mark.parametrize("text", ["r^13", "r^3 s", "s r^-2", "s s"])
+    def test_a_repeated_single_run_word_redoes_nothing(self, text, lattice, work):
+        r, s = realified_action(2, lattice)
+        word = parse_word(text)
         g = evaluate_word(word, r, s)
         order(g), analysis.exists_fixed_point(g)
         work.clear()

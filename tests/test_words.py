@@ -1,15 +1,16 @@
 """Tests for the generator-word parser and evaluator."""
 
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_torus import words
+from dihedral_torus import torus, words
 from dihedral_torus.analysis import analyze_group, order
 from dihedral_torus.cli import EXIT_USAGE, main
-from dihedral_torus.dihedral import ambient_lattice, realified_action
+from dihedral_torus.dihedral import _family, ambient_lattice, realified_action
 from dihedral_torus.torus import AffineAuto, compose, inverse
 from dihedral_torus.words import (
     GroupWord,
@@ -111,42 +112,48 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="lattice"):
             evaluate_word(parse_word("r s"), r, s_ambient)
 
-    def test_no_composition_with_the_identity(self, generators, monkeypatch):
+    def test_no_composition_with_the_identity(self, generators, forget, work):
         r, s = generators
         expected = {
             "r^4": compose(compose(r, r), compose(r, r)),
             "r s": compose(r, s),
         }
-        calls = []
-
-        def spy(a, b):
-            calls.append((a, b))
-            return compose(a, b)
-
-        monkeypatch.setattr(words, "compose", spy)
+        forget(r, s)
+        work.clear()
         # Powers are read off the cycles of r, with no composition at all.
         assert words._power(r, 4) == expected["r^4"]
-        assert len(calls) == 0
+        assert work.counts[0] == 0
+        # r s is the pair's rs, composed once to decide its presentation,
+        # and a word whose normal form is the identity composes nothing.
         assert evaluate_word(parse_word("r s"), r, s) == expected["r s"]
-        assert len(calls) == 1
+        assert evaluate_word(parse_word("r^4 s^-2"), r, s).is_identity
+        assert work.composed == [r._classes[s].rs]
 
     def test_adjacent_terms_in_one_letter_make_one_power(
-        self, generators, monkeypatch
+        self, generators, forget, work, monkeypatch
     ):
         r, s = generators
-        powers, power = [], words._power
-
-        def spy(base, e):
-            powers.append((base, e))
-            return power(base, e)
-
-        monkeypatch.setattr(words, "_power", spy)
         word = parse_word("r^2 r^-5 r s s^3 r")
         s4 = compose(compose(s, s), compose(s, s))
-        assert evaluate_word(word, r, s) == compose(
-            compose(inverse(compose(r, r)), s4), r
-        )
-        assert powers == [(r, -2), (s, 4), (r, 1)]
+        expected = compose(compose(inverse(compose(r, r)), s4), r)
+        forget(r, s)
+        work.clear()
+        # A presented pair folds the whole word into one normal form, r^3
+        # at n = 1: one closed-form power, which r does not keep.
+        assert evaluate_word(word, r, s) == expected
+        assert work.powered == [(r, 3)] and r._powers is None
+        assert work.composed == [r._classes[s].rs]
+        # A pair with no presentation makes one power per run of a letter.
+        powers, power = [], words._power
+
+        def spy(base, e, keep=True):
+            powers.append((base, e, keep))
+            return power(base, e, keep)
+
+        monkeypatch.setattr(words, "_power", spy)
+        r4 = compose(compose(r, r), compose(r, r))
+        assert evaluate_word(word, r, r) == compose(compose(inverse(compose(r, r)), r4), r)
+        assert powers == [(r, -2, False), (r, 4, False), (r, 1, False)]
         assert str(word) == "r^2 r^-5 r s s^3 r"
 
     def test_exponents_past_the_default_order_cap(self):
@@ -201,3 +208,38 @@ def test_inverse_word_inverts_the_evaluation(token_list):
         evaluate_word(word, r, s), evaluate_word(reversed_word, r, s)
     )
     assert product.is_identity
+
+
+def _folded(word, r, s):
+    """The word as one closed-form power per run of a letter, composed."""
+    acc = AffineAuto.identity(r.lattice)
+    for gen, run in groupby(word, key=lambda token: token[0]):
+        acc = compose(acc, torus._power(r if gen == "r" else s, sum(e for _, e in run)))
+    return acc
+
+
+def _pairs(n):
+    """Both lattices' pairs, the three mutants' pairs, and the refused (r, r)."""
+    family = _family(n)
+    pairs = [family.pair, family.ambient_pair]
+    for maps in family.mutants.values():
+        pairs += [maps[:2], maps[2:]]
+    r = family.pair[0]
+    return pairs + [(r, r)]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=80)
+def test_evaluation_is_the_fold_of_its_runs(data):
+    n = data.draw(st.integers(1, 3))
+    r, s = data.draw(st.sampled_from(_pairs(n)))
+    bound = 4 * n + 1
+    terms = data.draw(st.lists(
+        st.tuples(st.sampled_from("rs"), st.integers(-bound, bound)), max_size=5
+    ))
+    huge = data.draw(st.integers(10**39, 10**40 - 1)) * data.draw(st.sampled_from((1, -1)))
+    terms.insert(data.draw(st.integers(0, len(terms))), (data.draw(st.sampled_from("rs")), huge))
+    word = GroupWord(tuple(terms))
+    assert evaluate_word(word, r, s) == _folded(word, r, s)
+    if r is s:  # no presentation: nothing kept for the pair
+        assert r not in (r._classes or {})
