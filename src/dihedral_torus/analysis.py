@@ -9,7 +9,8 @@ of `g.with_lattice(L)`, which refuses an L that g's linear part does
 not preserve.  `order`, which lives in `torus` beside the cycle walk
 and powers it reads, and `exists_fixed_point` decide a map once and keep
 the verdict on it.  r keeps the presentation of each pair (r, s) with
-one, its class table and the elements words asked for (`_Presentation`).
+one, its rows once a verifier asks and the elements words asked for
+(`_Presentation`).
 
 Every automorphism is g: z ↦ M·z + t modulo a lattice L with M a signed
 permutation, so both decisions have closed forms over the cycles of M.
@@ -140,13 +141,13 @@ class _Summaries:
 
 @dataclass(frozen=True)
 class GroupAnalysis(_Summaries):
-    """The elements of a generated group together with per-element verdicts.
+    """The elements of a generated group together with per-element verdicts,
+    as `analyze_group` lists them.
 
-    `elements` is empty when the verdicts are derived from a presentation
-    (module docstring), free or not, and `analyze_group` fills it.
-    Reports hold the normal forms of D_k (rotation_order k) or of its
-    central extension (rotation_order None) in `_normal_forms` order, the
-    identity's first.  Every summary is read off the reports.
+    Reports hold the normal forms of D_k (rotation_order k) in
+    `_normal_forms` order, or a closure's elements in its discovery order
+    (rotation_order None), the identity's first.  Every summary is read
+    off the reports.
     """
 
     elements: tuple[GroupElement, ...]
@@ -235,7 +236,7 @@ def closure(gens: Sequence[AffineAuto]) -> list[GroupElement]:
     ClosureCapExceeded.  Every generator has finite order in a group
     that closes under the cap, so closing under composition alone
     already yields inverses.  No verifier builds a closure; it is the
-    reference that the derived analyses are tested against.
+    reference that the derived rows are tested against.
     """
     autos = list(gens)
     if not autos:
@@ -377,23 +378,31 @@ class _Presentation:
     rs: AffineAuto
     z: AffineAuto | None
     elements: dict  # each asked-for normal form's map
-    verdicts: dict | None = None
+    rows: tuple[ElementReport, ...] | None = None
 
-    def class_table(self, r: AffineAuto, s: AffineAuto) -> dict:
-        """(order, is_translation, has_fixed_point) of each class leader of
-        `_normal_forms`, decided on the first call (`_rotation_flags`)."""
-        if self.verdicts is None:
+    def reports(self, r: AffineAuto, s: AffineAuto) -> tuple[ElementReport, ...]:
+        """Each row of `_normal_forms` with its class leader's (order,
+        is_translation, has_fixed_point), decided on the first call
+        (`_rotation_flags`) and kept: the identity's row first."""
+        if self.rows is None:
             k, z, reflections = self.k, self.z, [s, self.rs]
             if z is not None:
                 reflections += [compose(g, z) for g in reflections]
             # The leaders: s, rs, sz and rsz as r^{i mod 2} s z^{i // 2}, and r^d z^c.
-            self.verdicts = {
+            leaders = {
                 (i % 2, 1, i // 2): (order(g), is_translation(g), exists_fixed_point(g))
                 for i, g in enumerate(reflections)
             }
             for (d, c), flags in _rotation_flags(r, k, z).items():
-                self.verdicts[d, 0, c] = (lcm(k // d, 1 + c), *flags)
-        return self.verdicts
+                leaders[d, 0, c] = (lcm(k // d, 1 + c), *flags)
+            forms = _normal_forms(k, z is not None).values()
+            self.rows = tuple(ElementReport(label, *leaders[lead]) for _, label, lead in forms)
+        return self.rows
+
+    def row(self, a: int, b: int) -> ElementReport:
+        """The kept row of r^a s^b, for any integer a: at the index
+        `_normal_forms` gives (a mod k, b, 0)."""
+        return self.rows[_normal_forms(self.k, self.z is not None)[a % self.k, b, 0][0]]
 
     def element(self, r: AffineAuto, s: AffineAuto, form: tuple) -> AffineAuto:
         """r^a s^b z^c = r^a s^{b+2c} (c = 0 in D_k), built once, with at most
@@ -430,29 +439,6 @@ def _presentation(r: AffineAuto, s: AffineAuto) -> _Presentation:
     kept = _Presentation(k, rs, z, {(1 % k, 1, 0): rs})
     r._classes = {**(r._classes or {}), s: kept}
     return kept
-
-
-def _prove_dihedral(r: AffineAuto, s: AffineAuto) -> GroupAnalysis:
-    """The analysis of ⟨r, s⟩, each row of `_normal_forms` with its leader's
-    verdicts in the pair's kept class table: warm, it decides nothing."""
-    kept = _presentation(r, s)
-    verdicts, extension = kept.class_table(r, s), kept.z is not None
-    rows = _normal_forms(kept.k, extension).values()
-    reports = tuple(ElementReport(label, *verdicts[lead]) for _, label, lead in rows)
-    return GroupAnalysis((), reports, None if extension else kept.k)
-
-
-def _facts(analysis: GroupAnalysis, *forms: tuple[int, int]) -> list[ElementReport]:
-    """The verdicts the analysis of ⟨r, s⟩ holds for r^a s^b, given as (a, b).
-
-    They sit at the index `_normal_forms` gives (a mod k, b, 0): D_k's
-    when the analysis has a rotation order k, else the central extension
-    of order 4k, derived or closed alike.
-    """
-    extension = analysis.rotation_order is None
-    k = analysis.group_size // (4 if extension else 2)
-    rows = _normal_forms(k, extension)
-    return [analysis.reports[rows[a % k, b, 0][0]] for a, b in forms]
 
 
 def analyze_group(gens: Sequence[AffineAuto]) -> GroupAnalysis:

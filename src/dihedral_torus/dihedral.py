@@ -36,10 +36,9 @@ from math import lcm
 from .analysis import (
     CACHE_BOUND,
     ElementReport,
-    _facts,
     _fixes,
     _linear_order,
-    _prove_dihedral,
+    _presentation,
     _Summaries,
 )
 from .torus import (
@@ -267,11 +266,12 @@ def _certify(
     four_n, family = 4 * n, _family(n)
     w_num, w_den = family.w_reduced
 
-    analysis = _prove_dihedral(r, s)
-    r_facts, s_facts, rs_facts = _facts(analysis, (1, 0), (0, 1), (1, 1))
-    r_order, s_order, rs_order = r_facts.order, s_facts.order, rs_facts.order
+    kept = _presentation(r, s)
+    rows = kept.reports(r, s)
+    r_row, s_row, rs_row = kept.row(1, 0), kept.row(0, 1), kept.row(1, 1)
+    r_order, s_order, rs_order = r_row.order, s_row.order, rs_row.order
     # r^j, 0 < j < 4n, shares the verdicts of r^d, d = gcd(j, ord r) < 4n.
-    powers = _facts(analysis, *((d, 0) for d in range(1, four_n) if r_order % d == 0))
+    powers = [kept.row(d, 0) for d in range(1, four_n) if r_order % d == 0]
 
     # Step 1: the rotation and its bare linear part have order exactly
     # 4n; every proper power shifts the E′ coordinate by j/4n, so it is
@@ -326,22 +326,22 @@ def _certify(
         (
             ("orders of (r, s, rs) are (4n, 2, 2)",
              (r_order, s_order, rs_order) == (four_n, 2, 2)),
-            ("closure of {r, s} has exactly 8n elements",
-             analysis.group_size == 8 * n),
+            ("closure of {r, s} has exactly 8n elements", len(rows) == 8 * n),
             ("closure satisfies the dihedral presentation",
-             analysis.rotation_order == four_n),
+             kept.z is None and kept.k == four_n),
         ),
     )
 
     # Step 4: the symmetries fall into exactly two conjugacy classes
-    # (those of s and rs), and neither representative is a translation.
+    # (those of s and rs: D_k's reflections r^a s by a mod 2, for even k),
+    # and neither representative is a translation.
     step4 = StepResult(
         _STEP_NAMES[3],
         (
             ("symmetries form exactly two conjugacy classes",
-             analysis.symmetry_class_count == 2),
-            ("s is not a translation", not s_facts.is_translation),
-            ("rs is not a translation", not rs_facts.is_translation),
+             kept.z is None and kept.k % 2 == 0),
+            ("s is not a translation", not s_row.is_translation),
+            ("rs is not a translation", not rs_row.is_translation),
         ),
     )
 
@@ -350,12 +350,13 @@ def _certify(
     step5 = StepResult(
         _STEP_NAMES[4],
         (
-            ("s has no fixed point on the quotient", not s_facts.has_fixed_point),
-            ("rs has no fixed point on the quotient", not rs_facts.has_fixed_point),
-            ("no nonidentity element has a fixed point", analysis.is_free),
+            ("s has no fixed point on the quotient", not s_row.has_fixed_point),
+            ("rs has no fixed point on the quotient", not rs_row.has_fixed_point),
+            ("no nonidentity element has a fixed point",
+             not any(row.has_fixed_point for row in rows[1:])),
         ),
     )
-    return Certificate(n, 8 * n, (step1, step2, step3, step4, step5), analysis.reports)
+    return Certificate(n, 8 * n, (step1, step2, step3, step4, step5), rows)
 
 
 def verify_theorem(n: int) -> Certificate:
@@ -418,20 +419,22 @@ def verify_corollary(k: int) -> Certificate:
     n = plan.params.n
     # r^{4n/k} of the family's r; the reflection is its s itself.
     r, refl = _family(n).pair
-    analysis = _prove_dihedral(_power(r, plan.rotation_power), refl)
-    rot_facts, refl_facts, product_facts = _facts(analysis, (1, 0), (0, 1), (1, 1))
+    rot = _power(r, plan.rotation_power)
+    kept = _presentation(rot, refl)
+    rows = kept.reports(rot, refl)
     step_checks = (
-        (("r^{4n/k} has order k on the quotient", rot_facts.order == k),),
-        (("s has order 2 on the quotient", refl_facts.order == 2),),
+        (("r^{4n/k} has order k on the quotient", kept.row(1, 0).order == k),),
+        (("s has order 2 on the quotient", kept.row(0, 1).order == 2),),
         (
             ("closure of {r^{4n/k}, s} has exactly 2k elements",
-             analysis.group_size == plan.expected_order),
+             len(rows) == plan.expected_order),
             ("closure satisfies the dihedral presentation",
-             analysis.rotation_order == k),
-            ("r^{4n/k}s has order 2", product_facts.order == 2),
+             kept.z is None and kept.k == k),
+            ("r^{4n/k}s has order 2", kept.row(1, 1).order == 2),
         ),
-        (("no element is a translation", analysis.has_no_translations),),
-        (("no nonidentity element has a fixed point", analysis.is_free),),
+        (("no element is a translation", not any(row.is_translation for row in rows)),),
+        (("no nonidentity element has a fixed point",
+          not any(row.has_fixed_point for row in rows[1:])),),
     )
     steps = tuple(map(StepResult, _COROLLARY_STEP_NAMES, step_checks))
-    return Certificate(n, plan.expected_order, steps, analysis.reports, k)
+    return Certificate(n, plan.expected_order, steps, rows, k)

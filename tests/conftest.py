@@ -1,4 +1,5 @@
-"""Fixtures shared by the suites: a work counter and emptied kept slots.
+"""Fixtures shared by the suites: a work counter and emptied kept slots,
+and the check that a pair's kept rows are what `analyze_group` lists.
 
 Maps keep what they decide (cycles, order, fixed point, powers,
 presentations) in the slots of `AffineAuto` that are neither its value
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from dihedral_torus import torus
+from dihedral_torus import analysis, torus
 
 VALUE_FIELDS = ("perm", "signs", "shift", "denominator", "lattice")
 KEPT_SLOTS = tuple(
@@ -26,6 +27,25 @@ EMPTY = (None,) * len(KEPT_SLOTS)
 def kept(g):
     """What g keeps beside its value, one entry per kept slot."""
     return tuple(getattr(g, slot) for slot in KEPT_SLOTS)
+
+
+def presented(r, s):
+    """The pair's kept presentation, with its rows filled."""
+    kept = analysis._presentation(r, s)
+    kept.reports(r, s)
+    return kept
+
+
+def assert_presents_the_listing(r, s):
+    """All that the verifiers read of the pair (its rows, k and layout)
+    is what `analyze_group` lists: D_k's normal forms or the closure."""
+    kept, listed = presented(r, s), analysis.analyze_group([r, s])
+    assert kept.rows == listed.reports
+    if kept.z is None:
+        assert kept.k == listed.rotation_order
+    else:
+        assert listed.rotation_order is None and 4 * kept.k == listed.group_size
+    return kept
 
 
 @pytest.fixture

@@ -179,6 +179,38 @@ def test_certificate_bytes_match_pinned_digest(kind, value):
     assert digest == PINNED_DIGESTS[kind, value]
 
 
+# One SHA-256 over every theorem and mutant document for n ≤ 12 and every
+# corollary document for k ≤ 31, each followed by its step names, check
+# values and verdicts; recorded before the verifiers read the pair's rows.
+SMALL_DOCUMENTS_DIGEST = "37e00b1dc33e61218391ee679cceddbc9bccf9faf12fb47524047ee9a5bbb715"
+
+
+def _small_documents_digest():
+    digest = hashlib.sha256()
+
+    def add(doc, cert):
+        checks = [(step.name, step.checks) for step in cert.steps]
+        verdicts = (cert.is_free, cert.has_no_translations, cert.theorem_verified)
+        digest.update(render_json(doc).encode("utf-8"))
+        digest.update(repr((checks, verdicts)).encode("utf-8"))
+
+    for n in range(1, 13):
+        cert = verify_theorem(n)
+        add(theorem_document(cert, _verify_params(n)), cert)
+        for name in sorted(MUTANTS):
+            cert = verify_mutant(name, n)
+            add(theorem_document(cert, _verify_params(n)), cert)
+    for k in range(1, 32):
+        cert = verify_corollary(k)
+        add(corollary_document(cert, {"k": k}), cert)
+    return digest.hexdigest()
+
+
+def test_small_documents_match_one_pinned_digest():
+    # Twice: the second run reads what the first kept on the maps.
+    assert _small_documents_digest() == _small_documents_digest() == SMALL_DOCUMENTS_DIGEST
+
+
 # --- the writer against the standard encoder ---------------------------------
 
 _WORDS = st.text() | st.sampled_from(

@@ -243,7 +243,7 @@ class TestElementCommand:
         kept = [r._classes[s] for r, s in pairs]
         expected = [p.rs for p in kept] + [p.elements[3, 1, 0] for p in kept]
         assert sorted(map(id, others)) == sorted(map(id, expected))
-        assert len(work.walked) == 8 and all(p.verdicts is None for p in kept)
+        assert len(work.walked) == 8 and all(p.rows is None for p in kept)
 
     def test_huge_exponents_print_their_residues(self, capsys):
         # At n = 64, r has order 256 and s order 4 upstairs, 2 below; a

@@ -1,7 +1,6 @@
 """Tests for the action builders, the five-step verifier, and the embeddings."""
 
 import inspect
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -30,6 +29,8 @@ from dihedral_torus.dihedral import (
 from dihedral_torus.linalg import Matrix
 from dihedral_torus.torus import EnlargedLattice, TorusShape, realify
 from dihedral_torus.words import _power, evaluate_word, parse_word
+
+from conftest import assert_presents_the_listing, presented
 
 F = Fraction
 H = F(1, 2)
@@ -397,51 +398,25 @@ def closures(monkeypatch):
     return calls
 
 
-def _enumerated(monkeypatch, verify, *args, **kwargs):
-    """The certificate the enumerating analysis alone gives."""
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            dihedral, "_prove_dihedral",
-            lambda r, s: analysis.analyze_group([r, s]),
-        )
-        return verify(*args, **kwargs)
-
-
 class TestPresentationProof:
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_theorem_equals_the_enumeration(self, n, monkeypatch, closures):
-        enumerated = _enumerated(monkeypatch, verify_theorem, n)
-        assert len(closures) == 0
+    def test_theorem_equals_the_enumeration(self, n, closures):
         cert = verify_theorem(n)
         assert len(closures) == 0
         assert cert.theorem_verified
-        # Reports, steps and every other field.
-        assert cert == enumerated
-        params = {"n": n}
-        assert certificate.render_json(
-            certificate.theorem_document(cert, params)
-        ) == certificate.render_json(
-            certificate.theorem_document(enumerated, params)
-        )
-        r, s = realified_action(n)
-        proved = analysis._prove_dihedral(r, s)
-        assert proved == replace(analysis.analyze_group([r, s]), elements=())
+        kept = assert_presents_the_listing(*realified_action(n))
+        assert cert.reports is kept.rows
 
     @pytest.mark.parametrize("k", range(1, 32))
-    def test_corollary_equals_the_enumeration(self, k, monkeypatch, closures):
-        enumerated = _enumerated(monkeypatch, verify_corollary, k)
+    def test_corollary_equals_the_enumeration(self, k, closures):
         cert = verify_corollary(k)
-        # Every D_k, D_1 and D_2 included, is listed from its presentation.
+        # Every D_k, D_1 and D_2 included, is derived from its presentation.
         assert len(closures) == 0
         assert cert.verified
-        # Reports, steps and every other field.
-        assert cert == enumerated
-        params = {"k": k}
-        assert certificate.render_json(
-            certificate.corollary_document(cert, params)
-        ) == certificate.render_json(
-            certificate.corollary_document(enumerated, params)
-        )
+        plan = build_corollary(k)
+        r, s = realified_action(plan.params.n)
+        kept = assert_presents_the_listing(_power(r, plan.rotation_power), s)
+        assert cert.reports is kept.rows
 
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutants_enumerate_once(self, name, closures):
@@ -451,24 +426,14 @@ class TestPresentationProof:
         assert closures == []
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_no_quotient_equals_the_enumeration(self, n, monkeypatch, closures):
-        enumerated = _enumerated(monkeypatch, verify_mutant, "no-quotient", n)
-        assert len(closures) == 1
+    def test_no_quotient_equals_the_enumeration(self, n, closures):
         cert = verify_mutant("no-quotient", n)
-        assert len(closures) == 1
+        assert len(closures) == 0
         assert not cert.theorem_verified
-        # Reports, steps and every other field.
-        assert cert == enumerated
-        params = {"n": n}
-        assert certificate.render_json(
-            certificate.theorem_document(cert, params)
-        ) == certificate.render_json(
-            certificate.theorem_document(enumerated, params)
-        )
         r, s = realified_action(n, ambient_lattice(n))
-        derived = analysis._prove_dihedral(r, s)
-        assert derived.elements == ()
-        assert derived == replace(analysis.analyze_group([r, s]), elements=())
+        kept = assert_presents_the_listing(r, s)
+        assert len(closures) == 1
+        assert kept.z is not None and cert.reports is kept.rows
 
     @pytest.mark.parametrize("e_shift", [0, F(1, 4), F(1, 2), F(3, 4)])
     def test_extension_rows_that_are_not_free(self, e_shift, closures):
@@ -479,16 +444,15 @@ class TestPresentationProof:
         r, s = realified_action(1, lattice)
         r = torus.AffineAuto(r.perm, r.signs, (0, 0, 0, 0, e_shift, 0), lattice)
         s = torus.AffineAuto(s.perm, s.signs, (0, 0, 0, H, 0, 0), lattice)
-        derived = analysis._prove_dihedral(r, s)
+        rows = presented(r, s).rows
         assert closures == []
-        assert derived.elements == ()
-        assert not derived.is_free
-        listed = analysis.analyze_group([r, s])
-        assert derived == replace(listed, elements=())
-        forms = analysis._normal_forms(derived.group_size // 4, True)
+        assert any(rep.has_fixed_point for rep in rows[1:])
+        kept = assert_presents_the_listing(r, s)
+        assert kept.z is not None
+        forms = analysis._normal_forms(kept.k, True)
         assert len({
             (rep.order, rep.has_fixed_point)
-            for (_, b, _), rep in zip(forms, derived.reports) if b
+            for (_, b, _), rep in zip(forms, rows) if b
         }) > 1
 
     @pytest.mark.parametrize(
@@ -516,7 +480,7 @@ class TestPresentationProof:
         monkeypatch.setattr(analysis, "_enumerate", listings.append)
         failed = "lies in ⟨r⟩" if inside else "is not a central translation"
         with pytest.raises(ValueError, match=f"z = s² {failed}$"):
-            analysis._prove_dihedral(r, s)
+            analysis._presentation(r, s)
         assert closures == listings == []
 
     def test_z_that_is_not_a_translation_is_refused(self, closures, monkeypatch):
@@ -531,7 +495,7 @@ class TestPresentationProof:
         listings = []
         monkeypatch.setattr(analysis, "_enumerate", listings.append)
         with pytest.raises(ValueError, match="z = s² is not a central translation$"):
-            analysis._prove_dihedral(r, s)
+            analysis._presentation(r, s)
         assert closures == listings == []
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -544,7 +508,7 @@ class TestPresentationProof:
         listings = []
         monkeypatch.setattr(analysis, "_enumerate", listings.append)
         with pytest.raises(ValueError, match=f"ord rs = {4 * n}, not 2$"):
-            analysis._prove_dihedral(r, s)
+            analysis._presentation(r, s)
         assert closures == listings == []
 
     @pytest.mark.parametrize(
@@ -584,14 +548,14 @@ class TestPresentationProof:
     ):
         # From emptied slots on, over the pair's lifetime: r and s are
         # walked once each, and rs is composed and walked once, by the
-        # first call; the second call reads the pair's kept class table.
-        pairs, prove = [], analysis._prove_dihedral
+        # first call; the second call reads the pair's kept rows.
+        pairs, present = [], analysis._presentation
 
         def capture(r, s):
             pairs.append((r, s))
-            return prove(r, s)
+            return present(r, s)
 
-        monkeypatch.setattr(dihedral, "_prove_dihedral", capture)
+        monkeypatch.setattr(dihedral, "_presentation", capture)
         verify()
         r, s = pairs[0]
         rs = torus.compose(r, s)
@@ -611,10 +575,10 @@ class TestPresentationProof:
         # D_1 and D_2 are decided by the prime-order checks, like every D_k.
         plan = build_corollary(k)
         r, s = realified_action(plan.params.n)
-        proved = analysis._prove_dihedral(_power(r, plan.rotation_power), s)
-        assert proved.elements == ()
-        assert (proved.group_size, proved.rotation_order) == (2 * k, k)
-        assert proved.is_free and proved.has_no_translations
+        kept = presented(_power(r, plan.rotation_power), s)
+        assert (len(kept.rows), kept.k, kept.z) == (2 * k, k, None)
+        assert not any(rep.has_fixed_point for rep in kept.rows[1:])
+        assert not any(rep.is_translation for rep in kept.rows)
         assert verify_corollary(k).verified
         assert closures == []
 
@@ -708,10 +672,8 @@ class TestPresentationProof:
         assert analysis.exists_fixed_point(s) != analysis.exists_fixed_point(
             torus.compose(r, s)
         )
-        derived = analysis._prove_dihedral(r, s)
-        assert derived.elements == ()
-        assert not derived.is_free
-        assert derived == replace(analysis.analyze_group([r, s]), elements=())
+        kept = assert_presents_the_listing(r, s)
+        assert any(rep.has_fixed_point for rep in kept.rows[1:])
 
     def test_each_prime_order_rotation_is_checked(self):
         # With E′ shift 1/4 at n = 3, r has order 12 and r^4 = r^{12/3}
@@ -722,10 +684,8 @@ class TestPresentationProof:
         r = torus.AffineAuto(r.perm, r.signs, shift, r.lattice)
         assert analysis.exists_fixed_point(_power(r, 4))
         assert not analysis.exists_fixed_point(_power(r, 6))
-        derived = analysis._prove_dihedral(r, s)
-        assert derived.elements == ()
-        assert not derived.is_free
-        assert derived == replace(analysis.analyze_group([r, s]), elements=())
+        kept = assert_presents_the_listing(r, s)
+        assert any(rep.has_fixed_point for rep in kept.rows[1:])
 
 
 @pytest.mark.parametrize(
@@ -922,50 +882,60 @@ def test_mutants_are_the_linear_parts_of_the_realified_maps(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_facts_of_a_closure_are_the_rows_of_those_maps(n):
+def test_row_lookup_of_the_extension_is_the_closure_row(n):
+    # The derived central extension holds each closure row at its own place.
     r, s = realified_action(n, ambient_lattice(n))
     closed = analysis._enumerate([r, s])
-    assert closed.rotation_order is None
-    forms = [(1, 0), (0, 1), (1, 1)] + [(j, b) for j in range(4 * n) for b in (0, 1)]
+    kept = presented(r, s)
+    assert kept.z is not None and kept.k == 4 * n
+    forms = [(a, b) for a in range(-kept.k, 2 * kept.k) for b in (0, 1)]
     row = dict(zip((e.auto for e in closed.elements), closed.reports))
     expected = [
         row[torus.compose(_power(r, a), s) if b else _power(r, a)] for a, b in forms
     ]
-    assert analysis._facts(closed, *forms) == expected
-    # The derived central extension holds the same rows at its own places.
-    derived = analysis._prove_dihedral(r, s)
-    assert derived.elements == ()
-    assert analysis._facts(derived, *forms) == expected
+    assert [kept.row(a, b) for a, b in forms] == expected
 
 
 @pytest.mark.parametrize("k", [4, 8, 12, 13])
-def test_facts_of_a_dihedral_listing_are_the_rows_of_those_maps(k):
+def test_row_lookup_of_d_k_is_the_listed_row(k):
     # k = 4n is the quotient pair (r, s) at n = 1, 2, 3, and k = 13 the
-    # corollary's (r^4, s) at n = 13.  The listing and the derivation of
-    # D_k hold r^a s^b at the same place, for a outside 0..k−1 too.
+    # corollary's (r^4, s) at n = 13.  The derivation of D_k holds the
+    # listed row of r^a s^b at its place, for a outside 0..k−1 too.
     plan = build_corollary(k)
     r, s = realified_action(plan.params.n)
     r = _power(r, plan.rotation_power)
     listed = analysis.analyze_group([r, s])
-    derived = analysis._prove_dihedral(r, s)
-    assert listed.rotation_order == derived.rotation_order == k
+    kept = presented(r, s)
+    assert listed.rotation_order == kept.k == k and kept.z is None
     forms = [(a, b) for a in range(-k, 2 * k) for b in (0, 1)]
     row = dict(zip((e.auto for e in listed.elements), listed.reports))
     expected = [
         row[torus.compose(_power(r, a), s) if b else _power(r, a)] for a, b in forms
     ]
-    assert analysis._facts(listed, *forms) == expected
-    assert analysis._facts(derived, *forms) == expected
+    assert [kept.row(a, b) for a, b in forms] == expected
     # The table writes each label straight from (a, b), with no path, and
     # it is the rendering of the listed element's path r^a s^b.
     for element, rep in zip(listed.elements, listed.reports):
         assert rep.word == analysis._path_label(element.path, ("r", "s"))
 
 
+@pytest.fixture
+def built_rows(monkeypatch):
+    """The `ElementReport`s that `analysis` builds while the test runs."""
+    built, report = [], analysis.ElementReport
+
+    def building(*fields):
+        built.append(report(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(analysis, "ElementReport", building)
+    return built
+
+
 class TestKeptFacts:
     """Each map walks its cycles, decides its order and fixed point, and
     builds each of its powers once, and keeps them for the next query;
-    each generator pair keeps its class table on r."""
+    each generator pair keeps its rows on r."""
 
     @pytest.mark.parametrize(
         "verify, maps, cold",
@@ -988,6 +958,32 @@ class TestKeptFacts:
             work.clear()
             assert verify().theorem_verified
             assert work.counts == expected
+
+    @pytest.mark.parametrize(
+        "verify, maps, size",
+        [
+            (lambda: verify_theorem(3), lambda: realified_action(3), 24),
+            *[
+                (lambda name=name: verify_mutant(name, 3),
+                 lambda name=name: dihedral._family(3).mutants[name], size)
+                for name, size in [
+                    ("no-rotation-shift", 24), ("zero-offsets", 24), ("no-quotient", 48)
+                ]
+            ],
+            (lambda: verify_corollary(13), lambda: realified_action(13), 26),
+        ],
+        ids=["theorem", "no-rotation-shift", "zero-offsets", "no-quotient", "corollary"],
+    )
+    def test_a_pair_builds_its_rows_once(self, verify, maps, size, forget, built_rows):
+        # Cold, a verifier builds one row per element of its pair's group:
+        # 8n, 16n for the no-quotient extension and 2k for the corollary's
+        # D_k.  Warm, it builds none and certifies the kept rows.
+        forget(*maps())
+        cold = verify()
+        assert len(built_rows) == size == cold.group_order_actual
+        built_rows.clear()
+        assert verify().reports is cold.reports
+        assert built_rows == []
 
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_warm_mutants_keep_their_maps(self, name, work):
@@ -1018,8 +1014,8 @@ def _rendered(cert):
 
 
 class TestKeptClassTable:
-    """A pair decides its class table once and r keeps it under s: every
-    later call reads it and renders what fresh maps render."""
+    """A pair decides its rows once and r keeps them under s: every
+    later call reads them and renders what fresh maps render."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_verifiers_sharing_r_match_fresh_maps(self, n, forget):
@@ -1037,7 +1033,7 @@ class TestKeptClassTable:
         for verify, maps in runs:
             fresh = dihedral._certify(n, *map(_fresh, maps))
             assert _rendered(verify()) == _rendered(fresh)
-        # One table per partner of r, each decided once.
+        # One presentation per partner of r, each decided once.
         r = theorem[0]
         assert list(r._classes) == [theorem[1], mutant[1]]
 
@@ -1081,7 +1077,7 @@ class TestKeptClassTable:
             r, s = realified_action(n, lattice)
             listed = analysis.analyze_group([_fresh(r), _fresh(s)])
             closed = analysis._enumerate([_fresh(r), _fresh(s)])
-            # A table that no pair could have: reading it would fail.
+            # A record that no pair could have: reading it would fail.
             r, s = _fresh(r), _fresh(s)
             r._classes = {s: (1, False, {})}
             assert analysis.analyze_group([r, s]) == listed

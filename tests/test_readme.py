@@ -5,20 +5,25 @@ Every backticked dotted name in README.md whose head is a package module
 package exports (`EnlargedLattice.standard`) must resolve: each part an
 attribute of the one before, or, last, a dataclass field or a slot of a
 class.  Names with other heads (`json.dumps`, `params.closure_cap`) and
-file paths are not read.
+file paths are not read.  Every shell example that shows the output of
+a `dihedral-torus` command must print that output, `elapsed:` lines
+aside.
 """
 
 import dataclasses
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import dihedral_torus
+from dihedral_torus import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("torus", "analysis", "dihedral", "words", "certificate", "cli", "oracle", "linalg")
 _SPAN = re.compile(r"`([^`\n]+)`")
 _DOTTED = re.compile(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+_SHELL = re.compile(r"```sh\n\$ dihedral-torus (.+)\n((?:(?!```).*\n)+)```")
 
 
 def _is_exported_class(head):
@@ -76,3 +81,20 @@ def test_the_reader_finds_and_rejects_names():
     assert [_resolves(name) for name in names] == [True, True, False]
     assert not _resolves("GroupElement.path.word")
     assert _resolves("AffineAuto._classes") and _resolves("torus.order")
+
+
+def _without_elapsed(text):
+    return "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("elapsed:")
+    )
+
+
+def test_the_readme_cli_examples_print_what_they_show(tmp_path, monkeypatch, capsys):
+    examples = _SHELL.findall(README.read_text(encoding="utf-8"))
+    assert [command for command, _ in examples] == [
+        "verify --n 1", "corollary --k 6 --json k6.json"
+    ]
+    monkeypatch.chdir(tmp_path)
+    for command, shown in examples:
+        assert cli.main(shlex.split(command)) == 0
+        assert _without_elapsed(capsys.readouterr().out) == _without_elapsed(shown)
