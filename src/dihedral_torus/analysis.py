@@ -90,7 +90,6 @@ from .torus import (
 
 DEFAULT_CLOSURE_CAP = 1024
 CACHE_BOUND = 16  # entries in each per-n cache: dihedral's families, normal forms
-_CAP_EXCEEDED = f"closure exceeds cap {DEFAULT_CLOSURE_CAP}"
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -103,12 +102,10 @@ class OracleBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Group element: automorphism plus a word for it.
+    """Group element: automorphism plus its BFS discovery word in a closure.
 
     path is that word as generator indices (left-to-right composition
-    order, empty for the identity): its BFS discovery word in a closure,
-    (0,)*a + (1,)*b for the normal form r^a s^b of a D_k listed by its
-    presentation (module docstring).  Its rendering is the `word` of the
+    order, empty for the identity).  Its rendering is the `word` of the
     element's report in a `GroupAnalysis`.
     """
 
@@ -142,27 +139,16 @@ class _Summaries:
 @dataclass(frozen=True)
 class GroupAnalysis(_Summaries):
     """The elements of a generated group together with per-element verdicts,
-    as `analyze_group` lists them.
-
-    Reports hold the normal forms of D_k (rotation_order k) in
-    `_normal_forms` order, or a closure's elements in its discovery order
-    (rotation_order None), the identity's first.  Every summary is read
-    off the reports.
+    as `analyze_group` lists them: a closure's elements in its discovery
+    order, the identity's first.  Every summary is read off the reports.
     """
 
     elements: tuple[GroupElement, ...]
     reports: tuple[ElementReport, ...]
-    rotation_order: int | None
 
     @property
     def group_size(self) -> int:
         return len(self.reports)
-
-    @property
-    def symmetry_class_count(self) -> int | None:
-        """For D_k: the reflections r^a s fall into classes by a mod gcd(2, k)."""
-        k = self.rotation_order
-        return None if k is None else 2 - k % 2
 
 
 def is_translation(g: AffineAuto) -> bool:
@@ -249,49 +235,34 @@ def closure(gens: Sequence[AffineAuto]) -> list[GroupElement]:
             nxt = compose(current, gen)
             if nxt not in found:
                 if len(queue) >= DEFAULT_CLOSURE_CAP:
-                    raise ClosureCapExceeded(_CAP_EXCEEDED)
+                    raise ClosureCapExceeded(f"closure exceeds cap {DEFAULT_CLOSURE_CAP}")
                 found.add(nxt)
                 queue.append(nxt)
                 paths.append(paths[i] + (gi,))
     return [GroupElement(a, p) for a, p in zip(queue, paths)]
 
 
-def conjugacy_classes(
-    group: Sequence[GroupElement],
-    conjugators: Sequence[AffineAuto] | None = None,
-) -> list[list[GroupElement]]:
-    """Partition of a closed group into conjugacy classes.
-
-    With `conjugators` given (typically the generating set), classes are
-    computed as orbits under conjugation by those elements only; this is
-    the full conjugacy partition whenever the conjugators generate the
-    group, at a fraction of the compositions.
-    """
+def conjugacy_classes(group: Sequence[GroupElement]) -> list[list[GroupElement]]:
+    """Partition of a closed group into conjugacy classes: the class of g is
+    {h·g·h⁻¹ : h in the group}, its members in the group's order, and
+    the classes in the order of their first members."""
     autos = [e.auto for e in group]
     by_auto = {a: i for i, a in enumerate(autos)}
-    conj_autos = autos if conjugators is None else list(conjugators)
-    inverses = [inverse(h) for h in conj_autos]
+    inverses = [inverse(h) for h in autos]
     assigned = [False] * len(group)
     classes: list[list[GroupElement]] = []
-    for start, elem in enumerate(group):
+    for start, g in enumerate(autos):
         if assigned[start]:
             continue
-        orbit = {start: None}
-        frontier = [autos[start]]
-        while frontier:
-            g = frontier.pop(0)
-            for h, h_inv in zip(conj_autos, inverses):
-                image = compose(h, compose(g, h_inv))
-                idx = by_auto.get(image)
-                if idx is None:
-                    raise ValueError("group is not closed under conjugation")
-                if idx not in orbit:
-                    orbit[idx] = None
-                    frontier.append(autos[idx])
-        members = sorted(orbit)
+        members = set()
+        for h, h_inv in zip(autos, inverses):
+            idx = by_auto.get(compose(h, compose(g, h_inv)))
+            if idx is None:
+                raise ValueError("group is not closed under conjugation")
+            members.add(idx)
         for idx in members:
             assigned[idx] = True
-        classes.append([group[idx] for idx in members])
+        classes.append([group[idx] for idx in sorted(members)])
     return classes
 
 
@@ -442,48 +413,17 @@ def _presentation(r: AffineAuto, s: AffineAuto) -> _Presentation:
 
 
 def analyze_group(gens: Sequence[AffineAuto]) -> GroupAnalysis:
-    """Every element of the generated group with its verdicts.
-
-    Two generators with ord r = k and ord s = ord rs = 2 generate D_k of
-    order 2k (module docstring): its elements are listed as the normal
-    forms r^a s^b of `_normal_forms`, at index 2a + b and with its
-    labels, and its symmetry classes counted by the parity of k.  Any
-    other generating set is closed breadth first, labeled by discovery
-    words over r, s (two generators) or g1..gk, and counts no class.  A
-    group of more than DEFAULT_CLOSURE_CAP elements raises
-    ClosureCapExceeded; a D_k that large is refused before any element
-    is listed.  Each element's verdicts come from one cycle decomposition
-    of its own map and are kept on it; those of r, s and rs also decide
-    the presentation, and rs is composed once.  No verifier calls it; it
-    is the listing the derivations are tested against.
+    """Every element of the generated group with its verdicts: its `closure`,
+    each element labeled by its discovery word over r, s (two generators)
+    or g1..gk.  A group of more than DEFAULT_CLOSURE_CAP elements raises
+    ClosureCapExceeded.  Each element's verdicts come from one cycle
+    decomposition of its own map and are kept on it.  No verifier calls
+    it; it is the listing the derivations are tested against.
     """
     autos = list(gens)
-    if len(autos) != 2:
-        return _enumerate(autos)
-    r, s = autos
-    rs = compose(r, s)
-    if (order(s), order(rs)) != (2, 2):
-        return _enumerate(autos)
-    k = order(r)
-    if 2 * k > DEFAULT_CLOSURE_CAP:
-        raise ClosureCapExceeded(_CAP_EXCEEDED)
-    # r^a s^b at index 2a + b: r^a = r^{a−1}·r and r^a s = r·r^{a−1}s.
-    maps = [AffineAuto.identity(r.lattice), s, r, rs]
-    for _ in range(2, k):
-        maps += [compose(maps[-2], r), compose(r, maps[-1])]
-    forms = _normal_forms(k, False).items()
-    elements = tuple(
-        GroupElement(maps[i], (0,) * a + (1,) * b) for (a, b, _), (i, _, _) in forms
-    )
-    reports = tuple(_report(maps[i], label) for _, (i, label, _) in forms)
-    return GroupAnalysis(elements, reports, k)
-
-
-def _enumerate(autos: list[AffineAuto]) -> GroupAnalysis:
-    """analyze_group of generators that do not present a D_k: their closure."""
     names = ("r", "s") if len(autos) == 2 else tuple(
         f"g{i + 1}" for i in range(len(autos))
     )
     elements = tuple(closure(autos))
     reports = tuple(_report(e.auto, _path_label(e.path, names)) for e in elements)
-    return GroupAnalysis(elements, reports, None)
+    return GroupAnalysis(elements, reports)

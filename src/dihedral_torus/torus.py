@@ -69,9 +69,6 @@ class TorusShape:
         """Complex index of the lone E′ factor (always the last one)."""
         return self.complex_dim - 1
 
-    def is_eprime(self, i: int) -> bool:
-        return i == self.eprime_index
-
 
 @dataclass(frozen=True)
 class TorsionPoint:

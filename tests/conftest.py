@@ -1,5 +1,5 @@
 """Fixtures shared by the suites: a work counter and emptied kept slots,
-and the check that a pair's kept rows are what `analyze_group` lists.
+and the check that a pair's kept rows are what its closure lists.
 
 Maps keep what they decide (cycles, order, fixed point, powers,
 presentations) in the slots of `AffineAuto` that are neither its value
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from dihedral_torus import analysis, torus
+from dihedral_torus import analysis, torus, words
 
 VALUE_FIELDS = ("perm", "signs", "shift", "denominator", "lattice")
 KEPT_SLOTS = tuple(
@@ -38,14 +38,36 @@ def presented(r, s):
 
 def assert_presents_the_listing(r, s):
     """All that the verifiers read of the pair (its rows, k and layout)
-    is what `analyze_group` lists: D_k's normal forms or the closure."""
+    is what the closure lists, checked with no read of `_normal_forms`.
+
+    A row of D_k is checked by its label alone: folded with plain
+    `compose`, it is a closure element with the row's verdicts, the rows
+    name distinct elements, and there are as many rows as elements.  The
+    extension's rows are the closure's own, in its order and with its
+    words."""
     kept, listed = presented(r, s), analysis.analyze_group([r, s])
-    assert kept.rows == listed.reports
     if kept.z is None:
-        assert kept.k == listed.rotation_order
+        listed_verdicts = dict(zip((e.auto for e in listed.elements), map(verdicts, listed.reports)))
+        maps = [word_map(row.word, r, s) for row in kept.rows]
+        assert [listed_verdicts.get(g) for g in maps] == list(map(verdicts, kept.rows))
+        assert len(set(maps)) == len(kept.rows) == listed.group_size == 2 * kept.k
     else:
-        assert listed.rotation_order is None and 4 * kept.k == listed.group_size
+        assert kept.rows == listed.reports and listed.group_size == 4 * kept.k
     return kept
+
+
+def verdicts(rep):
+    """A report less its word: (order, is_translation, has_fixed_point)."""
+    return rep.order, rep.is_translation, rep.has_fixed_point
+
+
+def word_map(word, r, s):
+    """The map a word names, composed one letter at a time in writing order."""
+    g = torus.AffineAuto.identity(r.lattice)
+    for letter, e in words.parse_word(word):
+        for _ in range(e):
+            g = torus.compose(g, r if letter == "r" else s)
+    return g
 
 
 @pytest.fixture

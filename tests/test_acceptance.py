@@ -93,7 +93,8 @@ def test_order_eight_action_in_dimension_three():
     assert cert.group_order_actual == 8
     assert cert.is_free
     analysis = analyze_group(realified_action(1))
-    assert analysis.rotation_order == 4  # D_4: ⟨r, s | r⁴ = s² = (rs)² = 1⟩
+    # D_4 is the one group of order 8 with five elements of order 2.
+    assert sorted(rep.order for rep in analysis.reports) == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
 def test_dihedral_embeddings_for_k_up_to_twelve():

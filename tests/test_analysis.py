@@ -182,7 +182,7 @@ class TestClosure:
         assert inverse(r) in autos
         assert inverse(s) in autos
 
-    def test_cap_and_validation(self, work):
+    def test_cap_and_validation(self):
         # On Z^1, r = x + 1/k closes to k elements and ⟨r, s⟩ with
         # s = −x is D_k of order 2k: both sides of the cap 1024.
         lattice = EnlargedLattice.standard(1)
@@ -195,10 +195,8 @@ class TestClosure:
         with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap 1024$"):
             closure([rotation(1025)])
         assert len(analyze_group([rotation(512), s]).elements) == 1024
-        work.clear()
         with pytest.raises(ClosureCapExceeded, match="^closure exceeds cap 1024$"):
             analyze_group([rotation(513), s])
-        assert len(work.composed) == 1  # rs, before any element is listed
         with pytest.raises(ValueError):
             closure([])
 
@@ -219,18 +217,6 @@ class TestConjugacyClasses:
         assert sorted(len(c) for c in classes) == [1, 1, 2, 2, 2]
         assert sum(len(c) for c in classes) == 8
 
-    def test_generating_conjugators_give_the_full_partition(
-        self, quotient_pair
-    ):
-        group = closure(quotient_pair)
-        full = conjugacy_classes(group)
-        seeded = conjugacy_classes(group, conjugators=list(quotient_pair))
-
-        def as_sets(classes):
-            return {frozenset(e.auto for e in cls) for cls in classes}
-
-        assert as_sets(full) == as_sets(seeded)
-
     def test_conjugation_invariants_are_constant_on_classes(
         self, quotient_pair
     ):
@@ -250,24 +236,25 @@ class TestConjugacyClasses:
 
     def test_rejects_non_closed_input(self, quotient_pair):
         r, s = quotient_pair
+        # s·r·s⁻¹ = r³ is missing from the fragment.
         fragment = [
             GroupElement(auto=AffineAuto.identity(r.lattice), path=()),
+            GroupElement(auto=r, path=(0,)),
             GroupElement(auto=s, path=(1,)),
         ]
         with pytest.raises(ValueError, match="not closed"):
-            conjugacy_classes(fragment, conjugators=[r])
+            conjugacy_classes(fragment)
 
 
 class TestAnalyzeGroup:
     def test_quotient_analysis(self, quotient_pair):
         analysis = analyze_group(quotient_pair)
         assert analysis.group_size == 8
-        assert analysis.rotation_order == 4
         assert analysis.is_free
         assert analysis.has_no_translations
-        assert analysis.symmetry_class_count == 2
+        # Breadth-first discovery words: shortlex, r before s.
         assert [rep.word for rep in analysis.reports] == [
-            "", "s", "r", "r s", "r^2", "r^2 s", "r^3", "r^3 s",
+            "", "r", "s", "r^2", "r s", "s r", "r^3", "r^2 s",
         ]
         identity_report = analysis.reports[0]
         assert identity_report.order == 1
@@ -282,8 +269,6 @@ class TestAnalyzeGroup:
     ):
         analysis = analyze_group(ambient_pair)
         assert analysis.group_size == 16
-        assert analysis.rotation_order is None
-        assert analysis.symmetry_class_count is None
         # Upstairs the action is still free, but s² survives as a
         # translation, so the group is not translation-free.
         assert not analysis.has_no_translations
@@ -295,10 +280,7 @@ class TestAnalyzeGroup:
     def test_symmetry_classes_for_larger_n(self):
         analysis = analyze_group(realified_action(2))
         assert analysis.group_size == 16
-        assert analysis.symmetry_class_count == 2
-        classes = conjugacy_classes(
-            analysis.elements, conjugators=list(realified_action(2))
-        )
+        classes = conjugacy_classes(analysis.elements)
         symmetry_sizes = [
             len(cls)
             for cls in classes
@@ -324,27 +306,12 @@ class TestAnalyzeGroup:
         r, _ = quotient_pair
         analysis = analyze_group([r])
         assert analysis.group_size == 4
-        assert analysis.rotation_order is None
         assert [rep.word for rep in analysis.reports] == [
             "", "g1", "g1^2", "g1^3",
         ]
 
     def test_analysis_is_deterministic(self, quotient_pair):
         assert analyze_group(quotient_pair) == analyze_group(quotient_pair)
-
-    def test_generators_are_decided_and_composed_once(self, work):
-        # The presentation check and the listing share r, s and rs: at
-        # n = 2 the 16 elements take 13 compositions (rs, then r^a and
-        # r^a s for a = 2..7) and 16 cycle walks, one per element.  Fresh
-        # copies of r and s, since the cached ones may have been walked.
-        r, s = (
-            AffineAuto(g.perm, g.signs, g.translation, g.lattice)
-            for g in realified_action(2)
-        )
-        result = analyze_group([r, s])
-        assert result.group_size == 16
-        assert work.counts == (13, 16, 0)
-        assert sorted(map(id, work.walked)) == sorted(id(e.auto) for e in result.elements)
 
 
 def _dihedral_pairs():
@@ -371,54 +338,24 @@ def _mutant_pair(name, n):
 
 
 class TestFastPathsAgainstGenericCode:
-    """The label-arithmetic fast paths agree with composition-based code."""
+    """The presentation's derivations agree with composition-based code."""
 
     @pytest.mark.parametrize("name, pair", _dihedral_pairs())
     def test_label_classes_are_the_conjugacy_classes(self, name, pair):
-        analysis = analyze_group(pair)
-        k = analysis.rotation_order
-        assert k is not None
-        generic = conjugacy_classes(analysis.elements)
-        reflection_classes = [cls for cls in generic if cls[0].path.count(1) == 1]
-        assert analysis.symmetry_class_count == 2 - k % 2
-        assert analysis.symmetry_class_count == len(reflection_classes)
-        # The classes of r^a s are the residues of a modulo gcd(2, k).
-        step = 2 - k % 2
-        assert sorted(
-            sorted(e.path.count(0) for e in cls) for cls in reflection_classes
-        ) == [list(range(c, k, step)) for c in range(step)]
-
-    @pytest.mark.parametrize("name, pair", _dihedral_pairs())
-    def test_every_label_is_its_normal_form(self, name, pair):
+        # The reflections r^a s of D_k fall into 2 − k mod 2 classes, the
+        # residues of a modulo gcd(2, k) (module docstring of `analysis`).
         r, s = pair
-        analysis = analyze_group(pair)
-        k = analysis.rotation_order
-        assert [e.path for e in analysis.elements] == [
-            (0,) * a + (1,) * b for a in range(k) for b in (0, 1)
-        ]
-        power = AffineAuto.identity(r.lattice)
+        k = order(r)
+        reflection, a_of = s, {}
         for a in range(k):
-            assert analysis.elements[2 * a].auto == power
-            assert analysis.elements[2 * a + 1].auto == compose(power, s)
-            power = compose(power, r)
-
-    def test_no_quotient_pair_takes_the_generic_path(
-        self, ambient_pair, monkeypatch
-    ):
-        # The generic path labels by discovery words and counts no classes,
-        # so it composes nothing beyond the closure's own compositions.
-        seen = []
-        monkeypatch.setattr(
-            analysis_module, "conjugacy_classes", lambda *a, **k: seen.append(a)
-        )
-        for n in (1, 2):
-            pair = realified_action(n, ambient_lattice(n))
-            analysis = analyze_group(pair)
-            assert analysis.group_size == 16 * n
-            assert analysis.rotation_order is None
-            assert analysis.symmetry_class_count is None
-        analyze_group(realified_action(1))
-        assert seen == []
+            a_of[reflection] = a
+            reflection = compose(r, reflection)
+        classes = conjugacy_classes(closure(pair))
+        reflection_classes = [
+            sorted(a_of[e.auto] for e in cls) for cls in classes if cls[0].auto in a_of
+        ]
+        step = 2 - k % 2
+        assert sorted(reflection_classes) == [list(range(c, k, step)) for c in range(step)]
 
     @pytest.mark.parametrize(
         "name, pair",
@@ -430,13 +367,9 @@ class TestFastPathsAgainstGenericCode:
     )
     def test_listed_forms_are_the_closure(self, name, pair):
         # The presentation lemma, checked against an independent BFS: the
-        # 2k listed normal forms are exactly the closure of the pair.
-        listed = analyze_group(pair)
-        closed = closure(pair)
-        k = listed.rotation_order
-        assert k is not None
-        assert len(listed.elements) == len(closed) == 2 * k
-        assert {e.auto for e in listed.elements} == {e.auto for e in closed}
+        # 2k kept normal forms are exactly the closure of the pair.
+        kept = assert_presents_the_listing(*pair)
+        assert kept.z is None
 
     def test_pair_failing_the_presentation_gets_path_labels(self):
         # r^4 and r^6 at n = 3 generate the cyclic group ⟨r^2⟩ of order 6:
@@ -447,8 +380,6 @@ class TestFastPathsAgainstGenericCode:
         assert [order(g) for g in pair] == [3, 2]
         analysis = analyze_group(pair)
         assert analysis.group_size == 6
-        assert analysis.rotation_order is None
-        assert analysis.symmetry_class_count is None
         assert [rep.word for rep in analysis.reports] == [
             "", "r", "s", "r^2", "r s", "r^2 s",
         ]
@@ -704,7 +635,7 @@ def test_pair_outside_both_presentations_is_refused(n, monkeypatch):
     def refused(*args):
         raise AssertionError("built a closure")
 
-    for name in ("closure", "_enumerate"):
+    for name in ("closure", "analyze_group"):
         monkeypatch.setattr(analysis_module, name, refused)
     rotation, _ = realified_action(n)
     identity = _power(rotation, 4 * n)

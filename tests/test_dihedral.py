@@ -30,7 +30,7 @@ from dihedral_torus.linalg import Matrix
 from dihedral_torus.torus import EnlargedLattice, TorusShape, realify
 from dihedral_torus.words import _power, evaluate_word, parse_word
 
-from conftest import assert_presents_the_listing, presented
+from conftest import assert_presents_the_listing, presented, verdicts, word_map
 
 F = Fraction
 H = F(1, 2)
@@ -257,15 +257,15 @@ class TestVerifyTheorem:
             verify_theorem(0)
 
     def test_each_element_is_composed_once_and_decomposed_once(self, work):
-        # Machine-independent work counts of the enumerating analysis for a
-        # group of 128 elements: rs is composed once, each further normal
-        # form r^a s^b once from r^{a-1} or r^{a-1} s, and each element's
-        # verdicts come from one cycle walk of its map.  Fresh copies of r
-        # and s, since the cached ones may have been walked.
+        # Machine-independent work counts of the listing of a group of 128
+        # elements: the closure composes each element with each of the two
+        # generators once, and each element's verdicts come from one cycle
+        # walk of its map.  Fresh copies of r and s, since the cached ones
+        # may have been walked.
         n, size = 16, 128
         gens = [_fresh(g) for g in realified_action(n)]
-        assert analysis.analyze_group(gens).rotation_order == 4 * n
-        assert work.counts == (size - 3, size, 0)
+        assert analysis.analyze_group(gens).group_size == size
+        assert work.counts == (2 * size, size, 0)
 
 
 class TestMutants:
@@ -477,7 +477,7 @@ class TestPresentationProof:
         assert (_power(r, order(r) // 2) == z) == inside
         assert analysis._fixes(r, z.shift, z.denominator) == central
         listings = []
-        monkeypatch.setattr(analysis, "_enumerate", listings.append)
+        monkeypatch.setattr(analysis, "analyze_group", listings.append)
         failed = "lies in ⟨r⟩" if inside else "is not a central translation"
         with pytest.raises(ValueError, match=f"z = s² {failed}$"):
             analysis._presentation(r, s)
@@ -493,7 +493,7 @@ class TestPresentationProof:
         assert (order(s), order(torus.compose(r, s))) == (4, 2)
         assert not torus.compose(s, s).is_linear_identity
         listings = []
-        monkeypatch.setattr(analysis, "_enumerate", listings.append)
+        monkeypatch.setattr(analysis, "analyze_group", listings.append)
         with pytest.raises(ValueError, match="z = s² is not a central translation$"):
             analysis._presentation(r, s)
         assert closures == listings == []
@@ -506,7 +506,7 @@ class TestPresentationProof:
         s = _power(r, 2 * n)
         assert (order(r), order(s)) == (4 * n, 2)
         listings = []
-        monkeypatch.setattr(analysis, "_enumerate", listings.append)
+        monkeypatch.setattr(analysis, "analyze_group", listings.append)
         with pytest.raises(ValueError, match=f"ord rs = {4 * n}, not 2$"):
             analysis._presentation(r, s)
         assert closures == listings == []
@@ -524,12 +524,11 @@ class TestPresentationProof:
     )
     def test_every_verifier_input_lists_nothing(self, verify, monkeypatch):
         # Each verifier's pair keeps a presentation, so neither the
-        # closure nor the enumerating analysis runs, and every row is
-        # still reported.
+        # closure nor the listing runs, and every row is still reported.
         def listing(*args):
             raise AssertionError("listed a group")
 
-        for name in ("closure", "_enumerate"):
+        for name in ("closure", "analyze_group"):
             monkeypatch.setattr(analysis, name, listing)
         cert = verify()
         assert len(cert.reports) == cert.group_order_actual > 0
@@ -583,8 +582,8 @@ class TestPresentationProof:
         assert closures == []
 
     def test_theorem_composes_logarithmically_often(self, forget, work):
-        # At n = 128, enumerating the 1,024 elements makes 2,050
-        # compositions and 1,028 cycle decompositions.  The cached maps
+        # At n = 128, closing the 1,024 elements makes 2,048
+        # compositions and 1,024 cycle decompositions.  The cached maps
         # are emptied first, as another test may have decided them.
         n = 128
         forget(*realified_action(n), *realified_action(n, ambient_lattice(n)))
@@ -603,7 +602,7 @@ class TestPresentationProof:
         n = 64
         forget(*dihedral._family(n).mutants[name])
         listings = []
-        monkeypatch.setattr(analysis, "_enumerate", listings.append)
+        monkeypatch.setattr(analysis, "analyze_group", listings.append)
         cert = verify_mutant(name, n)
         assert not cert.theorem_verified
         assert cert.group_order_actual == 8 * n
@@ -625,7 +624,7 @@ class TestPresentationProof:
         n = 64
         forget(*dihedral._family(n).mutants["no-quotient"])
         listings = []
-        monkeypatch.setattr(analysis, "_enumerate", listings.append)
+        monkeypatch.setattr(analysis, "analyze_group", listings.append)
         cert = verify_mutant("no-quotient", n)
         assert cert.group_order_actual == 16 * n
         assert not cert.has_no_translations
@@ -885,7 +884,7 @@ def test_mutants_are_the_linear_parts_of_the_realified_maps(n):
 def test_row_lookup_of_the_extension_is_the_closure_row(n):
     # The derived central extension holds each closure row at its own place.
     r, s = realified_action(n, ambient_lattice(n))
-    closed = analysis._enumerate([r, s])
+    closed = analysis.analyze_group([r, s])
     kept = presented(r, s)
     assert kept.z is not None and kept.k == 4 * n
     forms = [(a, b) for a in range(-kept.k, 2 * kept.k) for b in (0, 1)]
@@ -899,24 +898,22 @@ def test_row_lookup_of_the_extension_is_the_closure_row(n):
 @pytest.mark.parametrize("k", [4, 8, 12, 13])
 def test_row_lookup_of_d_k_is_the_listed_row(k):
     # k = 4n is the quotient pair (r, s) at n = 1, 2, 3, and k = 13 the
-    # corollary's (r^4, s) at n = 13.  The derivation of D_k holds the
-    # listed row of r^a s^b at its place, for a outside 0..k−1 too.
+    # corollary's (r^4, s) at n = 13.  The derivation of D_k holds the row
+    # of r^a s^b at its place, for a outside 0..k−1 too: its label names
+    # that element, and its verdicts are the listed ones.
     plan = build_corollary(k)
     r, s = realified_action(plan.params.n)
     r = _power(r, plan.rotation_power)
     listed = analysis.analyze_group([r, s])
     kept = presented(r, s)
-    assert listed.rotation_order == kept.k == k and kept.z is None
-    forms = [(a, b) for a in range(-k, 2 * k) for b in (0, 1)]
-    row = dict(zip((e.auto for e in listed.elements), listed.reports))
-    expected = [
-        row[torus.compose(_power(r, a), s) if b else _power(r, a)] for a, b in forms
-    ]
-    assert [kept.row(a, b) for a, b in forms] == expected
-    # The table writes each label straight from (a, b), with no path, and
-    # it is the rendering of the listed element's path r^a s^b.
-    for element, rep in zip(listed.elements, listed.reports):
-        assert rep.word == analysis._path_label(element.path, ("r", "s"))
+    assert kept.k == k and kept.z is None
+    listed_verdicts = dict(zip((e.auto for e in listed.elements), map(verdicts, listed.reports)))
+    for a in range(-k, 2 * k):
+        for b in (0, 1):
+            g = torus.compose(_power(r, a), s) if b else _power(r, a)
+            row = kept.row(a, b)
+            assert word_map(row.word, r, s) == g
+            assert verdicts(row) == listed_verdicts[g]
 
 
 @pytest.fixture
@@ -1071,15 +1068,34 @@ class TestKeptClassTable:
                 dihedral._certify(n, *maps)
             assert maps[0]._classes is None
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_the_listings_neither_read_nor_fill_the_table(self, n):
-        for lattice in (None, ambient_lattice(n)):
-            r, s = realified_action(n, lattice)
-            listed = analysis.analyze_group([_fresh(r), _fresh(s)])
-            closed = analysis._enumerate([_fresh(r), _fresh(s)])
-            # A record that no pair could have: reading it would fail.
-            r, s = _fresh(r), _fresh(s)
-            r._classes = {s: (1, False, {})}
-            assert analysis.analyze_group([r, s]) == listed
-            assert analysis._enumerate([r, s]) == closed
-            assert r._classes == {s: (1, False, {})} and s._classes is None
+    @pytest.mark.parametrize(
+        "name, size",
+        [(name, n) for name in ("theorem", *sorted(MUTANTS)) for n in (1, 2, 3)]
+        + [("corollary", k) for k in (5, 6)],
+    )
+    def test_the_listings_neither_read_nor_fill_the_table(self, name, size, monkeypatch):
+        # The reference listings are independent of the derivation: with
+        # the presentation's parts and the closed-form powers made to
+        # raise, the closure and its conjugacy classes still list the
+        # pair, and no map they touch keeps a presentation.
+        if name == "theorem":
+            pair, group_size = realified_action(size), 8 * size
+        elif name == "corollary":
+            plan = build_corollary(size)
+            r, s = realified_action(plan.params.n)
+            pair, group_size = (_power(r, plan.rotation_power), s), 2 * size
+        else:
+            pair = dihedral._family(size).mutants[name][:2]
+            group_size = (16 if name == "no-quotient" else 8) * size
+        r, s = map(_fresh, pair)
+
+        def derived(*args, **kwargs):
+            raise AssertionError("read the presentation")
+
+        for part in ("_normal_forms", "_presentation", "_rotation_flags", "_times", "_power"):
+            monkeypatch.setattr(analysis, part, derived)
+        monkeypatch.setattr(torus, "_power", derived)
+        listed = analysis.analyze_group([r, s])
+        classes = analysis.conjugacy_classes(listed.elements)
+        assert listed.group_size == sum(map(len, classes)) == group_size
+        assert all(g._classes is None for g in (r, s, *(e.auto for e in listed.elements)))

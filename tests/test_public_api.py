@@ -68,7 +68,7 @@ PARAMETERS = {
     "build_w": ("n",),
     "closure": ("gens",),
     "compose": ("g", "h"),
-    "conjugacy_classes": ("group", "conjugators"),
+    "conjugacy_classes": ("group",),
     "equal_mod_lattice": ("g", "h", "lattice"),
     "evaluate_word": ("word", "rotation", "reflection"),
     "exists_fixed_point": ("g",),
@@ -93,7 +93,7 @@ PARAMETERS = {
 FIELDS = {
     "Certificate": ("n", "group_order_expected", "steps", "reports", "k"),
     "StepResult": ("name", "checks"),
-    "GroupAnalysis": ("elements", "reports", "rotation_order"),
+    "GroupAnalysis": ("elements", "reports"),
     "GroupElement": ("auto", "path"),
 }
 

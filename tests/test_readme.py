@@ -7,7 +7,7 @@ attribute of the one before, or, last, a dataclass field or a slot of a
 class.  Names with other heads (`json.dumps`, `params.closure_cap`) and
 file paths are not read.  Every shell example that shows the output of
 a `dihedral-torus` command must print that output, `elapsed:` lines
-aside.
+aside, and every Python example must run.
 """
 
 import dataclasses
@@ -24,6 +24,7 @@ MODULES = ("torus", "analysis", "dihedral", "words", "certificate", "cli", "orac
 _SPAN = re.compile(r"`([^`\n]+)`")
 _DOTTED = re.compile(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 _SHELL = re.compile(r"```sh\n\$ dihedral-torus (.+)\n((?:(?!```).*\n)+)```")
+_PYTHON = re.compile(r"```python\n((?:(?!```).*\n)+)```")
 
 
 def _is_exported_class(head):
@@ -98,3 +99,10 @@ def test_the_readme_cli_examples_print_what_they_show(tmp_path, monkeypatch, cap
     for command, shown in examples:
         assert cli.main(shlex.split(command)) == 0
         assert _without_elapsed(capsys.readouterr().out) == _without_elapsed(shown)
+
+
+def test_the_readme_python_examples_run():
+    examples = _PYTHON.findall(README.read_text(encoding="utf-8"))
+    assert len(examples) == 1
+    for source in examples:
+        exec(compile(source, str(README), "exec"), {})

@@ -39,8 +39,6 @@ class TestTorusShape:
         assert shape.complex_dim == 7
         assert shape.real_dim == 14
         assert shape.eprime_index == 6
-        assert shape.is_eprime(6)
-        assert not shape.is_eprime(0)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
