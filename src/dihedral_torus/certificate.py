@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quoted
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import ElementReport
 from .dihedral import Certificate
@@ -86,6 +86,22 @@ def range_document(
     }
 
 
+def _range_pieces(certs: Iterable[Certificate], params: Mapping[str, Any]) -> Iterator[str]:
+    """render_json(range_document(certs, params)) in pieces, one run each,
+    rendered as `certs` yields it: no certificate is kept past its run."""
+    yield (
+        f'{{\n  "schema_version": {_quoted(SCHEMA_VERSION)},\n  "command": "verify",\n'
+        f'  "params": {_render(dict(params), "  ")},\n  "runs": ['
+    )
+    verified, close = True, "]"  # json writes an empty list as []
+    for cert in certs:
+        yield ("\n    " if close == "]" else ",\n    ") + _render(
+            {"n": cert.n, **_body(cert)}, "    "
+        )
+        verified, close = verified and cert.theorem_verified, "\n  ]"
+    yield f'{close},\n  "theorem_verified": {_render(verified, "  ")},\n  "elapsed_ms": null\n}}\n'
+
+
 _ROW_KEYS = ("word", "order", "is_translation", "has_fixed_point")
 _ROW_TYPES = (str, int, bool, bool)
 
@@ -123,8 +139,3 @@ def _render(value: Any, indent: str) -> str:
         return json.dumps(value, indent=spaced).replace("\n", "\n" + indent)
     brackets = "{}" if isinstance(value, dict) else "[]"
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
-def write_json(path: str, doc: Mapping[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_json(doc))

@@ -10,15 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analysis import OracleBudgetExceeded, _report, torsion_fixed_points_bruteforce
-from .certificate import (
-    corollary_document,
-    range_document,
-    theorem_document,
-    write_json,
-)
+from .certificate import _range_pieces, corollary_document, render_json, theorem_document
 from .dihedral import (
     Certificate,
     ambient_lattice,
@@ -115,12 +110,22 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _write_certificate(path: str, doc) -> bool:
-    """Write the JSON document; on an OS error say why on stderr instead."""
+def _write(path: str, pieces: Iterable[str]) -> OSError | None:
+    """Write a JSON document's pieces to path as they are made; the OS
+    error that stopped it, if one did."""
     try:
-        write_json(path, doc)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for piece in pieces:
+                fh.write(piece)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return exc
+    return None
+
+
+def _written(path: str, error: OSError | None) -> bool:
+    """Say where the certificate went, or on stderr why it could not be written."""
+    if error is not None:
+        print(f"error: cannot write {path}: {error.strerror or error}", file=sys.stderr)
         return False
     print(f"certificate written to {path}")
     return True
@@ -182,13 +187,24 @@ def cmd_verify(args) -> int:
     }
     start = time.perf_counter()
     ns = [args.n] if args.n is not None else range(1, args.range_max + 1)
-    keep = args.json is not None or args.oracle is not None
+    # The range document is written run by run, as each run is made.
+    stream = args.range_max is not None and args.json is not None
+    keep = args.oracle is not None or args.json is not None and not stream
     certs, ok = [], True
-    for cert in map(verify_theorem, ns):
-        _print_certificate(cert)  # as it is made
-        ok = ok and cert.theorem_verified
-        if keep:  # --json and --oracle read it again
-            certs.append(cert)
+
+    def made():
+        nonlocal ok
+        for cert in map(verify_theorem, ns):
+            _print_certificate(cert)  # as it is made
+            ok = ok and cert.theorem_verified
+            if keep:  # --oracle, or --n's document, reads it again
+                certs.append(cert)
+            yield cert
+
+    runs = made()
+    unwritten = _write(args.json, _range_pieces(runs, params)) if stream else None
+    for _ in runs:  # every run is made, written or not
+        pass
 
     if args.oracle is not None:
         for cert in certs:
@@ -209,13 +225,10 @@ def cmd_verify(args) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed: {elapsed_ms:.1f} ms")
 
-    if args.json is not None:
-        if args.range_max is not None:
-            doc = range_document(certs, params)
-        else:
-            doc = theorem_document(certs[0], params)
-        if not _write_certificate(args.json, doc):
-            return EXIT_USAGE
+    if args.json is not None and not stream:
+        unwritten = _write(args.json, [render_json(theorem_document(certs[0], params))])
+    if args.json is not None and not _written(args.json, unwritten):
+        return EXIT_USAGE
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
@@ -225,10 +238,10 @@ def cmd_corollary(args) -> int:
     _print_certificate(cert)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed: {elapsed_ms:.1f} ms")
-    if args.json is not None and not _write_certificate(
-        args.json, corollary_document(cert, {"k": args.k})
-    ):
-        return EXIT_USAGE
+    if args.json is not None:
+        doc = corollary_document(cert, {"k": args.k})
+        if not _written(args.json, _write(args.json, [render_json(doc)])):
+            return EXIT_USAGE
     return EXIT_OK if cert.theorem_verified else EXIT_VERIFICATION_FAILED
 
 

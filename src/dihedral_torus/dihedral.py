@@ -168,9 +168,9 @@ def realified_action(
     for the unquotiented product, or any other lattice for a fresh pair.
     """
     family = _family(n)
-    if lattice is not None and lattice == family.ambient:
+    if lattice is not None and (lattice is family.ambient or lattice == family.ambient):
         return family.ambient_pair
-    if lattice is None or lattice == family.quotient:
+    if lattice is None or lattice is family.quotient or lattice == family.quotient:
         return family.pair
     return family.realified(lattice)
 

@@ -14,12 +14,13 @@ denominator, reduced modulo the lattice.  It is built from that form
 only, `AffineAuto(perm, signs, translation, lattice)`, or by `realify`
 from a `ComplexMonomialMap`, which is a map's description and not an
 algebra: composition, powers and inversion act on `AffineAuto` values.
-Those, equality and hashing are O(m) integer operations; the dense
-matrix is built only when a caller asks for it.  Each map keeps its
-signed cycles, walked once, its order and fixed-point verdict, each
-decided once, and its powers: g^e is read in closed form off the
-cycles, so its cost does not grow with e, and kept on g under e mod
-ord g.
+Those and equality are O(m) integer operations, and so is a hash, which
+a map keeps after its first use.  `translation` shares one `Fraction`
+per distinct numerator of the shift, and the dense matrix is built only
+when a caller asks for it.  Each map keeps its signed cycles, walked
+once, its order and fixed-point verdict, each decided once, and its
+powers: g^e is read in closed form off the cycles, so its cost does not
+grow with e, and kept on g under e mod ord g.
 
 Coordinate layout: complex coordinate i (0-based) owns the two real
 slots 2i, 2i+1, in order (1-part, τ-part).
@@ -32,6 +33,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
+from operator import eq
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -111,7 +113,9 @@ class TorsionPoint:
 
 
 def _point(num: Sequence[int], den: int) -> TorsionPoint:
-    return TorsionPoint(tuple(Fraction(x, den) for x in num))
+    # A shift holds few distinct numerators: one shared Fraction each.
+    shared = {x: Fraction(x, den) for x in set(num)}
+    return TorsionPoint(tuple(map(shared.__getitem__, num)))
 
 
 def _sparse_hnf(m: int, d: int, rows: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
@@ -302,8 +306,8 @@ class AffineAuto:
     M is a signed permutation: output coordinate i is signs[i]·z[perm[i]].
     t is shift/denominator, with the integer shift reduced modulo L and in
     lowest terms, so equal maps have equal fields.  Values are immutable
-    and hashable, so they double as closure keys.  Equality and hashing ignore
-    the slots that keep its cycles, order, verdict, powers and presentations.
+    and hashable, so they double as closure keys.  Equality ignores the
+    slots that keep its hash, cycles, order, verdict, powers and presentations.
 
     The constructor takes (perm, signs, translation, lattice) and checks
     that perm is a permutation of the m coordinates, that every sign is
@@ -311,7 +315,7 @@ class AffineAuto:
     """
 
     __slots__ = ("perm", "signs", "shift", "denominator", "lattice", "__weakref__",
-                 "_linear", "_cycles", "_order", "_fixed", "_powers", "_classes")
+                 "_linear", "_cycles", "_order", "_fixed", "_powers", "_classes", "_hash")
 
     def __init__(
         self,
@@ -340,7 +344,7 @@ class AffineAuto:
             *lattice.scaled(translation)
         )
         self.lattice, self._linear, self._cycles = lattice, None, None
-        self._order = self._fixed = self._powers = self._classes = None
+        self._order = self._fixed = self._powers = self._classes = self._hash = None
 
     @classmethod
     def _make(cls, perm, signs, shift, denominator, lattice) -> "AffineAuto":
@@ -349,7 +353,7 @@ class AffineAuto:
         g = object.__new__(cls)
         g.perm, g.signs, g.shift, g.denominator = perm, signs, shift, denominator
         g.lattice, g._linear, g._cycles = lattice, None, None
-        g._order = g._fixed = g._powers = g._classes = None
+        g._order = g._fixed = g._powers = g._classes = g._hash = None
         return g
 
     @classmethod
@@ -383,9 +387,7 @@ class AffineAuto:
 
     @property
     def is_linear_identity(self) -> bool:
-        return all(s == 1 for s in self.signs) and all(
-            src == i for i, src in enumerate(self.perm)
-        )
+        return -1 not in self.signs and all(map(eq, self.perm, range(len(self.perm))))
 
     @property
     def is_identity(self) -> bool:
@@ -417,7 +419,9 @@ class AffineAuto:
         )
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         return (

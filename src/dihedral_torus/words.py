@@ -21,8 +21,10 @@ from itertools import groupby
 from .analysis import _presentation, _times
 from .torus import AffineAuto, _power, compose
 
-# ASCII digits only: \d alone would read "r^٣" as r^3.
-_TERM = re.compile(r"([rs])(?:\^(-?\d+))?\Z", re.ASCII)
+# Each whitespace-separated term: a well-formed one as (letter, exponent),
+# any other whole as the third group.  ASCII digits only: \d would read
+# "r^٣" as r^3.
+_TERMS = re.compile(r"([rs])(?:\^(-?[0-9]+))?(?!\S)|(\S+)")
 
 
 class WordParseError(ValueError):
@@ -54,12 +56,10 @@ class GroupWord:
 def parse_word(text: str) -> GroupWord:
     """Parse a word, annotating errors with the offending term's offset."""
     tokens = []
-    for match in re.finditer(r"\S+", text):
-        term = match.group()
-        parsed = _TERM.match(term)
-        if parsed is None:
-            raise WordParseError(f"invalid term {term!r}", match.start())
-        gen, exp = parsed.groups()
+    for match in _TERMS.finditer(text):
+        gen, exp, bad = match.groups()
+        if bad is not None:
+            raise WordParseError(f"invalid term {bad!r}", match.start())
         try:
             power = 1 if exp is None else int(exp)
         except ValueError:  # more digits than int() converts
@@ -74,7 +74,7 @@ def evaluate_word(
     word: GroupWord, rotation: AffineAuto, reflection: AffineAuto
 ) -> AffineAuto:
     """Evaluate tokens against concrete generators (rightmost applied first)."""
-    if rotation.lattice != reflection.lattice:
+    if rotation.lattice is not reflection.lattice and rotation.lattice != reflection.lattice:
         raise ValueError("generators live on different lattices")
     try:
         presented = _presentation(rotation, reflection)

@@ -1,12 +1,14 @@
 """Fixtures shared by the suites: a work counter and emptied kept slots,
 and the check that a pair's kept rows are what its closure lists.
 
-Maps keep what they decide (cycles, order, fixed point, powers,
-presentations) in the slots of `AffineAuto` that are neither its value
-fields nor `__weakref__`, and the cached generators are shared by every
-test.  A test that counts work
-from a cold start empties those slots first with `forget`, so its counts
-do not depend on which tests ran before it.
+Maps keep what they decide (hash, dense matrix, cycles, order, fixed
+point, powers, presentations) in the slots of `AffineAuto` that are
+neither its value fields nor `__weakref__`, and the cached generators
+are shared by every test.  The hash is computed on its first use; a
+map's `translation` is not kept, and shares one `Fraction` per distinct
+numerator of the shift.  A test that counts work from a cold start
+empties those slots first with `forget`, so its counts do not depend on
+which tests ran before it.
 """
 
 import sys

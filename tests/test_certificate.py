@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from dihedral_torus.certificate import (
     SCHEMA_VERSION,
+    _range_pieces,
     corollary_document,
     range_document,
     render_json,
     theorem_document,
-    write_json,
 )
+from dihedral_torus.cli import main
 from dihedral_torus.dihedral import (
     MUTANTS,
     verify_corollary,
@@ -133,11 +134,10 @@ class TestRendering:
         assert text.endswith("\n")
         assert json.loads(text)["group_order"] == 8
 
-    def test_write_json_matches_render(self, cert, tmp_path):
-        doc = theorem_document(cert, PARAMS)
+    def test_written_certificate_matches_render(self, cert, tmp_path, capsys):
         path = tmp_path / "cert.json"
-        write_json(str(path), doc)
-        assert path.read_text(encoding="utf-8") == render_json(doc)
+        assert main(["verify", "--n", "1", "--json", str(path)]) == 0
+        assert path.read_bytes() == render_json(theorem_document(cert, PARAMS)).encode("utf-8")
 
 
 # SHA-256 of render_json for fixed inputs, recorded from the dense-matrix
@@ -262,6 +262,16 @@ _DOCUMENTS = st.recursive(
 @settings(deadline=None, max_examples=400)
 def test_render_json_is_the_standard_encoder(doc):
     assert render_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@given(st.lists(_CERTS, max_size=3), st.dictionaries(_WORDS, _SCALARS, max_size=3))
+@settings(deadline=None, max_examples=100)
+@example([], {})
+@example([verify_theorem(1), verify_mutant("zero-offsets", 1)], PARAMS)
+def test_range_pieces_join_to_the_range_document(certs, params):
+    pieces = list(_range_pieces(iter(certs), params))
+    assert len(pieces) == len(certs) + 2  # head, one piece per run, tail
+    assert "".join(pieces) == render_json(range_document(certs, params))
 
 
 _ROW = {"word": "r s", "order": 2, "is_translation": False, "has_fixed_point": False}

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import analysis, cli, oracle
+from dihedral_torus.certificate import range_document, render_json
 from dihedral_torus.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -22,7 +24,12 @@ from dihedral_torus.cli import (
     build_parser,
     main,
 )
-from dihedral_torus.dihedral import ambient_lattice, realified_action
+from dihedral_torus.dihedral import (
+    ambient_lattice,
+    realified_action,
+    verify_mutant,
+    verify_theorem,
+)
 from dihedral_torus.words import evaluate_word, parse_word
 
 
@@ -129,6 +136,49 @@ class TestVerifyCommand:
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert [run["n"] for run in doc["runs"]] == [1, 2]
         assert doc["theorem_verified"] is True
+
+    @pytest.mark.parametrize(
+        "top, failing, oracle",
+        [(1, None, None), (2, None, None), (3, None, None), (4, None, None), (3, 2, None),
+         (2, None, 2)],
+    )
+    def test_streamed_range_json_is_the_range_document(
+        self, top, failing, oracle, tmp_path, capsys, monkeypatch
+    ):
+        # The failing n runs the zero-offsets mutant, which fails step 3.
+        made = [
+            verify_mutant("zero-offsets", n) if n == failing else verify_theorem(n)
+            for n in range(1, top + 1)
+        ]
+        monkeypatch.setattr(cli, "verify_theorem", lambda n: made[n - 1])
+        path, flags = tmp_path / "range.json", ["--oracle", str(oracle)] if oracle else []
+        code = main(["verify", "--range", str(top), *flags, "--json", str(path)])
+        assert code == (EXIT_OK if failing is None else EXIT_VERIFICATION_FAILED)
+        streamed = capsys.readouterr().out
+        main(["verify", "--range", str(top), *flags])
+        plain = capsys.readouterr().out
+
+        def timeless(out):
+            return [line for line in out.splitlines() if not line.startswith("elapsed:")]
+
+        assert timeless(streamed) == [*timeless(plain), f"certificate written to {path}"]
+        params = {"n": None, "range": top, "closure_cap": None, "oracle": oracle}
+        expected = render_json(range_document(made, params))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_streamed_range_json_keeps_no_certificate(self, tmp_path, capsys, monkeypatch):
+        made = []
+
+        def verify(n):
+            # Only the run just written may still be held when the next is made.
+            assert [ref() for ref in made[:-1]] == [None] * len(made[:-1])
+            cert = verify_theorem(n)
+            made.append(weakref.ref(cert))
+            return cert
+
+        monkeypatch.setattr(cli, "verify_theorem", verify)
+        assert main(["verify", "--range", "4", "--json", str(tmp_path / "range.json")]) == EXIT_OK
+        assert len(made) == 4
 
 
 class TestCorollaryCommand:
@@ -403,7 +453,7 @@ def test_module_entry_point(args):
 
 @pytest.mark.parametrize("name", ["missing/cert.json", ""], ids=["missing", "empty"])
 @pytest.mark.parametrize(
-    "args", [["verify", "--n", "1"], ["corollary", "--k", "5"]]
+    "args", [["verify", "--n", "1"], ["corollary", "--k", "5"], ["verify", "--range", "2"]]
 )
 def test_unwritable_certificate_is_a_usage_error(args, name, capsys, tmp_path):
     # An empty path is a path that cannot be written, not an absent flag.

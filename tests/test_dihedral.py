@@ -991,15 +991,20 @@ class TestKeptFacts:
 
     @pytest.mark.parametrize("lattice", [None, ambient_lattice(2)], ids=["quotient", "ambient"])
     @pytest.mark.parametrize("text", ["r^13", "r^3 s", "s r^-2", "s s"])
-    def test_a_repeated_single_run_word_redoes_nothing(self, text, lattice, work):
+    def test_a_repeated_single_run_word_redoes_nothing(self, text, lattice, work, monkeypatch):
         r, s = realified_action(2, lattice)
         word = parse_word(text)
         g = evaluate_word(word, r, s)
-        order(g), analysis.exists_fixed_point(g)
+        decided = order(g), analysis.is_translation(g), analysis.exists_fixed_point(g)
         work.clear()
+        # No map is hashed or compared again: each keeps its hash.
+        keyed, key = [], torus.AffineAuto._key
+        monkeypatch.setattr(torus.AffineAuto, "_key", lambda h: keyed.append(h) or key(h))
         again = evaluate_word(word, r, s)
-        order(again), analysis.exists_fixed_point(again)
-        assert again is g and work.counts == (0, 0, 0)
+        assert decided == (
+            order(again), analysis.is_translation(again), analysis.exists_fixed_point(again)
+        )
+        assert again is g and work.counts == (0, 0, 0) and keyed == []
 
 
 def _rendered(cert):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dihedral_torus import torus
@@ -481,3 +481,72 @@ def test_apply_matches_affine_formula(cmap, point):
         for row, t in zip(g.linear.rows, g.translation.coords)
     ]
     assert g.apply(point) == g.lattice.reduce(raw)
+
+
+# --- kept hash, C scans and shared Fractions ---------------------------------
+
+
+@st.composite
+def signed_maps(draw, lattice=None):
+    """A signed permutation of m <= 12 coordinates with a random shift, on
+    Z^m or on Z^m + Z·(1/2, ..., 1/2), which every signed permutation keeps;
+    the identity's perm and signs are drawn often."""
+    if lattice is None:
+        m = draw(st.integers(1, 12))
+        extras = draw(st.sampled_from(([], [[H] * m])))
+        lattice = EnlargedLattice.from_extra_generators(m, extras)
+    m = lattice.m
+    perm = draw(st.permutations(range(m)) | st.just(range(m)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m) | st.just([1] * m))
+    shift = draw(st.lists(rationals, min_size=m, max_size=m))
+    return AffineAuto(perm, signs, shift, lattice)
+
+
+def _per_coordinate(num, den):
+    """The point num/den with one `Fraction` built per coordinate."""
+    return TorsionPoint(tuple(F(x, den) for x in num))
+
+
+@given(signed_maps())
+@settings(deadline=None, max_examples=200)
+def test_is_linear_identity_is_the_coordinate_scan(g):
+    scanned = all(s == 1 for s in g.signs) and all(src == i for i, src in enumerate(g.perm))
+    assert g.is_linear_identity == scanned
+    assert g.linear_part().is_linear_identity == scanned
+
+
+@given(signed_maps(), st.lists(rationals, min_size=12, max_size=12))
+@settings(deadline=None, max_examples=200)
+def test_points_are_the_per_coordinate_fractions(g, point):
+    lattice, point = g.lattice, point[: g.lattice.m]
+    assert g.translation == _per_coordinate(g.shift, g.denominator)
+    # One Fraction per distinct numerator, shared by its coordinates.
+    assert len({id(x) for x in g.translation}) == len(set(g.shift))
+    reduced = lattice.reduce_scaled(*lattice.scaled(point))
+    assert lattice.reduce(point) == _per_coordinate(*reduced)
+    moved = lattice.reduce_scaled(*torus._moved(g, *lattice.scaled(point)))
+    assert g.apply(point) == _per_coordinate(*moved)
+
+
+@given(g=signed_maps())
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_kept_hash_is_the_hash_of_the_key(forget, g):
+    assert g._hash is None
+    assert hash(g) == hash(g._key()) == g._hash
+    forget(g)
+    assert g._hash is None
+    assert hash(g) == hash(g._key()) == g._hash
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_equal_maps_built_either_way_have_equal_hashes(data):
+    g = data.draw(signed_maps())
+    h = data.draw(signed_maps(g.lattice))
+    unit = AffineAuto.identity(g.lattice)
+    product = compose(g, h)
+    built = AffineAuto(product.perm, product.signs, product.translation, g.lattice)
+    assert product == built and hash(product) == hash(built)
+    for composed in (compose(g, unit), compose(unit, g), inverse(inverse(g))):
+        assert composed == g and hash(composed) == hash(g)
+    assert len({g, compose(g, unit), built, product}) == 1 + (built != g)

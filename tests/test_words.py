@@ -1,5 +1,6 @@
 """Tests for the generator-word parser and evaluator."""
 
+import re
 from fractions import Fraction
 from itertools import groupby
 
@@ -68,6 +69,23 @@ class TestParsing:
             assert exc.value.position == position
         assert main(["element", "--n", "1", "--word", "r^\u0663"]) == EXIT_USAGE
         assert "invalid term" in capsys.readouterr().err
+
+    @given(st.text(alphabet="rs^-0123456789 \t\u00a0\u0663x", max_size=16))
+    @settings(max_examples=300)
+    def test_one_pattern_parses_as_split_then_match(self, text):
+        # The reference: split on whitespace, then match each whole term.
+        expected = []
+        for match in re.finditer(r"\S+", text):
+            term = re.fullmatch(r"([rs])(?:\^(-?\d+))?", match.group(), re.ASCII)
+            if term is None:
+                expected = ("invalid term", match.start())
+                break
+            expected.append((term[1], int(term[2] or 1)))
+        try:
+            got = list(parse_word(text).tokens)
+        except WordParseError as exc:
+            got = (str(exc).split(" '")[0], exc.position)
+        assert got == expected
 
     def test_overlong_exponent_is_a_parse_error(self):
         # int() refuses more digits than sys.get_int_max_str_digits().
